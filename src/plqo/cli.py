@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = valid / satisfiable / satisfied, 1 = invalid /
-unsatisfiable / not satisfied, 2 = usage or parse error, 3 = budget or
-unsupported-fragment error.  Errors go to standard error with a
-machine-parsable ``error[CODE]:`` prefix.
+unsatisfiable / not satisfied, 2 = usage, parse, verification or internal
+error, 3 = budget (nesting depth included) or unsupported-fragment error.
+Errors go to standard error with a machine-parsable ``error[CODE]:`` prefix.
 """
 
 from __future__ import annotations
@@ -270,6 +270,13 @@ def run(argv=None):
         return EXIT_USAGE
     except OSError as e:
         print(f"error[io]: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        print(f"error[budget]: nesting exceeds the recursion limit ({limit})", file=sys.stderr)
+        return EXIT_BUDGET
+    except Exception as e:  # a crash must never read as a verdict
+        print(f"error[internal]: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

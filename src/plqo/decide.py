@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import SchemaPreconditionFailed
+from .errors import SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
 from .prop import Impl, Neg, atom as prop_atom, conj as prop_conj, is_tautology
 from .syntax import (
@@ -174,32 +174,30 @@ def is_tautological_formula(f):
 def check_proof(proof):
     """Independent checker: TT lines by truth table over atom letters, MP
     by shape, RR by re-running the side condition's feasibility checks,
-    HYP against the declared hypotheses.  Raises AssertionError on any
-    bad line."""
+    HYP against the declared hypotheses.  Raises VerificationFailed (an
+    AssertionError) on any bad line."""
     derived = {}
     for line in proof.lines:
         if line.kind == "RCOF":
-            assert isinstance(line.content, RcofSentence), "RCOF line is not a sentence"
-            assert line.content.holds(), f"side condition fails on line {line.number}"
+            verify(isinstance(line.content, RcofSentence), "RCOF line is not a sentence")
+            verify(line.content.holds(), f"side condition fails on line {line.number}")
         elif line.kind == "HYP":
-            assert line.content in proof.hypotheses, "undeclared hypothesis"
+            verify(line.content in proof.hypotheses, "undeclared hypothesis")
         elif line.kind == "TT":
-            assert is_tautological_formula(line.content), (
-                f"TT line {line.number} is not tautological"
-            )
+            verify(is_tautological_formula(line.content), f"TT line {line.number} is not tautological")
         elif line.kind == "RR":
             (ref,) = line.refs
             sent = proof.lines[ref - 1].content
-            assert isinstance(sent, RcofSentence), "RR must cite an RCOF line"
-            assert sent.formula() == line.content, "RR formula differs from its sentence"
+            verify(isinstance(sent, RcofSentence), "RR must cite an RCOF line")
+            verify(sent.formula() == line.content, "RR formula differs from its sentence")
         elif line.kind == "MP":
             minor, major = line.refs
             impl = derived[major]
-            assert isinstance(impl, PImpl), "MP major premise is not an implication"
-            assert derived[minor] == impl.left, "MP minor premise mismatch"
-            assert impl.right == line.content, "MP conclusion mismatch"
+            verify(isinstance(impl, PImpl), "MP major premise is not an implication")
+            verify(derived[minor] == impl.left, "MP minor premise mismatch")
+            verify(impl.right == line.content, "MP conclusion mismatch")
         else:
-            raise AssertionError(f"unknown justification {line.kind}")
+            raise VerificationFailed(f"unknown justification {line.kind}")
         if line.kind != "RCOF":
             derived[line.number] = line.content
     return True
@@ -291,7 +289,7 @@ def check_sat(phi):
             structure, rho, spec = model_from_witness(phi, witness)
             return Satisfiable(structure, rho, spec)
     verdict = check_valid(PNeg(phi))
-    assert isinstance(verdict, Valid), "dual consistency broke"
+    verify(isinstance(verdict, Valid), "dual consistency broke")
     return Unsatisfiable(verdict.proof)
 
 

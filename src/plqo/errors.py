@@ -51,3 +51,15 @@ class WitnessIncomplete(PlqoError):
 
 class SchemaPreconditionFailed(PlqoError):
     code = "schema-precondition"
+
+
+class VerificationFailed(PlqoError, AssertionError):
+    """An independent re-check rejected a proof, witness or countermodel."""
+
+    code = "verify"
+
+
+def verify(ok, message):
+    """A load-bearing check: unlike ``assert`` it survives ``python -O``."""
+    if not ok:
+        raise VerificationFailed(message)

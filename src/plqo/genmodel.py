@@ -23,14 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import MissingSymbol, SpecInvalid, WitnessIncomplete
-from .hilbert import (
-    Pqv,
-    QuantumStructure,
-    StateVector,
-    mat_mul,
-    mat_sub,
-)
+from .errors import MissingSymbol, SpecInvalid, WitnessIncomplete, verify
+from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero
 from .prop import PropSymbol, phi_A_U
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar
 from .syntax import Assignment, prob_formulas_of
@@ -88,10 +82,6 @@ def _nc_order(spec):
     return sorted(tuple(sorted(p)) for p in spec.nc)
 
 
-def valuation_of_code(spec, code):
-    return {s: (code >> j) & 1 for j, s in enumerate(spec.symbols)}
-
-
 def build_generic(spec):
     """The structure I^{B', nc, f} with amplitudes sqrt(mass)."""
     n = len(spec.symbols)
@@ -101,24 +91,17 @@ def build_generic(spec):
 
     pqvs = {}
     for j, s in enumerate(spec.symbols):
-        m = [[C_ZERO] * dim for _ in range(dim)]
-        for k in range(1 << n):
-            if (k >> j) & 1:
-                m[k][k] = C_ONE
-        for t, (lo, hi) in enumerate(nc_list):
-            o = (1 << n) + 2 * t
+        rows = [{k: C_ONE} if (k >> j) & 1 else {} for k in range(1 << n)]
+        for lo, hi in nc_list:
+            o = len(rows)
             u = o + 1
             if s == lo:
-                m[o][o] = half
-                m[o][u] = half
-                m[u][o] = half
-                m[u][u] = half
+                rows += [{o: half, u: half}, {o: half, u: half}]
             elif s == hi:
-                m[u][u] = C_ONE
+                rows += [{}, {u: C_ONE}]
             else:
-                m[o][o] = C_ONE
-                m[u][u] = C_ONE
-        pqvs[s] = Pqv(tuple(tuple(row) for row in m))
+                rows += [{o: C_ONE}, {u: C_ONE}]
+        pqvs[s] = Pqv(Matrix(rows))
 
     amps = [ComplexScalar(RadicalScalar.sqrt_of(mass), RAD_ZERO) for mass in spec.masses]
     amps += [C_ZERO] * (2 * len(nc_list))
@@ -148,9 +131,9 @@ def commutator_witness(structure, pair):
     """The exact commutator matrix of the pair's projectors; the zero
     matrix iff the pair is compatible."""
     s1, s2 = tuple(pair) if len(tuple(pair)) == 2 else (tuple(pair)[0],) * 2
-    a = structure.pqv(s1).up_projector
-    b = structure.pqv(s2).up_projector
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    a = structure.pqv(s1).projector
+    b = structure.pqv(s2).projector
+    return (a @ b - b @ a).dense(czero(structure.tol is None))
 
 
 def spec_from_json(doc):
@@ -186,7 +169,7 @@ def spec_to_json(spec):
 def model_from_witness(phi, witness):
     """Turn a feasible witness of the translated system into a generic
     structure (plus assignment) that satisfies phi exactly when the
-    witness satisfies the translation; the equivalence is asserted.
+    witness satisfies the translation; the equivalence is verified.
 
     Returns (structure, assignment, spec).
     """
@@ -217,7 +200,8 @@ def model_from_witness(phi, witness):
 
     model_truth = satisfies(structure, rho, phi)
     witness_truth = eval_rcof(translate_formula(phi), witness)
-    assert model_truth == witness_truth, (
-        "witness-to-structure map broke the satisfaction equivalence"
+    verify(
+        model_truth == witness_truth,
+        "witness-to-structure map broke the satisfaction equivalence",
     )
     return structure, rho, spec

@@ -9,7 +9,7 @@ satisfying valuations.
 
 Scalars are exact (ComplexScalar) by default.  Structures loaded from
 files with floating-point entries use builtin complex arithmetic with a
-tolerance instead.
+tolerance instead.  Either way projectors are held as sparse Matrix rows.
 """
 
 from __future__ import annotations
@@ -36,11 +36,9 @@ from .prop import (
     Neg,
 )
 from .scalars import (
-    C_ONE,
     C_ZERO,
     ComplexScalar,
     RadicalScalar,
-    coerce_complex,
     parse_radical,
 )
 from .syntax import EMPTY_ASSIGNMENT, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
@@ -48,73 +46,11 @@ from .syntax import EMPTY_ASSIGNMENT, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
 DEFAULT_TOL = 1e-9
 
 
-# -- small exact/float matrix helpers ---------------------------------------
+# -- sparse exact/float matrices ---------------------------------------------
 
 
 def czero(exact=True):
     return C_ZERO if exact else 0j
-
-
-def cone(exact=True):
-    return C_ONE if exact else 1 + 0j
-
-
-def identity(n, exact=True):
-    z, o = czero(exact), cone(exact)
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_mul(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    bt = tuple(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * bt[j][0]
-            for t in range(1, k):
-                acc = acc + a[i][t] * bt[j][t]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = row[0] * v[0]
-        for x, y in zip(row[1:], v[1:]):
-            acc = acc + x * y
-        out.append(acc)
-    return tuple(out)
-
-
-def dagger(a):
-    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
-
-
-def outer(u, v):
-    """|u><v| as a matrix."""
-    vc = tuple(x.conjugate() for x in v)
-    return tuple(tuple(x * y for y in vc) for x in u)
-
-
-def inner(u, v):
-    """<u|v>."""
-    acc = u[0].conjugate() * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x.conjugate() * y
-    return acc
 
 
 def scalar_is_zero(x, tol=None):
@@ -124,11 +60,70 @@ def scalar_is_zero(x, tol=None):
 
 
 def matrix_is_zero(a, tol=None):
+    """Whether every entry of a dense tuple-of-rows matrix is zero."""
     return all(scalar_is_zero(x, tol) for row in a for x in row)
 
 
+class Matrix:
+    """A square matrix held by rows: ``rows[i]`` maps a column index to the
+    nonzero scalar there (exact ComplexScalar, or builtin complex in
+    tolerance mode).  Products, adjoints and comparisons cost O(nnz): a
+    generic structure is diagonal plus one 2x2 block per incompatible
+    pair, so its projectors have O(dim) entries."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def dense(self, zero):
+        """The matrix as a tuple of rows, with ``zero`` in the gaps."""
+        return tuple(tuple(row.get(j, zero) for j in range(self.dim)) for row in self.rows)
+
+    def dagger(self):
+        rows = [{} for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                rows[j][i] = x.conjugate()
+        return Matrix(rows)
+
+    def __matmul__(self, other):
+        rows = []
+        for row in self.rows:
+            out = {}
+            for k, x in row.items():
+                for j, y in other.rows[k].items():
+                    out[j] = out[j] + x * y if j in out else x * y
+            rows.append({j: v for j, v in out.items() if v})
+        return Matrix(rows)
+
+    def __sub__(self, other):
+        return Matrix(_sub(ra, rb) for ra, rb in zip(self.rows, other.rows))
+
+    def apply(self, vec, zero):
+        """The product with a vector held as an {index: nonzero scalar} map."""
+        out = ((i, sum((x * vec[k] for k, x in row.items() if k in vec), zero))
+               for i, row in enumerate(self.rows))
+        return {i: x for i, x in out if x}
+
+
 def matrices_equal(a, b, tol=None):
-    return matrix_is_zero(mat_sub(a, b), tol)
+    """Entrywise equality of two Matrix values, exact or within ``tol``."""
+    return all(scalar_is_zero(x, tol) for row in (a - b).rows for x in row.values())
+
+
+def _sub(u, v):
+    """u - v for {index: scalar} maps, without exact zeros."""
+    out = dict(u)
+    for k, y in v.items():
+        d = out.pop(k) - y if k in out else -y
+        if d:
+            out[k] = d
+    return out
 
 
 # -- structures --------------------------------------------------------------
@@ -143,31 +138,39 @@ class StateVector:
     def __post_init__(self):
         if len(self.amps) != self.dim:
             raise DimMismatch("state length does not match dim")
-        norm = inner(self.amps, self.amps)
-        one = cone(self.tol is None)
-        if not scalar_is_zero(norm - one, self.tol):
+        norm = sum((x.conjugate() * x for x in self.amps if x), czero(self.tol is None))
+        if not scalar_is_zero(norm - 1, self.tol):
             raise SpecInvalid(f"state vector is not a unit vector (|.|^2 = {norm})")
 
 
 @dataclass(frozen=True)
 class Pqv:
-    """A propositional quantum variable, carried by its induced projector."""
+    """A propositional quantum variable, carried by its induced projector:
+    a Matrix, or a dense tuple of rows that is converted to one."""
 
-    up_projector: tuple
+    projector: Matrix
     tol: object = None
 
     def __post_init__(self):
-        m = self.up_projector
-        if any(len(row) != len(m) for row in m):
-            raise DimMismatch("projector is not square")
-        if not matrices_equal(m, dagger(m), self.tol):
+        m = self.projector
+        if not isinstance(m, Matrix):
+            if any(len(row) != len(m) for row in m):
+                raise DimMismatch("projector is not square")
+            m = Matrix({j: x for j, x in enumerate(row) if x} for row in m)
+            object.__setattr__(self, "projector", m)
+        if not matrices_equal(m, m.dagger(), self.tol):
             raise SpecInvalid("projector is not Hermitian")
-        if not matrices_equal(mat_mul(m, m), m, self.tol):
+        if not matrices_equal(m @ m, m, self.tol):
             raise SpecInvalid("projector is not idempotent")
 
     @property
     def dim(self):
-        return len(self.up_projector)
+        return self.projector.dim
+
+    @property
+    def up_projector(self):
+        """The projector as a dense tuple of rows."""
+        return self.projector.dense(czero(self.tol is None))
 
 
 @dataclass(frozen=True)
@@ -196,32 +199,31 @@ def compatible(y1, y2, tol=None):
     ``tol`` in float mode)."""
     if y1.dim != y2.dim:
         raise DimMismatch("projectors of different dimension")
-    a, b = y1.up_projector, y2.up_projector
-    return matrices_equal(mat_mul(a, b), mat_mul(b, a), tol)
+    a, b = y1.projector, y2.projector
+    return matrices_equal(a @ b, b @ a, tol)
+
+
+def _compatible_family(structure, symbols):
+    pqvs = [structure.pqv(s) for s in symbols]
+    return all(compatible(p1, p2, structure.tol) for p1, p2 in combinations(pqvs, 2))
 
 
 def is_observable(structure, alpha):
     """Whether alpha's essential symbols map to a pairwise-compatible
     family; vacuously true for at most one essential symbol."""
-    ess = sorted(essential_symbols(alpha))
-    pqvs = [structure.pqv(s) for s in ess]
-    for p1, p2 in combinations(pqvs, 2):
-        if not compatible(p1, p2, structure.tol):
-            return False
-    return True
+    return _compatible_family(structure, sorted(essential_symbols(alpha)))
 
 
-def _projected_mass(structure, symbols, valuation):
-    """<psi| Q_k ... Q_1 |psi> with Q_j the projector (or its complement)
-    for the j-th symbol in ascending index order, Q_1 applied first."""
-    exact = structure.tol is None
-    ident = identity(structure.dim, exact)
-    vec = structure.state.amps
+def _projected_mass(structure, symbols, valuation, psi):
+    """<psi| Q_k ... Q_1 |psi> with Q_j the projector P (or I - P, applied
+    as v - P v) for the j-th symbol in ascending index order, Q_1 applied
+    first; psi is the state as an {index: amplitude} map."""
+    zero = czero(structure.tol is None)
+    vec = psi
     for s in symbols:
-        p = structure.pqv(s).up_projector
-        q = p if valuation[s] else mat_sub(ident, p)
-        vec = mat_vec(q, vec)
-    return inner(structure.state.amps, vec)
+        pv = structure.pqv(s).projector.apply(vec, zero)
+        vec = pv if valuation[s] else _sub(vec, pv)
+    return sum((psi[k].conjugate() * y for k, y in vec.items() if k in psi), zero)
 
 
 def _as_real(x, tol):
@@ -246,19 +248,18 @@ def prob(structure, alpha, family="full"):
         syms = sorted(essential_symbols(alpha))
     else:
         raise ValueError(f"unknown family mode {family!r}")
-    pqvs = [structure.pqv(s) for s in syms]
-    for p1, p2 in combinations(pqvs, 2):
-        if not compatible(p1, p2, structure.tol):
-            raise IncompatibleFamily(
-                f"symbol family {[str(s) for s in syms]} is not pairwise compatible"
-            )
+    if not _compatible_family(structure, syms):
+        raise IncompatibleFamily(
+            f"symbol family {[str(s) for s in syms]} is not pairwise compatible"
+        )
     # inessential symbols cannot change the truth value, so pad the
     # valuation with zeros for them when the family leaves them out
     padding = {s: 0 for s in alpha.symbols() if s not in syms}
     total = czero(structure.tol is None)
+    psi = {i: x for i, x in enumerate(structure.state.amps) if x}
     for v in all_valuations(syms):
         if eval_formula(alpha, v | padding):
-            total = total + _projected_mass(structure, syms, v)
+            total = total + _projected_mass(structure, syms, v, psi)
     return _as_real(total, structure.tol)
 
 
@@ -299,9 +300,8 @@ def adams_check(structure, samples):
     P3: if alpha classically entails beta then P(alpha) <= P(beta).
     P4: if alpha and beta are exclusive then P(alpha|beta) = P(alpha)+P(beta).
     """
-    for p1, p2 in combinations(structure.pqvs.values(), 2):
-        if not compatible(p1, p2, structure.tol):
-            raise IncompatibleFamily("structure has incompatible quantum variables")
+    if not _compatible_family(structure, structure.pqvs):
+        raise IncompatibleFamily("structure has incompatible quantum variables")
 
     def close(x, y):
         if structure.tol is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import verify
 from .translate import LinConstraint, constraints_hold
 
 
@@ -184,11 +185,12 @@ def _concretize(delta_values, constraints):
             a += k * dv.std
             b += k * dv.inf
         if c.rel == "=":
-            assert a == c.rhs and b == 0, "delta-solution violates an equality"
+            verify(a == c.rhs and b == 0, "delta-solution violates an equality")
             continue
         slack = c.rhs - a
-        assert slack > 0 or (slack == 0 and (b < 0 or (b <= 0 and c.rel == "<="))), (
-            "delta-solution violates an inequality"
+        verify(
+            slack > 0 or (slack == 0 and (b < 0 or (b <= 0 and c.rel == "<="))),
+            "delta-solution violates an inequality",
         )
         if b > 0 and slack > 0:
             delta_cap = min(delta_cap, slack / b)
@@ -208,7 +210,7 @@ def feasible(constraints):
     if not tableau.check():
         return INFEASIBLE
     witness = _concretize(tableau.values(), constraints)
-    assert constraints_hold(constraints, witness), "witness failed re-verification"
+    verify(constraints_hold(constraints, witness), "witness failed re-verification")
     return Feasible(witness)
 
 

@@ -169,24 +169,6 @@ def is_tautology(f):
     return all(eval_formula(f, v) for v in all_valuations(syms))
 
 
-def essential_symbols_bruteforce(f):
-    """Reference implementation: a symbol is essential iff flipping it
-    changes the truth value under some valuation."""
-    syms = f.symbols()
-    _check_budget(syms, "essential_symbols")
-    essential = set()
-    for s in syms:
-        for v in all_valuations(syms - {s}):
-            v0 = dict(v)
-            v0[s] = 0
-            v1 = dict(v)
-            v1[s] = 1
-            if eval_formula(f, v0) != eval_formula(f, v1):
-                essential.add(s)
-                break
-    return frozenset(essential)
-
-
 @dataclass(frozen=True)
 class AnfPoly:
     """GF(2) multilinear polynomial: a set of monomials, each a set of

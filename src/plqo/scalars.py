@@ -111,7 +111,13 @@ class RadicalScalar:
         out = {}
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
-                s, d = square_split(d1 * d2)
+                # d1, d2 are squarefree: only distinct non-unit pairs need factoring
+                if d1 == 1 or d2 == 1:
+                    s, d = 1, d1 * d2
+                elif d1 == d2:
+                    s, d = d1, 1
+                else:
+                    s, d = square_split(d1 * d2)
                 out[d] = out.get(d, Fraction(0)) + c1 * c2 * s
         return RadicalScalar.make(out)
 
@@ -217,6 +223,9 @@ class ComplexScalar:
     def is_zero(self):
         return self.re.is_zero() and self.im.is_zero()
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def __add__(self, other):
         other = coerce_complex(other)
         return ComplexScalar(self.re + other.re, self.im + other.im)
@@ -232,6 +241,10 @@ class ComplexScalar:
 
     def __mul__(self, other):
         other = coerce_complex(other)
+        if not self.im.terms:
+            return ComplexScalar(self.re * other.re, self.re * other.im)
+        if not other.im.terms:
+            return ComplexScalar(self.re * other.re, self.im * other.re)
         return ComplexScalar(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -317,7 +330,3 @@ def parse_radical(text):
         for dd, cc in (rad * sign).terms:
             coeffs[dd] = coeffs.get(dd, Fraction(0)) + cc
     return RadicalScalar.make(coeffs)
-
-
-def print_radical(x):
-    return str(x)

@@ -3,9 +3,23 @@
 The Fourier-Motzkin eliminator here shares no code with the simplex in
 plqo.lra: constraints are re-expressed as upper-bound rows and variables
 are eliminated one at a time, tracking strictness.
+
+essential_symbols_bruteforce flips each symbol under every valuation,
+where plqo.prop reads essential symbols off the algebraic normal form.
+
+The dense matrix helpers and the dense semantics below share no
+arithmetic with plqo.hilbert's sparse Matrix: they work on the dense
+tuple-of-rows views (``Pqv.up_projector``, ``StateVector.amps``) with
+full products, and apply I - P by forming it.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from plqo.errors import IncompatibleFamily, SpecInvalid
+from plqo.prop import all_valuations, essential_symbols, eval_formula
+from plqo.scalars import C_ONE, C_ZERO
+from plqo.syntax import ObsAtom, PImpl, PNeg, ProbAtom, eval_term
 
 
 def _rows_of(constraints):
@@ -86,3 +100,135 @@ def fourier_motzkin_feasible(constraints):
         elif not Fraction(0) <= rhs:
             return False
     return True
+
+
+def essential_symbols_bruteforce(f):
+    """A symbol is essential iff flipping it changes the truth value under
+    some valuation."""
+    syms = f.symbols()
+    essential = set()
+    for s in syms:
+        for v in all_valuations(syms - {s}):
+            if eval_formula(f, v | {s: 0}) != eval_formula(f, v | {s: 1}):
+                essential.add(s)
+                break
+    return frozenset(essential)
+
+
+# -- dense matrices ------------------------------------------------------------
+
+
+def identity(n, exact=True):
+    z, o = (C_ZERO, C_ONE) if exact else (0j, 1 + 0j)
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+
+
+def _dot(u, v):
+    """sum u_t v_t, no conjugation."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def mat_vec(a, v):
+    return tuple(_dot(row, v) for row in a)
+
+
+def dagger(a):
+    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
+
+
+def inner(u, v):
+    """<u|v>."""
+    return _dot(tuple(x.conjugate() for x in u), v)
+
+
+def _is_zero(x, tol):
+    return x.is_zero() if tol is None else abs(x) <= tol
+
+
+def matrices_equal(a, b, tol=None):
+    return all(_is_zero(x, tol) for row in mat_sub(a, b) for x in row)
+
+
+def dense_projector_defect(m, tol=None):
+    """None for a Hermitian idempotent square matrix, else what fails
+    first, by dense products."""
+    if any(len(row) != len(m) for row in m):
+        return "not square"
+    if not matrices_equal(m, dagger(m), tol):
+        return "not Hermitian"
+    if not matrices_equal(mat_mul(m, m), m, tol):
+        return "not idempotent"
+    return None
+
+
+def dense_compatible(a, b, tol=None):
+    return matrices_equal(mat_mul(a, b), mat_mul(b, a), tol)
+
+
+def dense_is_observable(structure, alpha):
+    mats = [structure.pqv(s).up_projector for s in sorted(essential_symbols(alpha))]
+    return all(dense_compatible(a, b, structure.tol) for a, b in combinations(mats, 2))
+
+
+def dense_prob(structure, alpha, family="full"):
+    """The probability of alpha summed over ordered dense projector
+    products, as in the paper's definition."""
+    tol = structure.tol
+    syms = sorted(alpha.symbols() if family == "full" else essential_symbols(alpha))
+    mats = {s: structure.pqv(s).up_projector for s in syms}
+    for a, b in combinations(mats.values(), 2):
+        if not dense_compatible(a, b, tol):
+            raise IncompatibleFamily("dense reference: incompatible family")
+    psi = structure.state.amps
+    ident = identity(structure.dim, tol is None)
+    padding = {s: 0 for s in alpha.symbols() if s not in syms}
+    total = C_ZERO if tol is None else 0j
+    for v in all_valuations(syms):
+        if eval_formula(alpha, v | padding):
+            vec = psi
+            for s in syms:
+                q = mats[s] if v[s] else mat_sub(ident, mats[s])
+                vec = mat_vec(q, vec)
+            total = total + inner(psi, vec)
+    if tol is None:
+        if not total.im.is_zero():
+            raise SpecInvalid("dense reference: non-real probability")
+        return total.re
+    if abs(total.imag) > tol:
+        raise SpecInvalid("dense reference: non-real probability")
+    return total.real
+
+
+def dense_satisfies(structure, rho, phi):
+    if isinstance(phi, ObsAtom):
+        return dense_is_observable(structure, phi.alpha)
+    if isinstance(phi, ProbAtom):
+        if not dense_is_observable(structure, phi.alpha):
+            return False
+        p = dense_prob(structure, phi.alpha, family="essential")
+        q = eval_term(phi.term, rho)
+        tol = structure.tol
+        if tol is None:
+            return p.compares(phi.cmp, q)
+        if phi.cmp == "=":
+            return abs(p - float(q)) <= tol
+        return p < float(q) - tol
+    if isinstance(phi, PNeg):
+        return not dense_satisfies(structure, rho, phi.child)
+    if isinstance(phi, PImpl):
+        return (not dense_satisfies(structure, rho, phi.left)) or dense_satisfies(
+            structure, rho, phi.right
+        )
+    raise TypeError(f"not a formula node: {phi!r}")

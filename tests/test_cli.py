@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plqo.cli
 from plqo.cli import run
+from plqo.errors import VerificationFailed
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -190,3 +198,37 @@ def test_prove_schema_precondition_failure(capsys):
     )
     assert code == 2
     assert err.startswith("error[schema-precondition]:")
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["!" * 3000 + "O(T)", "(" * 2000 + "O(T)" + ")" * 2000],
+    ids=["3000-negations", "2000-parentheses"],
+)
+def test_deep_nesting_is_a_budget_error(formula):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-m", "plqo.cli", "check", formula],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stderr.startswith("error[budget]:")
+    assert "Traceback" not in done.stderr
+
+
+def test_failures_never_exit_as_verdicts(capsys, monkeypatch):
+    def rejected(phi):
+        raise VerificationFailed("countermodel failed re-verification")
+
+    monkeypatch.setattr(plqo.cli, "check_valid", rejected)
+    code, out, err = invoke(capsys, "check", "O(T)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[verify]:")
+
+    def crashed(phi):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(plqo.cli, "check_valid", crashed)
+    code, out, err = invoke(capsys, "check", "O(T)")
+    assert (code, out) == (2, "")
+    assert err == "error[internal]: ZeroDivisionError: boom\n"

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +215,20 @@ def test_proof_checker_rejects_undeclared_hyp():
     line = ProofLine(1, parse_plqo("O(B1)"), "HYP")
     with pytest.raises(AssertionError):
         check_proof(Proof((line,)))
+
+
+def test_proof_checker_rejects_tampering_under_optimize():
+    """The three tamper cases above, run by a child interpreter under -O,
+    which strips assert statements."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(root / "tests" / "test_decide.py"), "-k", "proof_checker_rejects and not optimize"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "3 passed" in done.stdout
 
 
 def test_proof_conclusion_and_json():

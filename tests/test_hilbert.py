@@ -13,12 +13,8 @@ from plqo.hilbert import (
     StateVector,
     adams_check,
     compatible,
-    identity,
     is_observable,
     load_structure,
-    mat_sub,
-    mat_vec,
-    inner,
     prob,
     satisfies,
     structure_from_json,
@@ -45,7 +41,18 @@ from plqo.syntax import (
     numeral,
 )
 
-from formgen import gen_classical
+from formgen import gen_classical, gen_plqo
+from oracles import (
+    dense_compatible,
+    dense_is_observable,
+    dense_prob,
+    dense_projector_defect,
+    dense_satisfies,
+    identity,
+    inner,
+    mat_sub,
+    mat_vec,
+)
 
 
 def diagonal_structure(masses, nsym):
@@ -297,3 +304,172 @@ def test_structure_json_rejects_garbage():
         structure_from_json({"dim": 1, "state": ["1"], "pqvs": {"Q1": [["1"]]}})
     with pytest.raises(SpecInvalid):
         structure_from_json({"state": ["1"], "pqvs": {}})
+
+
+# -- sparse matrices against the dense reference -------------------------------
+
+
+def _cscalar(z):
+    """An exact complex scalar from a (re, im) pair of rationals."""
+    return ComplexScalar(RadicalScalar.rational(z[0]), RadicalScalar.rational(z[1]))
+
+
+def _gaussian_vector(rng, dim):
+    while True:
+        v = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(dim)]
+        if any(z != (0, 0) for z in v):
+            return v
+
+
+def _rank1_projector(v):
+    """|v><v| / <v|v> with rational complex entries, as (re, im) pairs."""
+    norm = sum(a * a + b * b for a, b in v)
+    return [
+        [(Fraction(a * c + b * d, norm), Fraction(b * c - a * d, norm)) for c, d in v]
+        for a, b in v
+    ]
+
+
+def _random_projector(rng, dim):
+    if rng.random() < 0.5:
+        ones = [rng.random() < 0.5 for _ in range(dim)]
+        return [[(Fraction(int(i == j and ones[i])), Fraction(0)) for j in range(dim)]
+                for i in range(dim)]
+    return _rank1_projector(_gaussian_vector(rng, dim))
+
+
+def _corrupt(rng, m):
+    """A copy of m that is no longer Hermitian, or Hermitian but not
+    idempotent, or unchanged but for an entry below the float tolerance."""
+    m = [list(row) for row in m]
+    dim = len(m)
+    i, j = rng.randrange(dim), rng.randrange(dim)
+    kind = rng.choice(["asym", "herm", "tiny"])
+    if kind == "asym" and dim > 1:
+        j = (i + 1) % dim
+        m[i][j] = (m[i][j][0] + Fraction(1, 3), m[i][j][1])
+    elif kind == "tiny":
+        m[i][j] = (m[i][j][0] + Fraction(1, 10**12), m[i][j][1])
+    else:
+        m[i][i] = (m[i][i][0] + Fraction(1, 3), m[i][i][1])
+    return m
+
+
+def _file_doc(rng, nsym, exact):
+    """A structure document with complex entries: a unit state with
+    radical amplitudes and per-symbol diagonal or rank-1 projectors."""
+    dim = rng.randint(2, 4)
+    v = _gaussian_vector(rng, dim)
+    scale = RadicalScalar.sqrt_of(Fraction(1, sum(a * a + b * b for a, b in v)))
+
+    def entry(re, im):
+        if exact:
+            return [str(re), str(im)]
+        return [float(re), float(im)]
+
+    state = [entry(scale * a, scale * b) for a, b in v]
+    pqvs = {
+        f"B{k}": [[entry(*z) for z in row] for row in _random_projector(rng, dim)]
+        for k in range(1, nsym + 1)
+    }
+    return {"dim": dim, "state": state, "pqvs": pqvs}
+
+
+def _random_generic(rng, nsym):
+    symbols = [PropSymbol(i) for i in range(1, nsym + 1)]
+    nc = [p for p in combinations(symbols, 2) if rng.random() < 0.4]
+    weights = [rng.randint(0, 3) for _ in range(1 << nsym)]
+    weights[0] += 1
+    total = sum(weights)
+    spec = GenericModelSpec.make(symbols, nc, [Fraction(w, total) for w in weights])
+    return build_generic(spec)
+
+
+def _outcome(f, *args):
+    """f's result, or IncompatibleFamily if it raised that."""
+    try:
+        return f(*args)
+    except IncompatibleFamily:
+        return IncompatibleFamily
+
+
+def test_projector_legality_matches_dense_reference():
+    rng = random.Random(131)
+    seen = set()
+    for _ in range(120):
+        m = _random_projector(rng, rng.randint(1, 4))
+        if rng.random() < 0.7:
+            m = _corrupt(rng, m)
+        for exact in (True, False):
+            tol = None if exact else 1e-9
+            dense = tuple(
+                tuple(_cscalar(z) if exact else complex(*map(float, z)) for z in row)
+                for row in m
+            )
+            defect = dense_projector_defect(dense, tol)
+            try:
+                Pqv(dense, tol)
+                got = None
+            except SpecInvalid as e:
+                got = str(e).removeprefix("projector is ")
+            assert got == defect
+            seen.add((exact, defect))
+    # both rejections and acceptance occur in both modes
+    for exact in (True, False):
+        for defect in (None, "not Hermitian", "not idempotent"):
+            assert (exact, defect) in seen
+
+
+def test_sparse_semantics_match_dense_reference():
+    rng = random.Random(137)
+    structures = [_random_generic(rng, rng.randint(1, 4)) for _ in range(16)]
+    for exact in (True, False):
+        for _ in range(10):
+            structures.append(structure_from_json(_file_doc(rng, 3, exact)))
+    incompatible = compatible_seen = 0
+    for s in structures:
+        tol = s.tol
+        symbols = sorted(s.pqvs)
+        for a, b in combinations(symbols, 2):
+            pa, pb = s.pqv(a), s.pqv(b)
+            sparse = compatible(pa, pb, tol)
+            assert sparse == dense_compatible(pa.up_projector, pb.up_projector, tol)
+            compatible_seen += sparse
+            incompatible += not sparse
+        idx = [x.index for x in symbols]
+        for _ in range(4):
+            alpha = gen_classical(rng, idx, rng.randint(0, 3))
+            assert is_observable(s, alpha) == dense_is_observable(s, alpha)
+            for family in ("full", "essential"):
+                x = _outcome(prob, s, alpha, family)
+                y = _outcome(dense_prob, s, alpha, family)
+                if x is IncompatibleFamily or y is IncompatibleFamily:
+                    assert x is y
+                else:
+                    assert x == y if tol is None else abs(x - y) <= tol
+            phi = gen_plqo(rng, idx, rng.randint(0, 2))
+            assert satisfies(s, EMPTY_ASSIGNMENT, phi) == dense_satisfies(
+                s, EMPTY_ASSIGNMENT, phi
+            )
+    assert incompatible > 0 and compatible_seen > 0
+
+
+def test_generic_structure_beyond_dense_reach():
+    """Eight symbols and two incompatible pairs: dimension 260, where each
+    dense projector check would need about 10^8 exact products."""
+    rng = random.Random(139)
+    symbols = [PropSymbol(i) for i in range(1, 9)]
+    weights = [rng.randint(1, 4) for _ in range(256)]
+    masses = [Fraction(w, sum(weights)) for w in weights]
+    spec = GenericModelSpec.make(
+        symbols, [[PropSymbol(1), PropSymbol(2)], [PropSymbol(3), PropSymbol(4)]], masses
+    )
+    s = build_generic(spec)
+    assert s.dim == 260
+    assert not is_observable(s, conj(atom(1), atom(2)))
+    assert not is_observable(s, disj(atom(3), atom(4)))
+    assert is_observable(s, conj(conj(atom(1), atom(3)), conj(atom(5), atom(8))))
+    # B5 & B8 holds on the valuation codes with bits 4 and 7 set
+    expected = sum((m for code, m in enumerate(masses) if code & 0b10010000 == 0b10010000),
+                   Fraction(0))
+    assert prob(s, conj(atom(5), atom(8))) == RadicalScalar.rational(expected)

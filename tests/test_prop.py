@@ -20,7 +20,6 @@ from plqo.prop import (
     conj_all,
     disj,
     essential_symbols,
-    essential_symbols_bruteforce,
     eval_formula,
     iff,
     is_tautology,
@@ -29,6 +28,7 @@ from plqo.prop import (
 )
 
 from formgen import gen_classical
+from oracles import essential_symbols_bruteforce
 
 
 def test_eval_primitives():
