@@ -11,25 +11,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import BudgetExceeded, ParseError, PlqoError, UnsupportedNonlinear
 from . import prop
 from .parser import parse_classical, parse_plqo
-from .syntax import PNeg
-from .translate import (
-    b_phi,
-    q_adams,
-    render_constraints,
-    translate_atom,
-)
-from .syntax import atoms_of, prob_formulas_of
-from .hilbert import load_assignment, load_structure, prob, satisfies
+from .translate import q_of, render_constraints, translate_atom
+from .syntax import EMPTY_ASSIGNMENT, atoms_of
+from .hilbert import load_assignment, load_structure, prob, satisfies, symbol_of
 from .genmodel import GenericModelSpec, spec_to_json
 from .decide import (
     Invalid,
     Satisfiable,
-    Unsatisfiable,
     Valid,
     check_entail,
     check_sat,
@@ -78,47 +70,37 @@ def _emit_proof(proof, as_json):
         print(proof.render())
 
 
-def _cmd_check(args):
-    verdict = check_valid(_plqo(args.formula))
-    if isinstance(verdict, Valid):
-        print("VALID")
+def _emit_verdict(verdict, args, yes_label, no_label):
+    """Print a verdict's label and its artifact: the proof, or the
+    (counter)model as JSON.  Exit 0 for Valid or Satisfiable, 1 otherwise."""
+    yes = isinstance(verdict, (Valid, Satisfiable))
+    print(yes_label if yes else no_label)
+    if isinstance(verdict, (Invalid, Satisfiable)):
+        label = "model" if yes else "countermodel"
+        _emit_countermodel(verdict.spec, verdict.assignment, args.output, label)
+    else:
         _emit_proof(verdict.proof, args.json)
-        return EXIT_TRUE
-    print("INVALID")
-    _emit_countermodel(verdict.spec, verdict.assignment, args.output, "countermodel")
-    return EXIT_FALSE
+    return EXIT_TRUE if yes else EXIT_FALSE
+
+
+def _cmd_check(args):
+    return _emit_verdict(check_valid(_plqo(args.formula)), args, "VALID", "INVALID")
 
 
 def _cmd_sat(args):
-    verdict = check_sat(_plqo(args.formula))
-    if isinstance(verdict, Satisfiable):
-        print("SATISFIABLE")
-        _emit_countermodel(verdict.spec, verdict.assignment, args.output, "model")
-        return EXIT_TRUE
-    print("UNSATISFIABLE")
-    _emit_proof(verdict.proof, args.json)
-    return EXIT_FALSE
+    return _emit_verdict(check_sat(_plqo(args.formula)), args, "SATISFIABLE", "UNSATISFIABLE")
 
 
 def _cmd_entail(args):
     premises = [_plqo(p) for p in args.premise]
     verdict = check_entail(premises, _plqo(args.conclusion))
-    if isinstance(verdict, Valid):
-        print("ENTAILED")
-        _emit_proof(verdict.proof, args.json)
-        return EXIT_TRUE
-    print("NOT ENTAILED")
-    _emit_countermodel(verdict.spec, verdict.assignment, args.output, "countermodel")
-    return EXIT_FALSE
+    return _emit_verdict(verdict, args, "ENTAILED", "NOT ENTAILED")
 
 
 def _cmd_eval(args):
     tol = args.tol if args.float else None
     structure = load_structure(args.model, tol)
-    rho = load_assignment(args.assign) if args.assign else None
-    from .syntax import EMPTY_ASSIGNMENT
-
-    rho = rho or EMPTY_ASSIGNMENT
+    rho = load_assignment(args.assign) if args.assign else EMPTY_ASSIGNMENT
     if args.prob:
         alpha = _classical(args.prob)
         print(f"prob = {prob(structure, alpha)}")
@@ -133,31 +115,22 @@ def _cmd_eval(args):
 
 
 def _cmd_genmodel(args):
-    symbols = [prop.PropSymbol(int(s.lstrip("B"))) for s in args.symbols]
+    symbols = [symbol_of(s) for s in args.symbols]
     nc = []
     for pair in args.nc or []:
         names = pair.split(",")
         if len(names) != 2:
             raise PlqoError(f"nc pair must be two comma-separated symbols: {pair!r}")
-        nc.append([prop.PropSymbol(int(n.strip().lstrip("B"))) for n in names])
-    masses = [Fraction(m) for m in args.masses]
-    spec = GenericModelSpec.make(symbols, nc, masses)
-    text = json.dumps(spec_to_json(spec), indent=2)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"model written to {args.output}")
-    else:
-        print(text)
+        nc.append([symbol_of(n.strip()) for n in names])
+    spec = GenericModelSpec.make(symbols, nc, args.masses)
+    _emit_countermodel(spec, EMPTY_ASSIGNMENT, args.output, "model")
     return EXIT_TRUE
 
 
 def _cmd_translate(args):
     phi = _plqo(args.formula)
-    base = sorted(b_phi(phi))
-    delta = prob_formulas_of(phi)
     print("# distribution system")
-    print(render_constraints(q_adams(base, delta)))
+    print(render_constraints(q_of(phi)))
     for atom in atoms_of(phi):
         print(f"# atom {atom}")
         print(render_constraints(translate_atom(atom)))

@@ -7,13 +7,14 @@ of its literal translations is infeasible together with the system.  If
 all disjuncts are refutable the formula is valid and a proof object is
 assembled (one RCOF/RR line pair per disjunct, a tautological glue line,
 and modus ponens steps); otherwise the first feasible branch's witness is
-turned into a verified finite quantum countermodel.
+turned into a verified finite quantum countermodel.  Satisfiability runs
+the same search on the formula itself: a feasible branch is a model, and
+refuting every disjunct proves the negation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
@@ -32,12 +33,8 @@ from .syntax import (
     prob_ge,
     prob_formulas_of,
 )
-from .translate import (
-    b_phi,
-    q_adams,
-    translate_literal,
-)
-from .lra import feasible
+from .translate import b_phi, q_of, translate_literal
+from .lra import first_feasible
 from .genmodel import model_from_witness
 
 
@@ -68,15 +65,14 @@ class RcofSentence:
         return prob_formulas_of(self.formula())
 
     def q_premise(self):
-        return q_adams(self.base(), self.delta())
+        return q_of(self.formula())
 
     def holds(self):
         """Verified by refuting every branch: the premise system plus the
         premise literals plus the conclusion's complement is infeasible
         under every case split."""
         literals = list(self.premise_literals) + [self.conclusion.complement()]
-        ok, _ = all_branches_infeasible(self.q_premise(), literals)
-        return ok
+        return first_feasible(self.q_premise(), [translate_literal(l) for l in literals]) is None
 
     def __str__(self):
         q = "Q[" + ",".join(str(s) for s in self.base()) + ";" + ",".join(
@@ -85,22 +81,6 @@ class RcofSentence:
         parts = [q] + [f"({l.formula()})^R" for l in self.premise_literals]
         concl = f"({self.conclusion.formula()})^R"
         return f"forall (({' & '.join(parts)}) -> {concl})"
-
-
-def all_branches_infeasible(q_premise, literals):
-    """Case-split each literal's translated disjunction and test every
-    combination; returns (True, None) if all are infeasible, otherwise
-    (False, witness) for the first feasible branch in deterministic
-    order."""
-    pools = [translate_literal(lit) for lit in literals]
-    for branch in product(*pools):
-        cs = list(q_premise)
-        for part in branch:
-            cs.extend(part)
-        result = feasible(cs)
-        if result:
-            return False, result.witness
-    return True, None
 
 
 # -- proof objects -----------------------------------------------------------
@@ -219,7 +199,6 @@ def _assemble_proof(phi, disjuncts):
     glue = phi
     for _, cf in reversed(c_lines):
         glue = PImpl(cf, glue)
-    assert is_tautological_formula(glue), "glue line is not tautological"
     lines.append(ProofLine(n, glue, "TT"))
     major = n
     current = glue
@@ -259,38 +238,35 @@ class Unsatisfiable:
     proof: Proof
 
 
+def _search(target, conclusion):
+    """Refute or satisfy ``target`` by one search: each DNF disjunct of
+    ``target`` is case-split against the target's distribution system.
+    The first feasible branch gives a verified model of ``target``, as
+    ``(structure, assignment, spec)``; when every disjunct is refuted, the
+    checked proof of ``conclusion`` (the negation of ``target`` up to
+    double negation) is returned."""
+    disjuncts = nnf_dnf_literals(target)
+    q_premise = q_of(target)
+    for lits in disjuncts:
+        witness = first_feasible(q_premise, [translate_literal(l) for l in lits])
+        if witness is not None:
+            return model_from_witness(target, witness)
+    proof = _assemble_proof(conclusion, disjuncts)
+    check_proof(proof)
+    return proof
+
+
 def check_valid(phi):
     """Valid(proof) or Invalid(countermodel); the countermodel is
     re-verified to satisfy the negation."""
-    negation = PNeg(phi)
-    disjuncts = nnf_dnf_literals(negation)
-    base = sorted(b_phi(phi))
-    delta = prob_formulas_of(phi)
-    q_premise = q_adams(base, delta)
-    for lits in disjuncts:
-        ok, witness = all_branches_infeasible(q_premise, lits)
-        if not ok:
-            structure, rho, spec = model_from_witness(negation, witness)
-            return Invalid(structure, rho, spec)
-    proof = _assemble_proof(phi, disjuncts)
-    check_proof(proof)
-    return Valid(proof)
+    found = _search(PNeg(phi), phi)
+    return Valid(found) if isinstance(found, Proof) else Invalid(*found)
 
 
 def check_sat(phi):
     """Satisfiable(model) or Unsatisfiable(proof of the negation)."""
-    disjuncts = nnf_dnf_literals(phi)
-    base = sorted(b_phi(phi))
-    delta = prob_formulas_of(phi)
-    q_premise = q_adams(base, delta)
-    for lits in disjuncts:
-        ok, witness = all_branches_infeasible(q_premise, lits)
-        if not ok:
-            structure, rho, spec = model_from_witness(phi, witness)
-            return Satisfiable(structure, rho, spec)
-    verdict = check_valid(PNeg(phi))
-    verify(isinstance(verdict, Valid), "dual consistency broke")
-    return Unsatisfiable(verdict.proof)
+    found = _search(phi, PNeg(phi))
+    return Unsatisfiable(found) if isinstance(found, Proof) else Satisfiable(*found)
 
 
 def check_entail(gamma, phi):
@@ -357,7 +333,7 @@ def _schema_prob_nonneg():
     concl_lit = PlqoLiteral(False, ProbAtom(alpha, "<", ZERO))
     sent = RcofSentence((PlqoLiteral(True, hyp),), concl_lit)
     impl = sent.formula()
-    assert impl.right == prob_ge(alpha, ZERO)
+    verify(impl.right == prob_ge(alpha, ZERO), "fig2 conclusion is not P(B1 & B2) >= 0")
     proof = Proof(
         (
             ProofLine(1, hyp, "HYP"),

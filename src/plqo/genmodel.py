@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import MissingSymbol, SpecInvalid, WitnessIncomplete, verify
-from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero
-from .prop import PropSymbol, phi_A_U
+from .errors import SpecInvalid, WitnessIncomplete, verify
+from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero, symbol_of
+from .prop import phi_A_U
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar
-from .syntax import Assignment, prob_formulas_of
+from .syntax import Assignment
 from .translate import (
     NumericVar,
     PairVar,
@@ -35,7 +35,7 @@ from .translate import (
     b_phi,
     constraints_hold,
     eval_rcof,
-    q_adams,
+    q_of,
     translate_formula,
 )
 
@@ -69,10 +69,17 @@ class GenericModelSpec:
 
     @staticmethod
     def make(symbols, nc, masses):
+        """Normalize the fields; each mass may be a rational or its text."""
+        fractions = []
+        for m in masses:
+            try:
+                fractions.append(Fraction(m))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise SpecInvalid(f"bad mass {m!r}") from None
         return GenericModelSpec(
             tuple(sorted(set(symbols))),
             frozenset(frozenset(p) for p in nc),
-            tuple(Fraction(m) for m in masses),
+            tuple(fractions),
         )
 
 
@@ -109,24 +116,6 @@ def build_generic(spec):
     return QuantumStructure(dim, state, pqvs)
 
 
-def build_observable(spec, symbol):
-    """The full observable O_j of the construction: eigenvalue +1 on
-    satisfying valuation vectors, -1 on falsifying ones, and the same
-    incompatible-pair blocks as the induced projector (their orthogonal
-    complements carry eigenvalue 0)."""
-    if symbol not in spec.symbols:
-        raise MissingSymbol(f"{symbol} is not in the generic base set")
-    structure = build_generic(spec)
-    proj = structure.pqv(symbol).up_projector
-    n = len(spec.symbols)
-    j = spec.symbols.index(symbol)
-    m = [list(row) for row in proj]
-    for k in range(1 << n):
-        if not (k >> j) & 1:
-            m[k][k] = m[k][k] - C_ONE
-    return tuple(tuple(row) for row in m)
-
-
 def commutator_witness(structure, pair):
     """The exact commutator matrix of the pair's projectors; the zero
     matrix iff the pair is compatible."""
@@ -144,15 +133,10 @@ def spec_from_json(doc):
     except KeyError as e:
         raise SpecInvalid(f"generic spec missing field {e.args[0]!r}") from None
 
-    def sym(name):
-        if not (isinstance(name, str) and name.startswith("B") and name[1:].isdigit()):
-            raise SpecInvalid(f"bad symbol name {name!r}")
-        return PropSymbol(int(name[1:]))
-
     return GenericModelSpec.make(
-        [sym(s) for s in symbols],
-        [[sym(s) for s in p] for p in nc],
-        [Fraction(m) for m in masses],
+        [symbol_of(s) for s in symbols],
+        [[symbol_of(s) for s in p] for p in nc],
+        masses,
     )
 
 
@@ -174,8 +158,7 @@ def model_from_witness(phi, witness):
     Returns (structure, assignment, spec).
     """
     base = sorted(b_phi(phi))
-    delta = prob_formulas_of(phi)
-    if not constraints_hold(q_adams(base, delta), witness):
+    if not constraints_hold(q_of(phi), witness):
         raise SpecInvalid("witness does not satisfy the distribution system")
 
     n = len(base)

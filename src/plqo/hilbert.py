@@ -15,6 +15,7 @@ tolerance instead.  Either way projectors are held as sparse Matrix rows.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -35,6 +36,7 @@ from .prop import (
     disj,
     Neg,
 )
+from .parser import MAX_DIGITS
 from .scalars import (
     C_ZERO,
     ComplexScalar,
@@ -374,8 +376,10 @@ def _scan_for_floats(node):
     return False
 
 
-def _symbol_of(name):
-    if not (name.startswith("B") and name[1:].isdigit()):
+def symbol_of(name):
+    """The symbol a structure or spec names ``B<k>``; any other value,
+    string or not, is a SpecInvalid."""
+    if not (isinstance(name, str) and re.fullmatch(rf"B[0-9]{{1,{MAX_DIGITS}}}", name)):
         raise SpecInvalid(f"bad symbol name {name!r}")
     return PropSymbol(int(name[1:]))
 
@@ -401,7 +405,7 @@ def structure_from_json(doc, tol=None):
     pqvs = {}
     for name, rows in pqvs_raw.items():
         matrix = tuple(tuple(_parse_entry(x, exact) for x in row) for row in rows)
-        pqvs[_symbol_of(name)] = Pqv(matrix, tol)
+        pqvs[symbol_of(name)] = Pqv(matrix, tol)
     return QuantumStructure(dim, state, pqvs, tol)
 
 

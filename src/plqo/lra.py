@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import verify
-from .translate import LinConstraint, constraints_hold
+from .translate import constraints_hold, negate_constraint
 
 
 @dataclass(frozen=True, order=True)
@@ -214,16 +215,22 @@ def feasible(constraints):
     return Feasible(witness)
 
 
+def first_feasible(premise, pools):
+    """Case split: the witness of the first feasible conjunction of
+    ``premise`` with one conjunction from each pool, in ``product``
+    order, or None when every branch is infeasible."""
+    premise = list(premise)
+    for branch in product(*pools):
+        result = feasible(premise + [c for part in branch for c in part])
+        if result:
+            return result.witness
+    return None
+
+
 def check_implication(premise, conclusion):
     """Whether the universally closed implication premise -> conclusion
     holds over the reals, for constraint conjunctions: true iff the
     premise joined with each disjunct of the conclusion's negation is
     infeasible."""
-    from .translate import negate_constraint
-
-    premise = list(premise)
-    for c in conclusion:
-        for disjunct in negate_constraint(c):
-            if feasible(premise + disjunct):
-                return False
-    return True
+    negation = [d for c in conclusion for d in negate_constraint(c)]
+    return first_feasible(premise, [negation]) is None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 from . import prop
 from .prop import Atom, Impl, Neg, PropSymbol, Verum, VERUM, FALSUM
 from . import syntax as sx
@@ -43,6 +43,11 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Longest digit run accepted in a numeral, symbol or variable index; it
+# keeps every index and numeral below Python's int-conversion limit.
+MAX_DIGITS = 1000
+
+
 class _Token:
     __slots__ = ("kind", "text", "line", "column")
 
@@ -63,6 +68,12 @@ def _tokenize(text):
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup
         chunk = m.group()
+        if kind in ("sym", "var", "int"):
+            digits = len(chunk) - (kind != "int")
+            if digits > MAX_DIGITS:
+                raise BudgetExceeded(
+                    f"{line}:{col}: numeral of {digits} digits exceeds budget {MAX_DIGITS}"
+                )
         if kind != "ws":
             tokens.append(_Token(kind, chunk, line, col))
         newlines = chunk.count("\n")
@@ -171,7 +182,10 @@ class _Parser:
         t = self.t_prod()
         while True:
             if self.accept("+"):
-                t = Add(t, self.t_prod())
+                right = self.t_prod()
+                n = match_numeral(t)
+                # "n + 1" is the numeral n+1, so "1 + 1" and "2" make one atom
+                t = numeral(n + 1) if n and right == sx.ONE else Add(t, right)
             elif self.accept("-"):
                 t = Add(t, TNeg(self.t_prod()))
             else:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .errors import BudgetExceeded
 from .prop import PropFormula
 
-DEFAULT_ATOM_BUDGET = 16
+MAX_DNF_ATOMS = 16
 
 
 # -- terms -------------------------------------------------------------------
@@ -74,6 +74,19 @@ class Mul(RcofTerm):
 
 
 @dataclass(frozen=True, repr=False)
+class Numeral(RcofTerm):
+    """An integer numeral n >= 2 as one node: the sum of n ones, held by
+    its value so that its size is its digits, not its magnitude."""
+
+    __slots__ = ("n",)
+    n: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("numeral nodes hold integers >= 2; use ZERO or ONE")
+
+
+@dataclass(frozen=True, repr=False)
 class InvNumeral(RcofTerm):
     """The multiplicative inverse of a positive integer numeral."""
 
@@ -95,14 +108,12 @@ def numeral(m):
         raise ValueError("numerals are nonnegative; wrap in TNeg for negatives")
     if m == 0:
         return ZERO
-    out = ONE
-    for _ in range(m - 1):
-        out = Add(out, ONE)
-    return out
+    return ONE if m == 1 else Numeral(m)
 
 
 def match_numeral(t):
-    """Inverse of :func:`numeral`; None if ``t`` is not canonical."""
+    """Inverse of :func:`numeral`, also accepting a numeral followed by
+    ``+ 1`` any number of times; None for any other term."""
     if isinstance(t, Zero):
         return 0
     n = 0
@@ -111,6 +122,8 @@ def match_numeral(t):
         t = t.left
     if isinstance(t, One):
         return n + 1
+    if isinstance(t, Numeral):
+        return n + t.n
     return None
 
 
@@ -164,6 +177,8 @@ def eval_term(t, rho=EMPTY_ASSIGNMENT):
         return Fraction(0)
     if isinstance(t, One):
         return Fraction(1)
+    if isinstance(t, Numeral):
+        return Fraction(t.n)
     if isinstance(t, NumVar):
         return rho.value(t.k)
     if isinstance(t, TNeg):
@@ -321,14 +336,14 @@ def prob_formulas_of(f):
     return out
 
 
-def nnf_dnf_literals(f, atom_budget=DEFAULT_ATOM_BUDGET):
+def nnf_dnf_literals(f):
     """Disjunctive normal form of ``f`` over its atoms, as a list of
     literal conjunctions.  Disjuncts containing complementary literals
     are pruned; duplicate literals and duplicate disjuncts are dropped.
     Deterministic: syntax-directed expansion order."""
     n_atoms = len(atoms_of(f))
-    if n_atoms > atom_budget:
-        raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {atom_budget}")
+    if n_atoms > MAX_DNF_ATOMS:
+        raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {MAX_DNF_ATOMS}")
 
     def expand(node, positive):
         if is_atom(node):

@@ -16,7 +16,7 @@ from .prop import canonical_text, phi_A_U
 from . import syntax as sx
 from .syntax import ObsAtom, PlqoLiteral, PNeg, PImpl, ProbAtom
 
-DEFAULT_ADAMS_BUDGET = 12
+MAX_ADAMS_SYMBOLS = 12
 
 
 # -- variables ---------------------------------------------------------------
@@ -186,16 +186,12 @@ def mass_var(a_set, u_set):
     return ProbVar.of(phi_A_U(a_set, u_set))
 
 
-def q_adams(a_set, delta, marginal_mode="full", budget=DEFAULT_ADAMS_BUDGET):
+def q_adams(a_set, delta):
     """The distribution system over ``a_set``: valuation masses in [0,1]
-    summing to one, marginal consistency, nonnegative pair variables, and
-    each formula variable equal to the mass of its satisfying valuations.
-
-    ``marginal_mode`` is "full" (every subset of ``a_set``, as defined) or
-    "restricted" (only the empty set, the formulas' symbol sets and the
-    2-subsets; sufficient for every query the decision procedure issues).
-    Trivial identities (e.g. the marginal of ``a_set`` inside itself) are
-    dropped.
+    summing to one, marginal consistency over every subset of ``a_set``,
+    nonnegative pair variables, and each formula variable equal to the
+    mass of its satisfying valuations.  Trivial identities (e.g. the
+    marginal of ``a_set`` inside itself) are dropped.
     """
     a_list = sorted(set(a_set))
     a_set = frozenset(a_list)
@@ -203,9 +199,9 @@ def q_adams(a_set, delta, marginal_mode="full", budget=DEFAULT_ADAMS_BUDGET):
     for alpha in delta:
         if not alpha.symbols() <= a_set:
             raise ValueError(f"formula {alpha} mentions symbols outside the base set")
-    if len(a_list) > budget:
+    if len(a_list) > MAX_ADAMS_SYMBOLS:
         raise BudgetExceeded(
-            f"distribution system over {len(a_list)} symbols exceeds budget {budget}"
+            f"distribution system over {len(a_list)} symbols exceeds budget {MAX_ADAMS_SYMBOLS}"
         )
 
     out = []
@@ -219,16 +215,7 @@ def q_adams(a_set, delta, marginal_mode="full", budget=DEFAULT_ADAMS_BUDGET):
     # (ii) masses sum to one
     out.append(constraint({m: 1 for m in masses.values()}, "=", 1))
     # (iii) marginals
-    if marginal_mode == "full":
-        sub_bases = [s for s in subsets_a if s != a_set]
-    elif marginal_mode == "restricted":
-        keep = {frozenset()}
-        keep.update(frozenset(alpha.symbols()) for alpha in delta)
-        keep.update(frozenset(c) for c in combinations(a_list, 2))
-        sub_bases = [s for s in subsets_a if s in keep and s != a_set]
-    else:
-        raise ValueError(f"unknown marginal mode {marginal_mode!r}")
-    for a_sub in sub_bases:
+    for a_sub in (s for s in subsets_a if s != a_set):
         sub_elems = sorted(a_sub)
         for r in range(len(sub_elems) + 1):
             for u_sub in combinations(sub_elems, r):
@@ -265,6 +252,8 @@ def linearize_term(t):
         return {}, Fraction(0)
     if isinstance(t, sx.One):
         return {}, Fraction(1)
+    if isinstance(t, sx.Numeral):
+        return {}, Fraction(t.n)
     if isinstance(t, sx.InvNumeral):
         return {}, Fraction(1, t.m)
     if isinstance(t, sx.NumVar):
@@ -299,6 +288,12 @@ def b_phi(f):
     for a in sx.atoms_of(f):
         out |= a.alpha.symbols()
     return frozenset(out)
+
+
+def q_of(f):
+    """The distribution system of a formula: ``Q`` over its symbols and
+    the classical formulas of its probability atoms."""
+    return q_adams(sorted(b_phi(f)), sx.prob_formulas_of(f))
 
 
 def _comparison_constraint(alpha, cmp, term):

@@ -11,12 +11,16 @@ The dense matrix helpers and the dense semantics below share no
 arithmetic with plqo.hilbert's sparse Matrix: they work on the dense
 tuple-of-rows views (``Pqv.up_projector``, ``StateVector.amps``) with
 full products, and apply I - P by forming it.
+
+build_observable writes out the full observable of the generic
+construction, which the decider never needs but the paper defines.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from plqo.errors import IncompatibleFamily, SpecInvalid
+from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
+from plqo.genmodel import build_generic
 from plqo.prop import all_valuations, essential_symbols, eval_formula
 from plqo.scalars import C_ONE, C_ZERO
 from plqo.syntax import ObsAtom, PImpl, PNeg, ProbAtom, eval_term
@@ -232,3 +236,21 @@ def dense_satisfies(structure, rho, phi):
             structure, rho, phi.right
         )
     raise TypeError(f"not a formula node: {phi!r}")
+
+
+def build_observable(spec, symbol):
+    """The full observable O_j of the construction: eigenvalue +1 on
+    satisfying valuation vectors, -1 on falsifying ones, and the same
+    incompatible-pair blocks as the induced projector (their orthogonal
+    complements carry eigenvalue 0)."""
+    if symbol not in spec.symbols:
+        raise MissingSymbol(f"{symbol} is not in the generic base set")
+    structure = build_generic(spec)
+    proj = structure.pqv(symbol).up_projector
+    n = len(spec.symbols)
+    j = spec.symbols.index(symbol)
+    m = [list(row) for row in proj]
+    for k in range(1 << n):
+        if not (k >> j) & 1:
+            m[k][k] = m[k][k] - C_ONE
+    return tuple(tuple(row) for row in m)

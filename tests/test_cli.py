@@ -113,6 +113,25 @@ def test_budget_exit_3(capsys, monkeypatch):
     assert err.startswith("error[budget]:")
 
 
+def test_huge_numeral_is_a_budget_error(capsys):
+    code, out, err = invoke(capsys, "check", "P(B1) < " + "9" * 5000)
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]:")
+    assert "5000 digits" in err and "budget 1000" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "symbols, masses",
+    [(["X1"], ["1/2", "1/2"]), (["BB1"], ["1/2", "1/2"]), (["B1"], ["1/2", "x"])],
+    ids=["X1", "BB1", "bad-mass"],
+)
+def test_genmodel_rejects_malformed_spec(capsys, symbols, masses):
+    code, out, err = invoke(capsys, "genmodel", "--symbols", *symbols, "--masses", *masses)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[spec-invalid]:")
+
+
 def test_genmodel_eval_roundtrip(capsys, tmp_path):
     target = tmp_path / "m.json"
     code, out, _ = invoke(

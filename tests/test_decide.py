@@ -1,7 +1,9 @@
+import ast
 import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -22,6 +24,7 @@ from plqo.decide import (
     conservativeness_check,
     derive_schema,
 )
+from plqo import lra
 from plqo.errors import SchemaPreconditionFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import matrix_is_zero, prob, satisfies
@@ -122,10 +125,48 @@ def test_valid_iff_negation_unsat():
     for _ in range(40):
         phi = gen_plqo(rng, [1, 2], rng.randint(0, 2))
         valid = isinstance(check_valid(phi), Valid)
-        unsat = isinstance(check_sat(PNeg(phi)), Unsatisfiable)
+        verdict = check_sat(PNeg(phi))
+        unsat = isinstance(verdict, Unsatisfiable)
         assert valid == unsat
+        if unsat:
+            assert verdict.proof == check_valid(PNeg(PNeg(phi))).proof
         n_valid += valid
     assert 0 < n_valid < 40
+
+
+def test_unsat_runs_the_search_once(monkeypatch):
+    """check_sat's Unsatisfiable proof comes from its own search, not
+    from a second search through check_valid."""
+    calls = []
+    real = lra.feasible
+
+    def counting(constraints):
+        calls.append(None)
+        return real(constraints)
+
+    monkeypatch.setattr(lra, "feasible", counting)
+    psi = parse_plqo("P(B1) = 1/3 & P(B1) = 1/2")
+    assert isinstance(check_sat(psi), Unsatisfiable)
+    sat_calls = len(calls)
+    calls.clear()
+    assert isinstance(check_valid(PNeg(psi)), Valid)
+    assert (sat_calls, len(calls)) == (2, 2)
+
+
+def test_numerals_cost_their_digits():
+    phi = parse_plqo("P(B1) >= 999999/1000000 -> P(B1) > 0")
+    verdict = check_valid(phi)
+    assert isinstance(verdict, Valid)
+    assert check_proof(verdict.proof)
+    assert verdict.proof.conclusion() == phi
+
+    start = time.perf_counter()
+    verdict = check_valid(parse_plqo("P(B1) < 100000000"))
+    assert time.perf_counter() - start < 1.0
+    assert isinstance(verdict, Valid)
+    assert str(verdict.proof.conclusion()) == "P(B1) < 100000000"
+    # a numeral spelled as a sum of ones is still the same atom
+    assert parse_plqo("P(B1) = 1 + 1 + 1") == parse_plqo("P(B1) = 3")
 
 
 def grid_models(base, step=4):
@@ -229,6 +270,19 @@ def test_proof_checker_rejects_tampering_under_optimize():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert "3 passed" in done.stdout
+
+
+def test_no_assert_in_src():
+    """Load-bearing checks go through errors.verify; an assert would
+    vanish under -O."""
+    src = Path(__file__).resolve().parents[1] / "src" / "plqo"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_proof_conclusion_and_json():

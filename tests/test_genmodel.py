@@ -8,7 +8,6 @@ from plqo.errors import MissingSymbol, SpecInvalid
 from plqo.genmodel import (
     GenericModelSpec,
     build_generic,
-    build_observable,
     commutator_witness,
     model_from_witness,
     spec_from_json,
@@ -22,7 +21,7 @@ from plqo.syntax import NumVar, ProbAtom, fraction, prob_formulas_of
 from plqo.translate import NumericVar, PairVar, ProbVar, b_phi, translate_formula, eval_rcof
 
 from formgen import gen_plqo, random_feasible_point
-from oracles import dagger, matrices_equal
+from oracles import build_observable, dagger, matrices_equal
 
 
 def B(i):

@@ -160,10 +160,12 @@ def test_dnf_prunes_complementary():
 
 
 def test_dnf_budget():
-    rng = random.Random(41)
-    f = gen_plqo(rng, [1, 2, 3], 3)
-    with pytest.raises(BudgetExceeded):
-        nnf_dnf_literals(f, atom_budget=0)
+    f = ObsAtom(atom(1))
+    for k in range(2, 17):
+        f = pconj(f, ObsAtom(atom(k)))
+    assert len(nnf_dnf_literals(f)) == 1
+    with pytest.raises(BudgetExceeded, match="17 distinct atoms exceeds DNF budget 16"):
+        nnf_dnf_literals(pconj(f, ObsAtom(atom(17))))
 
 
 def test_literal_complement():

@@ -78,9 +78,6 @@ def test_q_adams_random_points_feasible():
         point = random_feasible_point(rng, base, delta, extra_pairs_positive=True)
         cs = q_adams(base, delta)
         assert constraints_hold(cs, point)
-        cs_restricted = q_adams(base, delta, marginal_mode="restricted")
-        assert constraints_hold(cs_restricted, point)
-        assert set(cs_restricted) <= set(cs)
 
 
 def test_q_adams_rejects_inconsistent_marginal():
