@@ -12,12 +12,12 @@ import argparse
 import json
 import sys
 
-from .errors import BudgetExceeded, ParseError, PlqoError, UnsupportedNonlinear
+from .errors import BudgetExceeded, ParseError, PlqoError, SpecInvalid, UnsupportedNonlinear
 from . import prop
 from .parser import parse_classical, parse_plqo
 from .translate import q_of, render_constraints, translate_atom
 from .syntax import EMPTY_ASSIGNMENT, atoms_of
-from .hilbert import load_assignment, load_structure, prob, satisfies, symbol_of
+from .hilbert import DEFAULT_TOL, load_assignment, load_structure, prob, satisfies, symbol_of
 from .genmodel import GenericModelSpec, spec_to_json
 from .decide import (
     Invalid,
@@ -98,7 +98,7 @@ def _cmd_entail(args):
 
 
 def _cmd_eval(args):
-    tol = args.tol if args.float else None
+    tol = args.tol if args.tol is not None else DEFAULT_TOL if args.float else None
     structure = load_structure(args.model, tol)
     rho = load_assignment(args.assign) if args.assign else EMPTY_ASSIGNMENT
     if args.prob:
@@ -120,7 +120,7 @@ def _cmd_genmodel(args):
     for pair in args.nc or []:
         names = pair.split(",")
         if len(names) != 2:
-            raise PlqoError(f"nc pair must be two comma-separated symbols: {pair!r}")
+            raise SpecInvalid(f"nc pair must be two comma-separated symbols: {pair!r}")
         nc.append([symbol_of(n.strip()) for n in names])
     spec = GenericModelSpec.make(symbols, nc, args.masses)
     _emit_countermodel(spec, EMPTY_ASSIGNMENT, args.output, "model")
@@ -194,8 +194,8 @@ def build_parser():
     p.add_argument("--assign", help="JSON assignment file")
     p.add_argument("--formula")
     p.add_argument("--prob", help="also print the probability of this classical formula")
-    p.add_argument("--float", action="store_true", help="tolerance mode")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--float", action="store_true", help="tolerance mode, at 1e-9 unless --tol is given")
+    p.add_argument("--tol", type=float, help="tolerance mode at this tolerance")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("genmodel", help="write a generic structure file")

@@ -30,10 +30,11 @@ from .syntax import (
     is_atom,
     nnf_dnf_literals,
     pconj_all,
+    piff,
     prob_ge,
     prob_formulas_of,
 )
-from .translate import b_phi, q_of, translate_literal
+from .translate import b_phi, eval_rcof, q_of, translate_formula, translate_literal
 from .lra import first_feasible
 from .genmodel import model_from_witness
 
@@ -250,6 +251,12 @@ def _search(target, conclusion):
     for lits in disjuncts:
         witness = first_feasible(q_premise, [translate_literal(l) for l in lits])
         if witness is not None:
+            # with model_from_witness's equivalence check, this makes the
+            # structure satisfy target, not merely agree with the witness
+            verify(
+                eval_rcof(translate_formula(target), witness),
+                "the witness does not satisfy the translated target",
+            )
             return model_from_witness(target, witness)
     proof = _assemble_proof(conclusion, disjuncts)
     check_proof(proof)
@@ -304,23 +311,8 @@ def _schema_obs_equiv(alpha1, alpha2):
         raise SchemaPreconditionFailed("the two formulas are not classically equivalent")
     o1 = PlqoLiteral(True, ObsAtom(alpha1))
     o2 = PlqoLiteral(True, ObsAtom(alpha2))
-    sent12 = RcofSentence((o1,), o2)
-    sent21 = RcofSentence((o2,), o1)
-    impl12 = sent12.formula()
-    impl21 = sent21.formula()
-    equiv = pconj_all([impl12, impl21])
-    glue = PImpl(impl12, PImpl(impl21, equiv))
-    proof = Proof(
-        (
-            ProofLine(1, sent12, "RCOF"),
-            ProofLine(2, impl12, "RR", (1,)),
-            ProofLine(3, sent21, "RCOF"),
-            ProofLine(4, impl21, "RR", (3,)),
-            ProofLine(5, glue, "TT"),
-            ProofLine(6, PImpl(impl21, equiv), "MP", (2, 5)),
-            ProofLine(7, equiv, "MP", (4, 6)),
-        )
-    )
+    equiv = piff(o1.atom, o2.atom)
+    proof = _assemble_proof(equiv, [[o1, o2.complement()], [o2, o1.complement()]])
     check_proof(proof)
     return proof
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import SpecInvalid, WitnessIncomplete, verify
-from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero, symbol_of
+from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero, expect_type, symbol_of
 from .prop import phi_A_U
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar
 from .syntax import Assignment
@@ -127,15 +127,15 @@ def commutator_witness(structure, pair):
 
 def spec_from_json(doc):
     try:
-        symbols = doc["symbols"]
-        nc = doc["nc"]
-        masses = doc["masses"]
+        symbols = expect_type(doc["symbols"], list, "symbols")
+        nc = expect_type(doc["nc"], list, "nc")
+        masses = expect_type(doc["masses"], list, "masses")
     except KeyError as e:
         raise SpecInvalid(f"generic spec missing field {e.args[0]!r}") from None
 
     return GenericModelSpec.make(
         [symbol_of(s) for s in symbols],
-        [[symbol_of(s) for s in p] for p in nc],
+        [[symbol_of(s) for s in expect_type(p, list, "an nc pair")] for p in nc],
         masses,
     )
 

@@ -61,11 +61,6 @@ def scalar_is_zero(x, tol=None):
     return abs(x) <= tol
 
 
-def matrix_is_zero(a, tol=None):
-    """Whether every entry of a dense tuple-of-rows matrix is zero."""
-    return all(scalar_is_zero(x, tol) for row in a for x in row)
-
-
 class Matrix:
     """A square matrix held by rows: ``rows[i]`` maps a column index to the
     nonzero scalar there (exact ComplexScalar, or builtin complex in
@@ -340,12 +335,23 @@ def adams_check(structure, samples):
 # -- file format -------------------------------------------------------------
 
 
+def expect_type(value, kind, what):
+    """``value`` when it is a ``kind`` (a JSON true/false never counts as a
+    number), else SpecInvalid naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecInvalid(f"{what} must be of type {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _parse_scalar(raw, exact):
     """One scalar from JSON: rational/radical string or a number."""
     if isinstance(raw, str):
-        value = parse_radical(raw)
+        try:
+            value = parse_radical(raw)
+        except (ValueError, ZeroDivisionError):
+            raise SpecInvalid(f"bad scalar {raw!r}") from None
         return ComplexScalar(value, parse_radical("0")) if exact else float(value)
-    if isinstance(raw, (int, float)):
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         if exact and isinstance(raw, int):
             return ComplexScalar.real(raw)
         return float(raw)
@@ -387,41 +393,56 @@ def symbol_of(name):
 def structure_from_json(doc, tol=None):
     """Build a structure from its JSON document.  Floating-point entries
     force tolerance mode (default tolerance if none was given)."""
+    expect_type(doc, dict, "a structure document")
     if "generic" in doc:
         from .genmodel import spec_from_json, build_generic
 
-        return build_generic(spec_from_json(doc["generic"]))
+        return build_generic(spec_from_json(expect_type(doc["generic"], dict, "generic")))
     if tol is None and _scan_for_floats(doc):
         tol = DEFAULT_TOL
     exact = tol is None
     try:
-        dim = int(doc["dim"])
-        state_raw = doc["state"]
-        pqvs_raw = doc["pqvs"]
+        dim = expect_type(doc["dim"], int, "dim")
+        state_raw = expect_type(doc["state"], list, "state")
+        pqvs_raw = expect_type(doc["pqvs"], dict, "pqvs")
     except KeyError as e:
         raise SpecInvalid(f"structure file missing field {e.args[0]!r}") from None
     amps = tuple(_parse_entry(x, exact) for x in state_raw)
     state = StateVector(dim, amps, tol)
     pqvs = {}
     for name, rows in pqvs_raw.items():
-        matrix = tuple(tuple(_parse_entry(x, exact) for x in row) for row in rows)
+        rows = expect_type(rows, list, f"projector {name}")
+        matrix = tuple(
+            tuple(_parse_entry(x, exact) for x in expect_type(row, list, f"a row of {name}"))
+            for row in rows
+        )
         pqvs[symbol_of(name)] = Pqv(matrix, tol)
     return QuantumStructure(dim, state, pqvs, tol)
 
 
-def load_structure(path, tol=None):
+def _read_json(path):
     with open(path) as fh:
-        return structure_from_json(json.load(fh), tol)
+        try:
+            return json.load(fh)
+        except ValueError as e:  # not JSON, or not UTF-8 text
+            raise SpecInvalid(f"{path} is not a JSON document: {e}") from None
+
+
+def load_structure(path, tol=None):
+    return structure_from_json(_read_json(path), tol)
 
 
 def load_assignment(path):
+    """Rational values of the variables ``x<k>`` from a JSON object."""
     from .syntax import Assignment
 
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = expect_type(_read_json(path), dict, "an assignment document")
     numeric = {}
     for key, raw in doc.items():
-        if not (key.startswith("x") and key[1:].isdigit()):
+        if not re.fullmatch(rf"x[0-9]{{1,{MAX_DIGITS}}}", key):
             raise SpecInvalid(f"bad assignment variable {key!r}")
-        numeric[int(key[1:])] = Fraction(raw)
+        try:
+            numeric[int(key[1:])] = Fraction(raw)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise SpecInvalid(f"bad value of {key}: {raw!r}") from None
     return Assignment(numeric)

@@ -34,11 +34,6 @@ class DeltaRational:
     def scale(self, c):
         return DeltaRational(self.std * c, self.inf * c)
 
-    def __str__(self):
-        if self.inf == 0:
-            return str(self.std)
-        return f"{self.std}{'+' if self.inf > 0 else ''}{self.inf}d"
-
 
 _ZERO = DeltaRational(Fraction(0))
 
@@ -79,7 +74,6 @@ class _Tableau:
         self.beta = [_ZERO] * n_total
         # rows[basic] = {nonbasic: coeff}; initially slack i = sum of terms
         self.rows = {}
-        self.basic_of_row = []
         self.is_basic = [False] * n_total
         for i, c in enumerate(constraints):
             s = self.n_orig + i

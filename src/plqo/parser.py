@@ -6,15 +6,20 @@ Classical formulas: atoms ``B1``, ``B2``, ...; ``T``; ``F``; ``!``, ``&``,
 Full formulas add the atomic forms ``O(alpha)`` and ``P(alpha) CMP term``
 with CMP in ``= < <= > >=``; terms are integer literals, fractions ``n/m``,
 variables ``x<k>``, ``+``, ``-``, ``*`` and parentheses.  ASCII only.
+
+Both sorts share one connective grammar: one precedence ladder parses
+them, given the sort's constructors, and ``prop.print_connectives``
+prints them, given the sort's atoms.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, ParseError
 from . import prop
-from .prop import Atom, Impl, Neg, PropSymbol, Verum, VERUM, FALSUM
+from .prop import Atom, Impl, Neg, PropSymbol, VERUM, FALSUM
 from . import syntax as sx
 from .syntax import (
     Add,
@@ -126,37 +131,37 @@ class _Parser:
                 f"trailing input starting at {tok.text!r}", tok.line, tok.column
             )
 
-    # -- classical formulas --------------------------------------------------
+    # -- formulas of either sort -------------------------------------------
 
-    def classical(self):
-        f = self.c_impl()
+    def formula(self, layer):
+        f = self.implication(layer)
         while self.accept("<->"):
-            f = prop.iff(f, self.c_impl())
+            f = layer.iff(f, self.implication(layer))
         return f
 
-    def c_impl(self):
-        f = self.c_or()
+    def implication(self, layer):
+        f = self.disjunction(layer)
         if self.accept("->"):
-            return Impl(f, self.c_impl())
+            return layer.impl(f, self.implication(layer))
         return f
 
-    def c_or(self):
+    def disjunction(self, layer):
         # right-associative, matching the printer's flat rendering
-        f = self.c_and()
+        f = self.conjunction(layer)
         if self.accept("|"):
-            return prop.disj(f, self.c_or())
+            return layer.disj(f, self.disjunction(layer))
         return f
 
-    def c_and(self):
-        f = self.c_unary()
+    def conjunction(self, layer):
+        f = self.negation(layer)
         while self.accept("&"):
-            f = prop.conj(f, self.c_unary())
+            f = layer.conj(f, self.negation(layer))
         return f
 
-    def c_unary(self):
+    def negation(self, layer):
         if self.accept("!"):
-            return Neg(self.c_unary())
-        return self.c_primary()
+            return layer.neg(self.negation(layer))
+        return layer.primary(self)
 
     def c_primary(self):
         tok = self.peek()
@@ -168,13 +173,34 @@ class _Parser:
         if self.accept("F"):
             return FALSUM
         if self.accept("("):
-            f = self.classical()
+            f = self.formula(CLASSICAL)
             self.expect(")")
             return f
         self.fail(
             "expected a classical formula",
             expected=("B<j>", "T", "F", "!", "("),
         )
+
+    def p_primary(self):
+        head = self.peek().text
+        if head in ("O", "P"):
+            self.pos += 1
+            self.expect("(")
+            alpha = self.formula(CLASSICAL)
+            self.expect(")")
+            return ObsAtom(alpha) if head == "O" else self.p_comparison(alpha)
+        if self.accept("("):
+            f = self.formula(PLQO)
+            self.expect(")")
+            return f
+        self.fail("expected a formula", expected=("O(", "P(", "!", "("))
+
+    def p_comparison(self, alpha):
+        for cmp_text, build in _COMPARISONS:
+            if self.accept(cmp_text):
+                return build(alpha, self.term())
+        self.fail("expected a comparison", expected=("=", "<", "<=", ">", ">="))
+
 
     # -- terms ---------------------------------------------------------------
 
@@ -226,75 +252,35 @@ class _Parser:
             return t
         self.fail("expected a term", expected=("<int>", "n/m", "x<k>", "-", "("))
 
-    # -- full formulas -------------------------------------------------------
+_COMPARISONS = (
+    ("<=", sx.prob_le),
+    (">=", sx.prob_ge),
+    ("<", lambda alpha, t: ProbAtom(alpha, "<", t)),
+    (">", sx.prob_gt),
+    ("=", lambda alpha, t: ProbAtom(alpha, "=", t)),
+)
 
-    def plqo(self):
-        f = self.p_impl()
-        while self.accept("<->"):
-            f = sx.piff(f, self.p_impl())
-        return f
 
-    def p_impl(self):
-        f = self.p_or()
-        if self.accept("->"):
-            return PImpl(f, self.p_impl())
-        return f
+class _Layer(NamedTuple):
+    """The constructors one formula sort builds its connectives with, and
+    the parser method for its atoms."""
 
-    def p_or(self):
-        # right-associative, matching the printer's flat rendering
-        f = self.p_and()
-        if self.accept("|"):
-            return sx.pdisj(f, self.p_or())
-        return f
+    iff: object
+    impl: object
+    disj: object
+    conj: object
+    neg: object
+    primary: object
 
-    def p_and(self):
-        f = self.p_unary()
-        while self.accept("&"):
-            f = sx.pconj(f, self.p_unary())
-        return f
 
-    def p_unary(self):
-        if self.accept("!"):
-            return PNeg(self.p_unary())
-        return self.p_primary()
-
-    def p_primary(self):
-        if self.accept("O"):
-            self.expect("(")
-            alpha = self.classical()
-            self.expect(")")
-            return ObsAtom(alpha)
-        if self.accept("P"):
-            self.expect("(")
-            alpha = self.classical()
-            self.expect(")")
-            return self.p_comparison(alpha)
-        if self.accept("("):
-            f = self.plqo()
-            self.expect(")")
-            return f
-        self.fail("expected a formula", expected=("O(", "P(", "!", "("))
-
-    def p_comparison(self, alpha):
-        for cmp_text in ("<=", ">=", "<", ">", "="):
-            if self.accept(cmp_text):
-                t = self.term()
-                if cmp_text == "=":
-                    return ProbAtom(alpha, "=", t)
-                if cmp_text == "<":
-                    return ProbAtom(alpha, "<", t)
-                if cmp_text == "<=":
-                    return sx.prob_le(alpha, t)
-                if cmp_text == ">=":
-                    return sx.prob_ge(alpha, t)
-                return sx.prob_gt(alpha, t)
-        self.fail("expected a comparison", expected=("=", "<", "<=", ">", ">="))
+CLASSICAL = _Layer(prop.iff, Impl, prop.disj, prop.conj, Neg, _Parser.c_primary)
+PLQO = _Layer(sx.piff, PImpl, sx.pdisj, sx.pconj, PNeg, _Parser.p_primary)
 
 
 def parse_classical(text):
     """Parse a classical formula; raises ParseError with position info."""
     p = _Parser(text)
-    f = p.classical()
+    f = p.formula(CLASSICAL)
     p.expect_eof()
     return f
 
@@ -309,7 +295,7 @@ def parse_term(text):
 def parse_plqo(text):
     """Parse a full formula; raises ParseError with position info."""
     p = _Parser(text)
-    f = p.plqo()
+    f = p.formula(PLQO)
     p.expect_eof()
     return f
 
@@ -358,93 +344,39 @@ def print_term(t):
     return _print_term(t, _T_SUM)
 
 
-_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_NEG, _P_ATOM = range(6)
-
-_FALSUM_ATOM = ProbAtom(VERUM, "<", numeral(1))
-
-
-def _match_pconj(f):
-    if isinstance(f, PNeg) and isinstance(f.child, PImpl) and isinstance(f.child.right, PNeg):
-        return f.child.left, f.child.right.child
-    return None
-
-
-def _match_pdisj(f):
-    if isinstance(f, PImpl) and isinstance(f.left, PNeg):
-        return f.left.child, f.right
-    return None
+def _comparison(alpha, cmp, t, ctx):
+    s = f"P({prop.print_prop(alpha)}) {cmp} {print_term(t)}"
+    return f"({s})" if ctx > prop.PREC_IMPL else s
 
 
 def _match_prob_le(f):
-    pair = _match_pdisj(f)
-    if pair is not None:
-        a, b = pair
-        if (
-            isinstance(a, ProbAtom)
-            and isinstance(b, ProbAtom)
-            and a.cmp == "="
-            and b.cmp == "<"
-            and a.alpha == b.alpha
-            and a.term == b.term
-        ):
-            return a.alpha, a.term
+    """The ``=`` atom of ``f`` when ``f`` is ``prob_le(alpha, t)``, else None."""
+    if isinstance(f, PImpl) and isinstance(f.left, PNeg):
+        a = f.left.child
+        if isinstance(a, ProbAtom) and a.cmp == "=" and f == sx.prob_le(a.alpha, a.term):
+            return a
     return None
 
 
-def _print_plqo(f, ctx, expand_negation):
+def _leaf(f, ctx):
+    """Atoms and the derived comparisons ``<=``, ``>=`` and ``>``."""
     if isinstance(f, ObsAtom):
         return f"O({prop.print_prop(f.alpha)})"
     if isinstance(f, ProbAtom):
-        s = f"P({prop.print_prop(f.alpha)}) {f.cmp} {print_term(f.term)}"
-        return f"({s})" if ctx > _P_IMPL else s
+        return _comparison(f.alpha, f.cmp, f.term, ctx)
     le = _match_prob_le(f)
     if le is not None:
-        alpha, t = le
-        s = f"P({prop.print_prop(alpha)}) <= {print_term(t)}"
-        return f"({s})" if ctx > _P_IMPL else s
-    if isinstance(f, PNeg) and not expand_negation:
+        return _comparison(le.alpha, "<=", le.term, ctx)
+    if isinstance(f, PNeg):
         child = f.child
         if isinstance(child, ProbAtom) and child.cmp == "<":
-            s = f"P({prop.print_prop(child.alpha)}) >= {print_term(child.term)}"
-            return f"({s})" if ctx > _P_IMPL else s
+            return _comparison(child.alpha, ">=", child.term, ctx)
         le = _match_prob_le(child)
         if le is not None:
-            alpha, t = le
-            s = f"P({prop.print_prop(alpha)}) > {print_term(t)}"
-            return f"({s})" if ctx > _P_IMPL else s
-    pair = _match_pconj(f)
-    if pair is not None:
-        a, b = pair
-        s = (
-            f"{_print_plqo(a, _P_AND, expand_negation)} & "
-            f"{_print_plqo(b, _P_NEG, expand_negation)}"
-        )
-        return f"({s})" if ctx > _P_AND else s
-    pair = _match_pdisj(f)
-    if pair is not None:
-        a, b = pair
-        s = (
-            f"{_print_plqo(a, _P_OR + 1, expand_negation)} | "
-            f"{_print_plqo(b, _P_OR, expand_negation)}"
-        )
-        return f"({s})" if ctx > _P_OR else s
-    if isinstance(f, PNeg):
-        if expand_negation:
-            return _print_plqo(PImpl(f.child, _FALSUM_ATOM), ctx, expand_negation)
-        return f"!{_print_plqo(f.child, _P_NEG, expand_negation)}"
-    if isinstance(f, PImpl):
-        s = (
-            f"{_print_plqo(f.left, _P_IMPL + 1, expand_negation)} -> "
-            f"{_print_plqo(f.right, _P_IMPL, expand_negation)}"
-        )
-        return f"({s})" if ctx > _P_IMPL else s
-    raise TypeError(f"not a formula node: {f!r}")
+            return _comparison(le.alpha, ">", le.term, ctx)
+    return None
 
 
-def print_plqo(f, expand_negation=False):
-    """Render a formula; ``parse_plqo(print_plqo(f))`` equals ``f``.
-
-    With ``expand_negation`` every native negation is emitted in the
-    abbreviated implication form ``phi -> P(T) < 1`` instead of ``!phi``.
-    """
-    return _print_plqo(f, _P_IFF, expand_negation)
+def print_plqo(f):
+    """Render a formula; ``parse_plqo(print_plqo(f))`` equals ``f``."""
+    return prop.print_connectives(f, prop.PREC_IFF, _leaf, PNeg, PImpl)

@@ -182,20 +182,6 @@ class AnfPoly:
             out |= m
         return frozenset(out)
 
-    def evaluate(self, valuation):
-        acc = 0
-        for m in self.monomials:
-            term = 1
-            for s in m:
-                try:
-                    term &= 1 if valuation[s] else 0
-                except KeyError:
-                    raise MissingSymbol(f"valuation does not cover {s}") from None
-                if term == 0:
-                    break
-            acc ^= term
-        return acc
-
     def __str__(self):
         if not self.monomials:
             return "0"
@@ -255,57 +241,56 @@ def phi_A_U(a_set, u_set):
 
 # -- printing ----------------------------------------------------------------
 
-# precedence levels, loosest first
-_P_IFF, _P_IMPL, _P_OR, _P_AND, _P_NEG, _P_ATOM = range(6)
+# precedence levels of the connectives, loosest first; both formula sorts
+# print through print_connectives with this one table
+PREC_IFF, PREC_IMPL, PREC_OR, PREC_AND, PREC_NEG = range(5)
 
 
-def _match_conj(f):
-    if isinstance(f, Neg) and isinstance(f.child, Impl) and isinstance(f.child.right, Neg):
-        return f.child.left, f.child.right.child
-    return None
+def print_connectives(f, ctx, leaf, neg, impl, sep=" "):
+    """Render ``f``, built from the node classes ``neg`` and ``impl``, at
+    precedence ``ctx`` with the fewest parentheses: ``&`` and ``|`` sugar
+    is re-folded and ``->`` is right-associative.  ``leaf(node, ctx)``
+    renders atoms and any other sugar of the sort, and returns None for a
+    bare connective."""
+    s = leaf(f, ctx)
+    if s is not None:
+        return s
+    rest = (leaf, neg, impl, sep)  # recursing directly: one frame per level
+    if isinstance(f, neg) and isinstance(f.child, impl) and isinstance(f.child.right, neg):
+        a = print_connectives(f.child.left, PREC_AND, *rest)
+        s = f"{a}{sep}&{sep}{print_connectives(f.child.right.child, PREC_NEG, *rest)}"
+        return f"({s})" if ctx > PREC_AND else s
+    if isinstance(f, impl) and isinstance(f.left, neg):
+        a = print_connectives(f.left.child, PREC_OR + 1, *rest)
+        s = f"{a}{sep}|{sep}{print_connectives(f.right, PREC_OR, *rest)}"
+        return f"({s})" if ctx > PREC_OR else s
+    if isinstance(f, neg):
+        return f"!{print_connectives(f.child, PREC_NEG, *rest)}"
+    if isinstance(f, impl):
+        a = print_connectives(f.left, PREC_IMPL + 1, *rest)
+        s = f"{a}{sep}->{sep}{print_connectives(f.right, PREC_IMPL, *rest)}"
+        return f"({s})" if ctx > PREC_IMPL else s
+    raise TypeError(f"not a formula node: {f!r}")
 
 
-def _match_disj(f):
-    if isinstance(f, Impl) and isinstance(f.left, Neg):
-        return f.left.child, f.right
-    return None
-
-
-def _print(f, ctx, spaced):
-    sep = " " if spaced else ""
+def _leaf(f, ctx):
     if isinstance(f, Verum):
         return "T"
     if f == FALSUM:
         return "F"
     if isinstance(f, Atom):
         return str(f.symbol)
-    pair = _match_conj(f)
-    if pair is not None:
-        a, b = pair
-        s = f"{_print(a, _P_AND, spaced)}{sep}&{sep}{_print(b, _P_NEG, spaced)}"
-        return f"({s})" if ctx > _P_AND else s
-    pair = _match_disj(f)
-    if pair is not None:
-        a, b = pair
-        s = f"{_print(a, _P_OR + 1, spaced)}{sep}|{sep}{_print(b, _P_OR, spaced)}"
-        return f"({s})" if ctx > _P_OR else s
-    if isinstance(f, Neg):
-        return f"!{_print(f.child, _P_NEG, spaced)}"
-    if isinstance(f, Impl):
-        # right-associative
-        s = f"{_print(f.left, _P_IMPL + 1, spaced)}{sep}->{sep}{_print(f.right, _P_IMPL, spaced)}"
-        return f"({s})" if ctx > _P_IMPL else s
-    raise TypeError(f"not a formula node: {f!r}")
+    return None
 
 
 def print_prop(f, spaced=True):
     """Render a formula in the surface grammar.  Conjunction and
     disjunction sugar is re-folded so output stays readable; the result
     reparses to a structurally identical tree."""
-    return _print(f, _P_IFF, spaced)
+    return print_connectives(f, PREC_IFF, _leaf, Neg, Impl, " " if spaced else "")
 
 
 def canonical_text(f):
     """Compact, whitespace-free rendering; used as the identity of
     probability variables indexed by formulas."""
-    return _print(f, _P_IFF, False)
+    return print_prop(f, spaced=False)

@@ -70,22 +70,8 @@ class RadicalScalar:
         coeff = Fraction(s_num * s_mix, s_den * d_den)
         return RadicalScalar.make({d: coeff})
 
-    def coeff(self, d):
-        for dd, c in self.terms:
-            if dd == d:
-                return c
-        return Fraction(0)
-
     def is_zero(self):
         return not self.terms
-
-    def is_rational(self):
-        return all(d == 1 for d, _ in self.terms)
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self.coeff(1)
 
     def __add__(self, other):
         other = _coerce_real(other)

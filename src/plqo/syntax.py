@@ -141,16 +141,6 @@ def term_of_fraction(q):
     return TNeg(mag) if q < 0 else mag
 
 
-def closed(t):
-    if isinstance(t, NumVar):
-        return False
-    if isinstance(t, TNeg):
-        return closed(t.child)
-    if isinstance(t, (Add, Mul)):
-        return closed(t.left) and closed(t.right)
-    return True
-
-
 @dataclass(frozen=True)
 class Assignment:
     """Rational values for the numeric variables; unmentioned default to 0."""

@@ -14,6 +14,10 @@ full products, and apply I - P by forming it.
 
 build_observable writes out the full observable of the generic
 construction, which the decider never needs but the paper defines.
+
+The last helpers read terms, polynomials and scalars in ways only the
+tests need: whether a term is closed, an ANF polynomial's value, and
+whether an exact scalar is rational.
 """
 
 from fractions import Fraction
@@ -23,7 +27,7 @@ from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
 from plqo.prop import all_valuations, essential_symbols, eval_formula
 from plqo.scalars import C_ONE, C_ZERO
-from plqo.syntax import ObsAtom, PImpl, PNeg, ProbAtom, eval_term
+from plqo.syntax import Add, Mul, NumVar, ObsAtom, PImpl, PNeg, ProbAtom, TNeg, eval_term
 
 
 def _rows_of(constraints):
@@ -165,6 +169,11 @@ def matrices_equal(a, b, tol=None):
     return all(_is_zero(x, tol) for row in mat_sub(a, b) for x in row)
 
 
+def matrix_is_zero(a, tol=None):
+    """Whether every entry of a dense tuple-of-rows matrix is zero."""
+    return all(_is_zero(x, tol) for row in a for x in row)
+
+
 def dense_projector_defect(m, tol=None):
     """None for a Hermitian idempotent square matrix, else what fails
     first, by dense products."""
@@ -254,3 +263,45 @@ def build_observable(spec, symbol):
         if not (k >> j) & 1:
             m[k][k] = m[k][k] - C_ONE
     return tuple(tuple(row) for row in m)
+
+
+# -- terms, polynomials and scalars --------------------------------------------
+
+
+def closed(t):
+    """Whether the term has no numeric variable."""
+    if isinstance(t, NumVar):
+        return False
+    if isinstance(t, TNeg):
+        return closed(t.child)
+    if isinstance(t, (Add, Mul)):
+        return closed(t.left) and closed(t.right)
+    return True
+
+
+def anf_evaluate(poly, valuation):
+    """The GF(2) value of an AnfPoly under a symbol -> {0,1} valuation."""
+    acc = 0
+    for m in poly.monomials:
+        term = 1
+        for s in m:
+            try:
+                term &= 1 if valuation[s] else 0
+            except KeyError:
+                raise MissingSymbol(f"valuation does not cover {s}") from None
+            if term == 0:
+                break
+        acc ^= term
+    return acc
+
+
+def is_rational(x):
+    """Whether a RadicalScalar has no irrational part."""
+    return all(d == 1 for d, _ in x.terms)
+
+
+def as_fraction(x):
+    """A rational RadicalScalar as a Fraction; ValueError if irrational."""
+    if not is_rational(x):
+        raise ValueError(f"{x} is irrational")
+    return dict(x.terms).get(1, Fraction(0))

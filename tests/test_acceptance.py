@@ -26,7 +26,7 @@ from plqo.genmodel import (
     commutator_witness,
     model_from_witness,
 )
-from plqo.hilbert import adams_check, matrix_is_zero, prob, satisfies
+from plqo.hilbert import adams_check, prob, satisfies
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
 from plqo.prop import Neg, PropSymbol, atom, conj, eval_formula, is_tautology
@@ -51,7 +51,7 @@ from plqo.translate import (
 from plqo.prop import VERUM, all_valuations
 
 from formgen import gen_classical, gen_plqo, random_feasible_point
-from oracles import fourier_motzkin_feasible
+from oracles import as_fraction, fourier_motzkin_feasible, is_rational, matrix_is_zero
 
 
 def report(number, label, ok):
@@ -240,7 +240,7 @@ def test_09_noncompactness_finite_stages():
         stage_ok = isinstance(verdict, Invalid)
         if stage_ok:
             p = prob(verdict.structure, atom(1))
-            stage_ok = p.is_rational() and 0 < p.as_fraction() <= Fraction(1, n)
+            stage_ok = is_rational(p) and 0 < as_fraction(p) <= Fraction(1, n)
         ok = ok and stage_ok
     report(9, "finite stages of the non-compact set all consistent (n <= 5)", ok)
 

@@ -132,6 +132,62 @@ def test_genmodel_rejects_malformed_spec(capsys, symbols, masses):
     assert err.startswith("error[spec-invalid]:")
 
 
+def test_genmodel_malformed_nc_pair_is_spec_invalid(capsys):
+    code, out, err = invoke(
+        capsys, "genmodel", "--symbols", "B1", "B2", "--nc", "B1", "--masses", *["1/4"] * 4
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error[spec-invalid]:")
+
+
+_STRUCTURE = {"dim": 2, "state": ["1", "0"], "pqvs": {"B1": [["1", "0"], ["0", "0"]]}}
+
+
+@pytest.mark.parametrize(
+    "structure, assignment",
+    [
+        (dict(_STRUCTURE, state=["abc", "0"]), None),
+        (dict(_STRUCTURE, state=["sqrt(2", "0"]), None),
+        (dict(_STRUCTURE, state=["1/0", "0"]), None),
+        (dict(_STRUCTURE, dim="two"), None),
+        (dict(_STRUCTURE, pqvs={"B1": "xy"}), None),
+        ([_STRUCTURE], None),
+        (dict(_STRUCTURE, state="10"), None),
+        (_STRUCTURE, {"x\u00b2": "1/2"}),
+        (_STRUCTURE, {"x1": "y"}),
+        (_STRUCTURE, ["x1", "1/2"]),
+    ],
+    ids=[
+        "state-abc", "state-unclosed-sqrt", "state-zero-denominator", "dim-string",
+        "projector-string", "document-list", "state-string", "assign-superscript-key",
+        "assign-bad-value", "assign-list",
+    ],
+)
+def test_malformed_files_are_spec_invalid(capsys, tmp_path, structure, assignment):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(structure))
+    argv = ["eval", "--model", str(model), "--formula", "O(T)"]
+    if assignment is not None:
+        assign = tmp_path / "a.json"
+        assign.write_text(json.dumps(assignment))
+        argv += ["--assign", str(assign)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[spec-invalid]:")
+    assert "Traceback" not in err
+
+
+def test_eval_tol_selects_tolerance_mode(capsys, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"dim": 1, "state": [1.0000001], "pqvs": {}}))
+    code, _, err = invoke(capsys, "eval", "--model", str(model), "--formula", "O(T)")
+    assert code == 2 and err.startswith("error[spec-invalid]:")  # float entries: 1e-9
+    code, out, _ = invoke(
+        capsys, "eval", "--model", str(model), "--formula", "O(T)", "--tol", "1e-3"
+    )
+    assert (code, out) == (0, "SATISFIED\n")
+
+
 def test_genmodel_eval_roundtrip(capsys, tmp_path):
     target = tmp_path / "m.json"
     code, out, _ = invoke(

@@ -24,10 +24,10 @@ from plqo.decide import (
     conservativeness_check,
     derive_schema,
 )
-from plqo import lra
-from plqo.errors import SchemaPreconditionFailed
+from plqo import decide, lra
+from plqo.errors import SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
-from plqo.hilbert import matrix_is_zero, prob, satisfies
+from plqo.hilbert import prob, satisfies
 from plqo.parser import parse_plqo
 from plqo.prop import Neg, PropSymbol, VERUM, atom, conj, disj, is_tautology
 from plqo.scalars import RadicalScalar
@@ -45,6 +45,7 @@ from plqo.syntax import (
 )
 
 from formgen import gen_classical, gen_plqo
+from oracles import as_fraction, is_rational, matrix_is_zero
 
 
 def justifications(proof):
@@ -111,8 +112,8 @@ def test_noncompactness_finite_stages():
         verdict = check_entail(gamma, falsum)
         assert isinstance(verdict, Invalid)
         p = prob(verdict.structure, atom(1))
-        assert p.is_rational()
-        q = p.as_fraction()
+        assert is_rational(p)
+        q = as_fraction(p)
         assert 0 < q <= Fraction(1, n)
 
 
@@ -226,6 +227,20 @@ def test_countermodels_always_verified():
             n_invalid += 1
             assert satisfies(verdict.structure, verdict.assignment, PNeg(phi))
     assert n_invalid > 0
+
+
+def test_search_verifies_the_model_before_reporting(monkeypatch):
+    """A translation that swaps a negative literal for its complement gives
+    a witness of the wrong branch; the structure built from it agrees with
+    the witness but does not satisfy the target, and must not be reported."""
+    original = decide.translate_literal
+
+    def complemented(lit):
+        return original(lit if lit.positive else lit.complement())
+
+    monkeypatch.setattr(decide, "translate_literal", complemented)
+    with pytest.raises(VerificationFailed):
+        check_valid(parse_plqo("O(T)"))
 
 
 # -- proofs and their checker -------------------------------------------------

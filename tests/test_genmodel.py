@@ -13,7 +13,7 @@ from plqo.genmodel import (
     spec_from_json,
     spec_to_json,
 )
-from plqo.hilbert import compatible, matrix_is_zero, prob, satisfies
+from plqo.hilbert import compatible, prob, satisfies
 from plqo.parser import parse_plqo
 from plqo.prop import Neg, PropSymbol, VERUM, atom
 from plqo.scalars import C_ONE, RadicalScalar
@@ -21,7 +21,7 @@ from plqo.syntax import NumVar, ProbAtom, fraction, prob_formulas_of
 from plqo.translate import NumericVar, PairVar, ProbVar, b_phi, translate_formula, eval_rcof
 
 from formgen import gen_plqo, random_feasible_point
-from oracles import build_observable, dagger, matrices_equal
+from oracles import build_observable, dagger, matrices_equal, matrix_is_zero
 
 
 def B(i):

@@ -28,7 +28,7 @@ from plqo.prop import (
 )
 
 from formgen import gen_classical
-from oracles import essential_symbols_bruteforce
+from oracles import anf_evaluate, essential_symbols_bruteforce
 
 
 def test_eval_primitives():
@@ -89,7 +89,7 @@ def test_anf_same_truth_table():
         f = gen_classical(rng, [1, 2, 3], rng.randint(0, 4))
         poly = anf(f)
         for v in all_valuations(f.symbols()):
-            assert poly.evaluate(v) == eval_formula(f, v)
+            assert anf_evaluate(poly, v) == eval_formula(f, v)
 
 
 def test_anf_known_polynomials():

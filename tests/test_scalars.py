@@ -13,6 +13,8 @@ from plqo.scalars import (
     square_split,
 )
 
+from oracles import as_fraction
+
 
 def rat(q):
     return RadicalScalar.rational(q)
@@ -73,9 +75,9 @@ def test_compares():
 
 
 def test_as_fraction():
-    assert rat(Fraction(3, 4)).as_fraction() == Fraction(3, 4)
+    assert as_fraction(rat(Fraction(3, 4))) == Fraction(3, 4)
     with pytest.raises(ValueError):
-        RadicalScalar.sqrt_of(2).as_fraction()
+        as_fraction(RadicalScalar.sqrt_of(2))
 
 
 def test_complex_arithmetic():

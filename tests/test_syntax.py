@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from plqo.cli import run
 from plqo.errors import BudgetExceeded, ParseError
-from plqo.parser import parse_plqo, parse_term, print_plqo, print_term
-from plqo.prop import VERUM, atom, conj, eval_formula, is_tautology
-from plqo.decide import letters_formula
+from plqo.hilbert import satisfies
+from plqo.parser import parse_classical, parse_plqo, parse_term, print_plqo, print_term
+from plqo.prop import VERUM, atom, conj, eval_formula, is_tautology, print_prop
+from plqo.decide import Invalid, Valid, check_valid, letters_formula
 from plqo.syntax import (
     Add,
     Assignment,
@@ -21,7 +23,6 @@ from plqo.syntax import (
     TNeg,
     ZERO,
     atoms_of,
-    closed,
     eval_term,
     fraction,
     match_numeral,
@@ -37,6 +38,7 @@ from plqo.syntax import (
 )
 
 from formgen import gen_plqo, gen_term
+from oracles import closed
 
 
 def test_numeral_roundtrip():
@@ -89,9 +91,6 @@ def test_derived_comparisons_print_and_reparse():
 
 def test_negation_expansion_mode():
     f = PNeg(ObsAtom(atom(1)))
-    expanded = print_plqo(f, expand_negation=True)
-    assert "P(T) < 1" in expanded
-    assert parse_plqo(expanded) != f  # the abbreviation is a different tree
     assert print_plqo(f) == "!O(B1)"
 
 
@@ -104,6 +103,63 @@ def test_plqo_roundtrip_corpus():
         assert parse_plqo(text) == f, text
         n += 1
     assert n >= 1000
+
+
+@pytest.mark.parametrize(
+    "text, printed, verdict",
+    [
+        ("B1 <-> B2", "(B1 -> B2) & (B2 -> B1)", None),
+        (
+            "(B1 <-> B2) <-> B3",
+            "(((B1 -> B2) -> !(B2 -> B1)) | B3) & (B3 -> (B1 -> B2) & (B2 -> B1))",
+            None,
+        ),
+        (
+            "O(B1 <-> B2) -> O(B2 <-> B1)",
+            "O((B1 -> B2) & (B2 -> B1)) -> O((B2 -> B1) & (B1 -> B2))",
+            Valid,
+        ),
+        ("P(B1) = 1 - x1 -> P(!B1) = x1", "(P(B1) = 1 - x1) -> P(!B1) = x1", Valid),
+        ("P(B1) = 2 * x1 -> P(B1) = x1 + x1", "(P(B1) = 2 * x1) -> P(B1) = x1 + x1", Valid),
+        ("P(B1) > -(x2)", "P(B1) > -x2", None),
+        (
+            "P(B1) = (1 + x1) * 1/2 & P(B1) = 1/4 -> P(B2) > -(x1)",
+            "((P(B1) = (1 + x1) * 1/2) -> !(P(B1) = 1/4)) | (P(B2) > -x1)",
+            Invalid,
+        ),
+    ],
+    ids=[
+        "classical-iff", "classical-iff-left-assoc", "obs-iff", "term-difference",
+        "term-product", "unary-minus", "mixed-invalid",
+    ],
+)
+def test_grammar_paths_round_trip_and_decide(text, printed, verdict):
+    classical = "O(" not in text and "P(" not in text
+    parse, show = (parse_classical, print_prop) if classical else (parse_plqo, print_plqo)
+    f = parse(text)
+    assert show(f) == printed
+    assert parse(printed) == f
+    if verdict is None:
+        return
+    found = check_valid(f)
+    assert isinstance(found, verdict)
+    if verdict is Invalid:
+        assert satisfies(found.structure, found.assignment, PNeg(f))
+
+
+@pytest.mark.parametrize(
+    "text, code, error",
+    [
+        ("P(B1) = x1 * x1", 3, "error[nonlinear]:"),
+        ("O(B1)\n  & P(B2) = 1/2\n-> )", 2, "error[parse]: 3:4: "),
+    ],
+    ids=["nonlinear-product", "error-on-line-3"],
+)
+def test_grammar_paths_errors(capsys, text, code, error):
+    assert run(["check", text]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(error)
 
 
 def test_nested_obs_rejected():
