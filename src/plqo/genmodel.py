@@ -26,7 +26,7 @@ from itertools import combinations
 from .errors import SpecInvalid, WitnessIncomplete, verify
 from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero, expect_type, symbol_of
 from .prop import phi_A_U
-from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar
+from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar, parse_rational
 from .syntax import Assignment
 from .translate import (
     NumericVar,
@@ -73,7 +73,7 @@ class GenericModelSpec:
         fractions = []
         for m in masses:
             try:
-                fractions.append(Fraction(m))
+                fractions.append(parse_rational(m))
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise SpecInvalid(f"bad mass {m!r}") from None
         return GenericModelSpec(

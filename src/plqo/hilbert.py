@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -37,12 +36,7 @@ from .prop import (
     Neg,
 )
 from .parser import MAX_DIGITS
-from .scalars import (
-    C_ZERO,
-    ComplexScalar,
-    RadicalScalar,
-    parse_radical,
-)
+from .scalars import C_ZERO, ComplexScalar, RadicalScalar, parse_radical, parse_rational
 from .syntax import EMPTY_ASSIGNMENT, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
 
 DEFAULT_TOL = 1e-9
@@ -442,7 +436,7 @@ def load_assignment(path):
         if not re.fullmatch(rf"x[0-9]{{1,{MAX_DIGITS}}}", key):
             raise SpecInvalid(f"bad assignment variable {key!r}")
         try:
-            numeric[int(key[1:])] = Fraction(raw)
+            numeric[int(key[1:])] = parse_rational(raw)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise SpecInvalid(f"bad value of {key}: {raw!r}") from None
     return Assignment(numeric)

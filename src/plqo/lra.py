@@ -74,11 +74,9 @@ class _Tableau:
         self.beta = [_ZERO] * n_total
         # rows[basic] = {nonbasic: coeff}; initially slack i = sum of terms
         self.rows = {}
-        self.is_basic = [False] * n_total
         for i, c in enumerate(constraints):
             s = self.n_orig + i
             self.rows[s] = {self.var_index[v]: Fraction(k) for v, k in c.terms}
-            self.is_basic[s] = True
             if c.rel == "=":
                 self.lower[s] = DeltaRational(c.rhs)
                 self.upper[s] = DeltaRational(c.rhs)
@@ -99,16 +97,10 @@ class _Tableau:
         # Bland: smallest-index nonbasic column that can move the basic
         # variable toward its violated bound.
         for j in sorted(row):
-            a = row[j]
-            if direction == "low":
-                can = (a > 0 and (self.upper[j] is None or self.beta[j] < self.upper[j])) or (
-                    a < 0 and (self.lower[j] is None or self.beta[j] > self.lower[j])
-                )
-            else:
-                can = (a < 0 and (self.upper[j] is None or self.beta[j] < self.upper[j])) or (
-                    a > 0 and (self.lower[j] is None or self.beta[j] > self.lower[j])
-                )
-            if can:
+            if (row[j] > 0) == (direction == "low"):  # column j must go up
+                if self.upper[j] is None or self.beta[j] < self.upper[j]:
+                    return j
+            elif self.lower[j] is None or self.beta[j] > self.lower[j]:
                 return j
         return None
 
@@ -128,8 +120,6 @@ class _Tableau:
                 new_row[j] = -a / a_ij
         new_row[xi] = Fraction(1) / a_ij
         del self.rows[xi]
-        self.is_basic[xi] = False
-        self.is_basic[xj] = True
         self.rows[xj] = new_row
         for xk in list(self.rows):
             if xk == xj:
@@ -156,16 +146,7 @@ class _Tableau:
             self._pivot_and_update(xi, xj, target)
 
     def values(self):
-        out = {}
-        for v, j in self.var_index.items():
-            if self.is_basic[j]:
-                val = _ZERO
-                for k, a in self.rows[j].items():
-                    val = val + self.beta[k].scale(a)
-                out[v] = val
-            else:
-                out[v] = self.beta[j]
-        return out
+        return {v: self.beta[j] for v, j in self.var_index.items()}
 
 
 def _concretize(delta_values, constraints):

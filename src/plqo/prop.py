@@ -7,19 +7,13 @@ the other connectives are builders that expand into those primitives.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import BudgetExceeded, MissingSymbol, UNotSubset
 
-DEFAULT_SYMBOL_BUDGET = 16
-
-
-def symbol_budget():
-    """Cap on |B_alpha| for operations that enumerate all valuations."""
-    raw = os.environ.get("PLQO_BUDGET_SYMBOLS")
-    return int(raw) if raw else DEFAULT_SYMBOL_BUDGET
+# Cap on |B_alpha| for operations that enumerate all valuations.
+MAX_VALUATION_SYMBOLS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -157,9 +151,9 @@ def all_valuations(symbols):
 
 
 def _check_budget(symbols, what):
-    if len(symbols) > symbol_budget():
+    if len(symbols) > MAX_VALUATION_SYMBOLS:
         raise BudgetExceeded(
-            f"{what}: {len(symbols)} symbols exceeds budget {symbol_budget()}"
+            f"{what}: {len(symbols)} symbols exceeds budget {MAX_VALUATION_SYMBOLS}"
         )
 
 

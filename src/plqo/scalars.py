@@ -11,22 +11,42 @@ Complex scalars are pairs of real scalars.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
-from sympy import factorint
+from .errors import BudgetExceeded
+from .parser import MAX_DIGITS
+
+# Largest trial divisor square_split tries before it gives up on a radicand.
+MAX_TRIAL_DIVISOR = 1 << 20
 
 
 def square_split(n):
-    """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 1."""
-    s = 1
-    d = 1
-    for p, e in factorint(n).items():
+    """n = s*s*d with d squarefree; returns (s, d).  Requires n >= 1.  Trial
+    division runs while p**3 <= n; every prime left is then at least p, so
+    the rest is 1, a prime, a prime square or a product of two distinct
+    primes, and one integer square root tells which."""
+    s = d = 1
+    p = 2
+    while p * p * p <= n:
+        if p > MAX_TRIAL_DIVISOR:
+            raise BudgetExceeded(
+                f"a {n.bit_length()}-bit radicand needs trial division past {MAX_TRIAL_DIVISOR}"
+            )
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-    return s, d
+        p += 1 if p == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
 
 
 def _sqrt_bounds(d, prec):
@@ -65,10 +85,8 @@ class RadicalScalar:
             return RAD_ZERO
         s_num, d_num = square_split(q.numerator)
         s_den, d_den = square_split(q.denominator)
-        # sqrt(a/b) = sqrt(a*b)/b
-        s_mix, d = square_split(d_num * d_den)
-        coeff = Fraction(s_num * s_mix, s_den * d_den)
-        return RadicalScalar.make({d: coeff})
+        # sqrt(a/b) = sqrt(a*b)/b, and coprime a, b make d_num*d_den squarefree
+        return RadicalScalar.make({d_num * d_den: Fraction(s_num, s_den * d_den)})
 
     def is_zero(self):
         return not self.terms
@@ -97,14 +115,10 @@ class RadicalScalar:
         out = {}
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
-                # d1, d2 are squarefree: only distinct non-unit pairs need factoring
-                if d1 == 1 or d2 == 1:
-                    s, d = 1, d1 * d2
-                elif d1 == d2:
-                    s, d = d1, 1
-                else:
-                    s, d = square_split(d1 * d2)
-                out[d] = out.get(d, Fraction(0)) + c1 * c2 * s
+                # squarefree d1, d2: d1*d2 = g*g * (d1/g)*(d2/g), the last squarefree
+                g = gcd(d1, d2)
+                d = (d1 // g) * (d2 // g)
+                out[d] = out.get(d, Fraction(0)) + c1 * c2 * g
         return RadicalScalar.make(out)
 
     def __rmul__(self, other):
@@ -272,6 +286,20 @@ def coerce_complex(x):
 # "-sqrt(3)").  This is exactly what __str__ above emits.
 
 
+def parse_rational(value):
+    """``Fraction(value)``; a text ("3", "1/3", "0.5", "5e-1") with a digit
+    run or an exponent past MAX_DIGITS is a budget error, since an
+    exponent of a few characters can name a number of millions of digits."""
+    if isinstance(value, str):
+        digits = max(map(len, re.findall(r"[0-9]+", value.replace("_", ""))), default=0)
+        if digits > MAX_DIGITS:
+            raise BudgetExceeded(f"number text of {digits} digits exceeds budget {MAX_DIGITS}")
+        exp = re.search(r"[0-9.][eE]([-+]?[0-9_]+)\s*\Z", value)
+        if exp and abs(int(exp.group(1))) > MAX_DIGITS:
+            raise BudgetExceeded(f"exponent {exp.group(1)} exceeds budget {MAX_DIGITS}")
+    return Fraction(value)
+
+
 def parse_radical(text):
     """Parse a real scalar string; raises ValueError on malformed input."""
     s = text.strip().replace(" ", "")
@@ -304,7 +332,7 @@ def parse_radical(text):
             if head == "":
                 c = Fraction(1)
             elif head.endswith("*"):
-                c = Fraction(head[:-1])
+                c = parse_rational(head[:-1])
             elif head.endswith("/"):
                 # "sqrt(2)/2" style is not produced but easy to accept
                 raise ValueError(f"write the coefficient first in {text!r}")
@@ -312,7 +340,7 @@ def parse_radical(text):
                 raise ValueError(f"malformed radical part in {text!r}")
             rad = RadicalScalar.sqrt_of(d) * c
         else:
-            rad = RadicalScalar.rational(Fraction(part))
+            rad = RadicalScalar.rational(parse_rational(part))
         for dd, cc in (rad * sign).terms:
             coeffs[dd] = coeffs.get(dd, Fraction(0)) + cc
     return RadicalScalar.make(coeffs)

@@ -15,6 +15,9 @@ full products, and apply I - P by forming it.
 build_observable writes out the full observable of the generic
 construction, which the decider never needs but the paper defines.
 
+square_split_bruteforce finds the largest square divisor by trying
+every candidate root, where plqo.scalars.square_split divides out primes.
+
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's value, and
 whether an exact scalar is rational.
@@ -22,6 +25,7 @@ whether an exact scalar is rational.
 
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
@@ -266,6 +270,12 @@ def build_observable(spec, symbol):
 
 
 # -- terms, polynomials and scalars --------------------------------------------
+
+
+def square_split_bruteforce(n):
+    """(s, d) with s*s the largest square dividing n >= 1 and d = n/(s*s)."""
+    s = max(k for k in range(1, isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
 
 
 def closed(t):

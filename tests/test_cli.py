@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,11 +107,11 @@ def test_usage_error_exit_2(capsys):
     assert invoke(capsys)[0] == 2
 
 
-def test_budget_exit_3(capsys, monkeypatch):
-    monkeypatch.setenv("PLQO_BUDGET_SYMBOLS", "2")
-    code, _, err = invoke(capsys, "check", "O(B1 & B2 & B3)")
+def test_budget_exit_3(capsys):
+    code, _, err = invoke(capsys, "essential", " & ".join(f"B{i}" for i in range(1, 18)))
     assert code == 3
     assert err.startswith("error[budget]:")
+    assert "17 symbols exceeds budget 16" in err
 
 
 def test_huge_numeral_is_a_budget_error(capsys):
@@ -174,6 +175,69 @@ def test_malformed_files_are_spec_invalid(capsys, tmp_path, structure, assignmen
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error[spec-invalid]:")
+    assert "Traceback" not in err
+
+
+# The product of two 30-digit primes: no trial divisor within the bound splits it.
+_SEMIPRIME = (10**29 + 319) * (10**29 + 379)
+
+
+def _eval_in_subprocess(tmp_path, doc):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "plqo.cli", "eval", "--model", str(model), "--formula", "O(B1)"],
+        capture_output=True, text=True, env=env, timeout=5,
+    )
+
+
+def test_large_semiprime_mass_is_a_budget_error(capsys, tmp_path):
+    masses = [f"1/{_SEMIPRIME}", f"{_SEMIPRIME - 1}/{_SEMIPRIME}"]
+    code, out, _ = invoke(capsys, "genmodel", "--symbols", "B1", "--masses", *masses)
+    assert code == 0
+    done = _eval_in_subprocess(tmp_path, json.loads(out))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error[budget]:")
+    assert "Traceback" not in done.stderr
+
+
+def test_large_semiprime_radicand_is_a_budget_error(tmp_path):
+    doc = dict(_STRUCTURE, state=[f"sqrt({_SEMIPRIME})", "0"])
+    done = _eval_in_subprocess(tmp_path, doc)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error[budget]:")
+    assert "Traceback" not in done.stderr
+
+
+_GENERIC_B1 = {"generic": {"symbols": ["B1"], "nc": [], "masses": ["1e-10000000", "1"]}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--model", "{m}", "--assign", "{a}", "--formula", "P(B1) = x1"],
+        ["eval", "--model", "{generic}", "--formula", "O(B1)"],
+        ["genmodel", "--symbols", "B1", "--masses", "1e-10000000", "1"],
+        ["eval", "--model", "{state}", "--formula", "O(B1)"],
+    ],
+    ids=["assignment", "generic-spec-mass", "genmodel-mass", "state-entry"],
+)
+def test_exponent_text_is_a_budget_error(capsys, tmp_path, argv):
+    files = {
+        "m": _STRUCTURE,
+        "a": {"x1": "1e10000000"},
+        "generic": _GENERIC_B1,
+        "state": dict(_STRUCTURE, state=["1e10000000", "0"]),
+    }
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in files}) for arg in argv]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error[budget]:") and "budget 1000" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -10,6 +9,7 @@ from plqo.prop import (
     Atom,
     FALSUM,
     Impl,
+    MAX_VALUATION_SYMBOLS,
     Neg,
     PropSymbol,
     VERUM,
@@ -135,10 +135,8 @@ def test_roundtrip_hypothesis(depth, seed):
     assert parse_classical(print_prop(f)) == f
 
 
-def test_symbol_budget_env(monkeypatch):
-    f = conj_all([atom(i) for i in range(1, 6)])
-    monkeypatch.setenv("PLQO_BUDGET_SYMBOLS", "4")
-    with pytest.raises(BudgetExceeded):
+def test_symbol_budget():
+    assert not is_tautology(conj_all([atom(i) for i in range(1, MAX_VALUATION_SYMBOLS + 1)]))
+    f = conj_all([atom(i) for i in range(1, MAX_VALUATION_SYMBOLS + 2)])
+    with pytest.raises(BudgetExceeded, match="17 symbols exceeds budget 16"):
         is_tautology(f)
-    monkeypatch.setenv("PLQO_BUDGET_SYMBOLS", "8")
-    assert not is_tautology(f)

@@ -1,19 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from plqo.errors import BudgetExceeded
 from plqo.scalars import (
     C_ONE,
     C_ZERO,
+    MAX_TRIAL_DIVISOR,
     ComplexScalar,
     RAD_ONE,
     RAD_ZERO,
     RadicalScalar,
     parse_radical,
+    parse_rational,
     square_split,
 )
 
-from oracles import as_fraction
+from oracles import as_fraction, square_split_bruteforce
+
+# Two 30-digit primes; their product has no factor a bounded trial division finds.
+P30 = 10**29 + 319
+Q30 = 10**29 + 379
 
 
 def rat(q):
@@ -26,6 +34,65 @@ def test_square_split():
     assert square_split(12) == (2, 3)
     assert square_split(49) == (7, 1)
     assert square_split(360) == (6, 10)
+
+
+def test_square_split_matches_bruteforce():
+    for n in range(1, 20001):
+        assert square_split(n) == square_split_bruteforce(n), n
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def _primes_after(start, count):
+    out = []
+    while len(out) < count:
+        start += 1
+        if _is_prime(start):
+            out.append(start)
+    return out
+
+
+def test_square_split_seeded_products():
+    # n = s*s*d with d squarefree splits as (s, d); primes just above the
+    # trial bound stay exact while the cofactor they leave is below its cube.
+    small = [p for p in range(2, 200) if _is_prime(p)]
+    big = _primes_after(MAX_TRIAL_DIVISOR, 3)
+    rng = random.Random(5)
+    for _ in range(300):
+        s = 1
+        for p in rng.sample(small, rng.randint(0, 4)):
+            s *= p ** rng.randint(1, 3)
+        d = 1
+        for p in rng.sample(small, rng.randint(0, 4)):
+            d *= p
+        chosen = rng.sample(big, 2)
+        case = rng.randrange(4)
+        if case == 1:
+            d *= chosen[0]
+        elif case == 2:
+            d *= chosen[0] * chosen[1]
+        elif case == 3:
+            s *= chosen[0]
+        assert square_split(s * s * d) == (s, d)
+
+
+def test_square_split_smooth_numbers_of_any_size():
+    assert square_split(2**200 * 3**50) == (2**100 * 3**25, 1)
+    assert square_split(2**201 * 3**51 * 7) == (2**100 * 3**25, 42)
+
+
+def test_square_split_past_the_bound_is_a_budget_error():
+    with pytest.raises(BudgetExceeded, match=str(MAX_TRIAL_DIVISOR)):
+        square_split(P30 * Q30)
+    with pytest.raises(BudgetExceeded):
+        RadicalScalar.sqrt_of(Fraction(1, P30 * Q30))
+    # numerator and denominator are split apart, so each 18-digit prime is in range
+    p18, q18 = 100000000000000003, 100000000000000013
+    assert RadicalScalar.sqrt_of(Fraction(p18, q18)) == RadicalScalar.make(
+        {p18 * q18: Fraction(1, q18)}
+    )
 
 
 def test_sqrt_normalization():
@@ -42,6 +109,9 @@ def test_product_closure():
     s3 = RadicalScalar.sqrt_of(3)
     assert s2 * s2 == rat(2)
     assert s2 * s3 == RadicalScalar.sqrt_of(6)
+    s6 = RadicalScalar.sqrt_of(6)
+    assert s6 * RadicalScalar.sqrt_of(10) == RadicalScalar.make({15: 2})
+    assert s6 * s6 == rat(6)
     assert (s2 + s3) * (s2 - s3) == rat(-1)
     # (sqrt2 - 1)(sqrt2 + 1) = 1
     assert (s2 - 1) * (s2 + 1) == RAD_ONE
@@ -116,6 +186,30 @@ def test_parse_rejects_malformed():
     for bad in ["", "sqrt(2", "sqrt(-1)", "x+1", "2/sqrt(2)"]:
         with pytest.raises(ValueError):
             parse_radical(bad)
+
+
+def test_parse_rational_keeps_the_fraction_grammar():
+    for text in ["3", "-3", "1/3", "0.5", "5e-1", " +.5 ", "1_000", "1" + "0" * 999]:
+        assert parse_rational(text) == Fraction(text)
+    assert parse_rational(Fraction(2, 3)) == Fraction(2, 3)
+    assert parse_rational(7) == 7
+    assert parse_rational("1e1000") == 10**1000
+    with pytest.raises(ValueError):
+        parse_rational("e5")
+
+
+@pytest.mark.parametrize(
+    "text", ["1e10000000", "1e-10000000", "2.5E+1001", "1" * 1001, "1/" + "3" * 1001, "1e1_0_0_1"]
+)
+def test_parse_rational_budget(text):
+    with pytest.raises(BudgetExceeded, match="budget 1000"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e10000000*sqrt(2)", "sqrt(2)+1e1001"])
+def test_parse_radical_budget(text):
+    with pytest.raises(BudgetExceeded, match="budget 1000"):
+        parse_radical(text)
 
 
 def test_float_conversion():
