@@ -24,17 +24,18 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import SpecInvalid, WitnessIncomplete, verify
-from .hilbert import Matrix, Pqv, QuantumStructure, StateVector, czero, expect_type, symbol_of
-from .prop import phi_A_U
+from .hilbert import (
+    Matrix, Pqv, QuantumStructure, StateVector, czero, expect_type, satisfies, symbol_of
+)
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar, parse_rational
 from .syntax import Assignment
 from .translate import (
     NumericVar,
     PairVar,
-    ProbVar,
     b_phi,
     constraints_hold,
     eval_rcof,
+    mass_var,
     q_of,
     translate_formula,
 )
@@ -165,7 +166,7 @@ def model_from_witness(phi, witness):
     masses = []
     for code in range(1 << n):
         u = frozenset(base[j] for j in range(n) if (code >> j) & 1)
-        var = ProbVar.of(phi_A_U(base, u))
+        var = mass_var(base, u)
         if var not in witness:
             raise WitnessIncomplete(f"witness missing mass variable {var}")
         masses.append(witness[var])
@@ -178,9 +179,6 @@ def model_from_witness(phi, witness):
     rho = Assignment(
         {v.k: val for v, val in witness.items() if isinstance(v, NumericVar)}
     )
-
-    from .hilbert import satisfies
-
     model_truth = satisfies(structure, rho, phi)
     witness_truth = eval_rcof(translate_formula(phi), witness)
     verify(

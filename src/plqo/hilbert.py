@@ -37,7 +37,7 @@ from .prop import (
 )
 from .parser import MAX_DIGITS
 from .scalars import C_ZERO, ComplexScalar, RadicalScalar, parse_radical, parse_rational
-from .syntax import EMPTY_ASSIGNMENT, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
+from .syntax import EMPTY_ASSIGNMENT, Assignment, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
 
 DEFAULT_TOL = 1e-9
 
@@ -227,24 +227,16 @@ def _as_real(x, tol):
     return x.real
 
 
-def prob(structure, alpha, family="full"):
+def prob(structure, alpha):
     """Probability of alpha in the structure, summed over the satisfying
-    valuations of the symbol family (``full``: every symbol occurring in
-    alpha; ``essential``: essential symbols only).  Raises
-    IncompatibleFamily if the family's quantum variables are not pairwise
-    compatible."""
-    if family == "full":
-        syms = sorted(alpha.symbols())
-    elif family == "essential":
-        syms = sorted(essential_symbols(alpha))
-    else:
-        raise ValueError(f"unknown family mode {family!r}")
+    valuations of its essential symbols.  Raises IncompatibleFamily iff
+    alpha is not observable."""
+    syms = sorted(essential_symbols(alpha))
     if not _compatible_family(structure, syms):
         raise IncompatibleFamily(
             f"symbol family {[str(s) for s in syms]} is not pairwise compatible"
         )
-    # inessential symbols cannot change the truth value, so pad the
-    # valuation with zeros for them when the family leaves them out
+    # inessential symbols cannot change the truth value; pad them with zeros
     padding = {s: 0 for s in alpha.symbols() if s not in syms}
     total = czero(structure.tol is None)
     psi = {i: x for i, x in enumerate(structure.state.amps) if x}
@@ -263,15 +255,15 @@ def _prob_compare(structure, p_value, cmp, q):
 
 
 def satisfies(structure, rho, phi):
-    """The satisfaction relation.  Probability atoms require observability
-    of alpha, and the probability is evaluated over the essential symbol
-    family (observability guarantees it is defined there)."""
+    """The satisfaction relation.  A probability atom holds only when
+    alpha is observable, which ``prob`` decides."""
     if isinstance(phi, ObsAtom):
         return is_observable(structure, phi.alpha)
     if isinstance(phi, ProbAtom):
-        if not is_observable(structure, phi.alpha):
+        try:
+            value = prob(structure, phi.alpha)
+        except IncompatibleFamily:
             return False
-        value = prob(structure, phi.alpha, family="essential")
         return _prob_compare(structure, value, phi.cmp, eval_term(phi.term, rho))
     if isinstance(phi, PNeg):
         return not satisfies(structure, rho, phi.child)
@@ -344,7 +336,7 @@ def _parse_scalar(raw, exact):
             value = parse_radical(raw)
         except (ValueError, ZeroDivisionError):
             raise SpecInvalid(f"bad scalar {raw!r}") from None
-        return ComplexScalar(value, parse_radical("0")) if exact else float(value)
+        return ComplexScalar.real(value) if exact else float(value)
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         if exact and isinstance(raw, int):
             return ComplexScalar.real(raw)
@@ -428,8 +420,6 @@ def load_structure(path, tol=None):
 
 def load_assignment(path):
     """Rational values of the variables ``x<k>`` from a JSON object."""
-    from .syntax import Assignment
-
     doc = expect_type(_read_json(path), dict, "an assignment document")
     numeric = {}
     for key, raw in doc.items():

@@ -105,32 +105,23 @@ class _Tableau:
         return None
 
     def _pivot_and_update(self, xi, xj, target):
-        row = self.rows[xi]
-        a_ij = row[xj]
+        row = self.rows.pop(xi)
+        a_ij = row.pop(xj)
         theta = (target - self.beta[xi]).scale(Fraction(1) / a_ij)
         self.beta[xi] = target
         self.beta[xj] = self.beta[xj] + theta
-        for xk, rk in self.rows.items():
-            if xk != xi and xj in rk:
-                self.beta[xk] = self.beta[xk] + theta.scale(rk[xj])
-        # pivot: express xj from xi's row, substitute elsewhere
-        new_row = {}
-        for j, a in row.items():
-            if j != xj:
-                new_row[j] = -a / a_ij
+        # express xj by xi's row; one pass moves and rewrites each row holding xj
+        new_row = {j: -a / a_ij for j, a in row.items()}
         new_row[xi] = Fraction(1) / a_ij
-        del self.rows[xi]
-        self.rows[xj] = new_row
-        for xk in list(self.rows):
-            if xk == xj:
-                continue
-            rk = self.rows[xk]
-            if xj in rk:
-                c = rk.pop(xj)
+        for xk, rk in self.rows.items():
+            c = rk.pop(xj, None)
+            if c is not None:
+                self.beta[xk] = self.beta[xk] + theta.scale(c)
                 for j, a in new_row.items():
                     rk[j] = rk.get(j, Fraction(0)) + c * a
                     if rk[j] == 0:
                         del rk[j]
+        self.rows[xj] = new_row
 
     def check(self):
         while True:

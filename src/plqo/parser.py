@@ -39,9 +39,9 @@ from .syntax import (
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
-  | (?P<sym>B\d+)
-  | (?P<var>x\d+)
-  | (?P<int>\d+)
+  | (?P<sym>B[0-9]+)
+  | (?P<var>x[0-9]+)
+  | (?P<int>[0-9]+)
   | (?P<op><->|->|<=|>=|[TFOP()!&|=<>+\-*/])
     """,
     re.VERBOSE,
@@ -51,6 +51,10 @@ _TOKEN_RE = re.compile(
 # Longest digit run accepted in a numeral, symbol or variable index; it
 # keeps every index and numeral below Python's int-conversion limit.
 MAX_DIGITS = 1000
+
+# Deepest nesting accepted, both of constructs open while parsing and of
+# the tree built; every later stage recurses a few frames per level.
+MAX_DEPTH = 64
 
 
 class _Token:
@@ -96,6 +100,9 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0
+        # id(node) -> (depth, node); holding the node keeps its id unique
+        self.depths = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -124,6 +131,28 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.column, expected=expected)
 
+    def within_depth(self, depth):
+        if depth > MAX_DEPTH:
+            tok = self.peek()
+            raise BudgetExceeded(
+                f"{tok.line}:{tok.column}: nesting depth {depth} exceeds budget {MAX_DEPTH}"
+            )
+        return depth
+
+    def nested(self, parse, *args):
+        """``parse(*args)`` with one more construct open."""
+        self.open = self.within_depth(self.open + 1)
+        out = parse(*args)
+        self.open -= 1
+        return out
+
+    def build(self, make, *parts):
+        """``make(*parts)``, one level above its deepest part."""
+        depth = self.within_depth(1 + max(self.depths.get(id(p), (0,))[0] for p in parts))
+        node = make(*parts)
+        self.depths[id(node)] = (depth, node)
+        return node
+
     def expect_eof(self):
         tok = self.peek()
         if tok.kind != "eof":
@@ -136,31 +165,31 @@ class _Parser:
     def formula(self, layer):
         f = self.implication(layer)
         while self.accept("<->"):
-            f = layer.iff(f, self.implication(layer))
+            f = self.build(layer.iff, f, self.implication(layer))
         return f
 
     def implication(self, layer):
         f = self.disjunction(layer)
         if self.accept("->"):
-            return layer.impl(f, self.implication(layer))
+            return self.build(layer.impl, f, self.nested(self.implication, layer))
         return f
 
     def disjunction(self, layer):
         # right-associative, matching the printer's flat rendering
         f = self.conjunction(layer)
         if self.accept("|"):
-            return layer.disj(f, self.disjunction(layer))
+            return self.build(layer.disj, f, self.nested(self.disjunction, layer))
         return f
 
     def conjunction(self, layer):
         f = self.negation(layer)
         while self.accept("&"):
-            f = layer.conj(f, self.negation(layer))
+            f = self.build(layer.conj, f, self.negation(layer))
         return f
 
     def negation(self, layer):
         if self.accept("!"):
-            return layer.neg(self.negation(layer))
+            return self.build(layer.neg, self.nested(self.negation, layer))
         return layer.primary(self)
 
     def c_primary(self):
@@ -173,7 +202,7 @@ class _Parser:
         if self.accept("F"):
             return FALSUM
         if self.accept("("):
-            f = self.formula(CLASSICAL)
+            f = self.nested(self.formula, CLASSICAL)
             self.expect(")")
             return f
         self.fail(
@@ -186,19 +215,19 @@ class _Parser:
         if head in ("O", "P"):
             self.pos += 1
             self.expect("(")
-            alpha = self.formula(CLASSICAL)
+            alpha = self.nested(self.formula, CLASSICAL)
             self.expect(")")
-            return ObsAtom(alpha) if head == "O" else self.p_comparison(alpha)
+            return self.build(ObsAtom, alpha) if head == "O" else self.p_comparison(alpha)
         if self.accept("("):
-            f = self.formula(PLQO)
+            f = self.nested(self.formula, PLQO)
             self.expect(")")
             return f
         self.fail("expected a formula", expected=("O(", "P(", "!", "("))
 
     def p_comparison(self, alpha):
-        for cmp_text, build in _COMPARISONS:
+        for cmp_text, make in _COMPARISONS:
             if self.accept(cmp_text):
-                return build(alpha, self.term())
+                return self.build(make, alpha, self.nested(self.term))
         self.fail("expected a comparison", expected=("=", "<", "<=", ">", ">="))
 
 
@@ -211,21 +240,21 @@ class _Parser:
                 right = self.t_prod()
                 n = match_numeral(t)
                 # "n + 1" is the numeral n+1, so "1 + 1" and "2" make one atom
-                t = numeral(n + 1) if n and right == sx.ONE else Add(t, right)
+                t = numeral(n + 1) if n and right == sx.ONE else self.build(Add, t, right)
             elif self.accept("-"):
-                t = Add(t, TNeg(self.t_prod()))
+                t = self.build(Add, t, self.build(TNeg, self.t_prod()))
             else:
                 return t
 
     def t_prod(self):
         t = self.t_unary()
         while self.accept("*"):
-            t = Mul(t, self.t_unary())
+            t = self.build(Mul, t, self.t_unary())
         return t
 
     def t_unary(self):
         if self.accept("-"):
-            return TNeg(self.t_unary())
+            return self.build(TNeg, self.nested(self.t_unary))
         return self.t_primary()
 
     def t_primary(self):
@@ -247,7 +276,7 @@ class _Parser:
             self.pos += 1
             return NumVar(int(tok.text[1:]))
         if self.accept("("):
-            t = self.term()
+            t = self.nested(self.term)
             self.expect(")")
             return t
         self.fail("expected a term", expected=("<int>", "n/m", "x<k>", "-", "("))

@@ -281,66 +281,56 @@ def coerce_complex(x):
 
 # -- string forms ------------------------------------------------------------
 #
-# Real scalars in structure files are written as sums of signed parts,
-# each a rational ("3/4", "-2") or a scaled radical ("1/2*sqrt(2)",
-# "-sqrt(3)").  This is exactly what __str__ above emits.
+# One ASCII grammar reads every number in text.  A rational is a subset of
+# Fraction's string grammar, in [0-9] only: digit runs joined by single
+# underscores, then a denominator, or a decimal part and a signed exponent
+# ("3", "-1/3", ".5", "5e-1", "1_000").  A real scalar, as __str__ writes
+# it, is a sum of signed terms q, q*sqrt(n) or sqrt(n), n a positive integer.
+
+_DIGITS = r"[0-9]+(?:_[0-9]+)*"
+_RATIONAL = (
+    rf"(?=\.?[0-9])({_DIGITS})?"
+    rf"(?:/({_DIGITS})|(?:\.({_DIGITS})?)?(?:[eE]([-+]?)({_DIGITS}))?)"
+)
+_RATIONAL_RE = re.compile(rf"\s*([-+]?){_RATIONAL}\s*")
+_TERM_RE = re.compile(rf"(?P<sign>[-+])(?P<q>{_RATIONAL})?(?:(?(q)\*)sqrt\((?P<n>[^()]*)\))?")
 
 
 def parse_rational(value):
-    """``Fraction(value)``; a text ("3", "1/3", "0.5", "5e-1") with a digit
-    run or an exponent past MAX_DIGITS is a budget error, since an
-    exponent of a few characters can name a number of millions of digits."""
-    if isinstance(value, str):
-        digits = max(map(len, re.findall(r"[0-9]+", value.replace("_", ""))), default=0)
-        if digits > MAX_DIGITS:
-            raise BudgetExceeded(f"number text of {digits} digits exceeds budget {MAX_DIGITS}")
-        exp = re.search(r"[0-9.][eE]([-+]?[0-9_]+)\s*\Z", value)
-        if exp and abs(int(exp.group(1))) > MAX_DIGITS:
-            raise BudgetExceeded(f"exponent {exp.group(1)} exceeds budget {MAX_DIGITS}")
-    return Fraction(value)
+    """The rational a text of the grammar above names; any other value goes
+    to ``Fraction``.  A digit run or an exponent past MAX_DIGITS is a budget
+    error, since a few characters of exponent can name millions of digits."""
+    if not isinstance(value, str):
+        return Fraction(value)
+    m = _RATIONAL_RE.fullmatch(value)
+    if m is None:
+        raise ValueError(f"not a rational: {value!r}")
+    sign, num, den, dec, exp_sign, exp = (run.replace("_", "") for run in m.groups(""))
+    digits = max(map(len, (num, den, dec, exp)))
+    if digits > MAX_DIGITS:
+        raise BudgetExceeded(f"number text of {digits} digits exceeds budget {MAX_DIGITS}")
+    if exp and int(exp) > MAX_DIGITS:
+        raise BudgetExceeded(f"exponent {exp_sign}{exp} exceeds budget {MAX_DIGITS}")
+    q = Fraction(int(num + dec), int(den or 1) * 10 ** len(dec))
+    q *= Fraction(10) ** int(exp_sign + (exp or "0"))
+    return -q if sign == "-" else q
 
 
 def parse_radical(text):
     """Parse a real scalar string; raises ValueError on malformed input."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    # split into signed parts
-    parts = []
-    start = 0
-    for i, ch in enumerate(s):
-        if ch in "+-" and i > start and s[i - 1] not in "+-*/(":
-            parts.append(s[start:i])
-            start = i
-    parts.append(s[start:])
-    coeffs = {}
-    for part in parts:
-        sign = 1
-        while part and part[0] in "+-":
-            if part[0] == "-":
-                sign = -sign
-            part = part[1:]
-        if not part:
-            raise ValueError(f"malformed scalar part in {text!r}")
-        if "sqrt(" in part:
-            head, _, tail = part.partition("sqrt(")
-            if not tail.endswith(")"):
-                raise ValueError(f"unclosed sqrt in {text!r}")
-            d = int(tail[:-1])
-            if d <= 0:
-                raise ValueError("sqrt argument must be positive")
-            if head == "":
-                c = Fraction(1)
-            elif head.endswith("*"):
-                c = parse_rational(head[:-1])
-            elif head.endswith("/"):
-                # "sqrt(2)/2" style is not produced but easy to accept
-                raise ValueError(f"write the coefficient first in {text!r}")
-            else:
-                raise ValueError(f"malformed radical part in {text!r}")
-            rad = RadicalScalar.sqrt_of(d) * c
-        else:
-            rad = RadicalScalar.rational(parse_rational(part))
-        for dd, cc in (rad * sign).terms:
-            coeffs[dd] = coeffs.get(dd, Fraction(0)) + cc
-    return RadicalScalar.make(coeffs)
+    s = "".join(text.split())
+    s = s if s.startswith(("+", "-")) else "+" + s
+    total, pos = RAD_ZERO, 0
+    while pos < len(s):
+        m = _TERM_RE.match(s, pos)
+        if m is None or m["q"] is None and m["n"] is None:
+            raise ValueError(f"malformed scalar {text!r}")
+        term = RadicalScalar.rational(parse_rational(m["q"] or "1"))
+        if m["n"] is not None:
+            n = parse_rational(m["n"])
+            if n <= 0 or n.denominator != 1:
+                raise ValueError(f"sqrt argument must be a positive integer in {text!r}")
+            term = term * RadicalScalar.sqrt_of(n)
+        total = total + term if m["sign"] == "+" else total - term
+        pos = m.end()
+    return total

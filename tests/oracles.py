@@ -18,6 +18,10 @@ construction, which the decider never needs but the paper defines.
 square_split_bruteforce finds the largest square divisor by trying
 every candidate root, where plqo.scalars.square_split divides out primes.
 
+two_pass_pivot is the simplex pivot as first written, one pass over the
+rows to move the basic values and a second to substitute the entering
+column, where plqo.lra._Tableau does both in one pass.
+
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's value, and
 whether an exact scalar is rational.
@@ -32,6 +36,29 @@ from plqo.genmodel import build_generic
 from plqo.prop import all_valuations, essential_symbols, eval_formula
 from plqo.scalars import C_ONE, C_ZERO
 from plqo.syntax import Add, Mul, NumVar, ObsAtom, PImpl, PNeg, ProbAtom, TNeg, eval_term
+
+
+def two_pass_pivot(tableau, xi, xj, target):
+    """Pivot basic ``xi`` out for ``xj`` and move ``xi`` to ``target``."""
+    row = tableau.rows[xi]
+    a_ij = row[xj]
+    theta = (target - tableau.beta[xi]).scale(Fraction(1) / a_ij)
+    tableau.beta[xi] = target
+    tableau.beta[xj] = tableau.beta[xj] + theta
+    for xk, rk in tableau.rows.items():
+        if xk != xi and xj in rk:
+            tableau.beta[xk] = tableau.beta[xk] + theta.scale(rk[xj])
+    new_row = {j: -a / a_ij for j, a in row.items() if j != xj}
+    new_row[xi] = Fraction(1) / a_ij
+    del tableau.rows[xi]
+    tableau.rows[xj] = new_row
+    for xk, rk in tableau.rows.items():
+        if xk != xj and xj in rk:
+            c = rk.pop(xj)
+            for j, a in new_row.items():
+                rk[j] = rk.get(j, Fraction(0)) + c * a
+                if rk[j] == 0:
+                    del rk[j]
 
 
 def _rows_of(constraints):
@@ -199,11 +226,11 @@ def dense_is_observable(structure, alpha):
     return all(dense_compatible(a, b, structure.tol) for a, b in combinations(mats, 2))
 
 
-def dense_prob(structure, alpha, family="full"):
+def dense_prob(structure, alpha):
     """The probability of alpha summed over ordered dense projector
-    products, as in the paper's definition."""
+    products of its essential symbols, as in the paper's definition."""
     tol = structure.tol
-    syms = sorted(alpha.symbols() if family == "full" else essential_symbols(alpha))
+    syms = sorted(essential_symbols(alpha))
     mats = {s: structure.pqv(s).up_projector for s in syms}
     for a, b in combinations(mats.values(), 2):
         if not dense_compatible(a, b, tol):
@@ -234,7 +261,7 @@ def dense_satisfies(structure, rho, phi):
     if isinstance(phi, ProbAtom):
         if not dense_is_observable(structure, phi.alpha):
             return False
-        p = dense_prob(structure, phi.alpha, family="essential")
+        p = dense_prob(structure, phi.alpha)
         q = eval_term(phi.term, rho)
         tol = structure.tol
         if tol is None:

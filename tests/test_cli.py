@@ -241,6 +241,53 @@ def test_exponent_text_is_a_budget_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, error, seconds",
+    [
+        (["eval", "--model", "{state}", "--formula", "O(B1)"], 2, "error[spec-invalid]:", 1),
+        (["eval", "--model", "{generic}", "--formula", "O(B1)"], 2, "error[spec-invalid]:", 1),
+        (["eval", "--model", "{m}", "--assign", "{a}", "--formula", "O(B1)"], 2,
+         "error[spec-invalid]:", 1),
+        (["eval", "--model", "{radicand}", "--formula", "O(B1)"], 3, "error[budget]:", 0.1),
+    ],
+    ids=["state-entry", "generic-spec-mass", "assignment", "radicand-1001-digits"],
+)
+def test_numbers_in_text_are_ascii_and_capped(capsys, tmp_path, argv, code, error, seconds):
+    # a mass whose exponent is written in Arabic-Indic digits: 10^9999999
+    mass = "1e" + "\u0669" * 7
+    files = {
+        "m": _STRUCTURE,
+        "a": {"x1": "\u0661/\u0662"},
+        "state": dict(_STRUCTURE, state=["\u0661", "0"]),
+        "generic": {"generic": {"symbols": ["B1"], "nc": [], "masses": [mass, "1"]}},
+        "radicand": dict(_STRUCTURE, state=["sqrt(" + "7" * 1001 + ")", "0"]),
+    }
+    for key, doc in files.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+    argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in files}) for arg in argv]
+    start = time.perf_counter()
+    got, out, err = invoke(capsys, *argv)
+    assert time.perf_counter() - start < seconds
+    assert (got, out) == (code, "")
+    assert err.startswith(error)
+    assert "Traceback" not in err
+
+
+def test_prob_is_the_probability_satisfaction_uses(capsys, tmp_path):
+    # B2 is inessential in B1 & (B2 | !B2) and incompatible with B1
+    model = tmp_path / "m.json"
+    masses = ["1/4"] * 4
+    invoke(capsys, "genmodel", "--symbols", "B1", "B2", "--nc", "B1,B2", "--masses", *masses,
+           "-o", str(model))
+    alpha = "B1 & (B2 | !B2)"
+    code, out, _ = invoke(
+        capsys, "eval", "--model", str(model), "--prob", alpha, "--formula", f"P({alpha}) = 1/2"
+    )
+    assert (code, out) == (0, "prob = 1/2\nSATISFIED\n")
+    code, _, err = invoke(capsys, "eval", "--model", str(model), "--prob", "B1 & B2")
+    assert code == 2 and err.startswith("error[incompatible-family]:")
+
+
 def test_eval_tol_selects_tolerance_mode(capsys, tmp_path):
     model = tmp_path / "m.json"
     model.write_text(json.dumps({"dim": 1, "state": [1.0000001], "pqvs": {}}))

@@ -128,8 +128,8 @@ def test_prob_incompatible_family_errors():
 
 
 def test_prob_essential_vs_full_family():
-    """An inessential symbol with an incompatible projector: the default
-    satisfaction mode still evaluates over the essential family."""
+    """An inessential symbol with an incompatible projector: the
+    probability is taken over the essential family."""
     spec = GenericModelSpec.make(
         [PropSymbol(1), PropSymbol(2)],
         [[PropSymbol(1), PropSymbol(2)]],
@@ -138,9 +138,7 @@ def test_prob_essential_vs_full_family():
     s = build_generic(spec)
     # B1 & (B2 | !B2) mentions B2 but B2 is inessential
     alpha = conj(atom(1), disj(atom(2), Neg(atom(2))))
-    with pytest.raises(IncompatibleFamily):
-        prob(s, alpha, family="full")
-    assert prob(s, alpha, family="essential") == RadicalScalar.rational(Fraction(1, 2))
+    assert prob(s, alpha) == RadicalScalar.rational(Fraction(1, 2))
     assert satisfies(
         s, EMPTY_ASSIGNMENT, ProbAtom(alpha, "=", fraction(1, 2))
     )
@@ -440,13 +438,12 @@ def test_sparse_semantics_match_dense_reference():
         for _ in range(4):
             alpha = gen_classical(rng, idx, rng.randint(0, 3))
             assert is_observable(s, alpha) == dense_is_observable(s, alpha)
-            for family in ("full", "essential"):
-                x = _outcome(prob, s, alpha, family)
-                y = _outcome(dense_prob, s, alpha, family)
-                if x is IncompatibleFamily or y is IncompatibleFamily:
-                    assert x is y
-                else:
-                    assert x == y if tol is None else abs(x - y) <= tol
+            x = _outcome(prob, s, alpha)
+            y = _outcome(dense_prob, s, alpha)
+            if x is IncompatibleFamily or y is IncompatibleFamily:
+                assert x is y
+            else:
+                assert x == y if tol is None else abs(x - y) <= tol
             phi = gen_plqo(rng, idx, rng.randint(0, 2))
             assert satisfies(s, EMPTY_ASSIGNMENT, phi) == dense_satisfies(
                 s, EMPTY_ASSIGNMENT, phi

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from plqo.lra import DeltaRational, Feasible, Infeasible, check_implication, feasible
+from plqo.lra import DeltaRational, Feasible, Infeasible, _Tableau, check_implication, feasible
 from plqo.translate import NumericVar, constraint, constraints_hold
 
-from oracles import fourier_motzkin_feasible
+from oracles import fourier_motzkin_feasible, two_pass_pivot
 
 
 def x(k):
@@ -107,6 +107,27 @@ def test_oracle_agreement_random_corpus():
     assert n_checked >= 100
     # the corpus should exercise both outcomes
     assert 0 < n_feasible < n_checked
+
+
+def test_pivots_match_the_two_pass_reference(monkeypatch):
+    rng = random.Random(20240818)
+    systems = [_random_system(rng, rng.randint(1, 6), rng.randint(1, 12)) for _ in range(150)]
+
+    def run(pivot):
+        trail = []
+
+        def recorded(tableau, xi, xj, target):
+            trail.append((xi, xj, target))
+            pivot(tableau, xi, xj, target)
+
+        monkeypatch.setattr(_Tableau, "_pivot_and_update", recorded)
+        results = [feasible(cs) for cs in systems]
+        return trail, [r.witness if r else None for r in results]
+
+    ours = run(_Tableau._pivot_and_update)
+    reference = run(two_pass_pivot)
+    assert len(ours[0]) > 100
+    assert ours == reference
 
 
 def test_vertex_spot_check():

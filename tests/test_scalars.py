@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,79 @@ def test_float_conversion():
     assert abs(float(s2) - 2**0.5) < 1e-12
     z = ComplexScalar(RAD_ONE, s2)
     assert abs(complex(z) - complex(1, 2**0.5)) < 1e-12
+
+
+def _rational_text(rng):
+    """A seeded text of the rational grammar: a sign, digit runs with
+    single underscores, then a denominator or a decimal part and an
+    exponent, which may carry its own sign."""
+
+    def run(most):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, most)))
+        if len(digits) > 1 and rng.random() < 0.2:
+            cut = rng.randint(1, len(digits) - 1)
+            digits = digits[:cut] + "_" + digits[cut:]
+        return digits
+
+    sign = rng.choice(["", "+", "-"])
+    form = rng.randrange(4)
+    if form == 0:
+        return sign + run(6)
+    if form == 1:
+        return f"{sign}{run(6)}/{rng.randint(1, 999)}"
+    head = rng.choice([run(4) + ".", "." + run(4), run(4) + "." + run(4), run(4)])
+    if form == 2:
+        return sign + head
+    return f"{sign}{head}{rng.choice('eE')}{rng.choice(['', '+', '-'])}{run(2)}"
+
+
+def test_parse_radical_reads_the_rational_grammar():
+    rng = random.Random(11)
+    exponents = 0
+    for _ in range(500):
+        text = _rational_text(rng)
+        assert parse_radical(text) == RadicalScalar.rational(parse_rational(text)), text
+        exponents += "e-" in text.lower() or "e+" in text.lower()
+    assert exponents > 20
+    assert parse_radical("5e-1") == rat(Fraction(1, 2))
+    assert parse_radical("-2.5E-1") == rat(Fraction(-1, 4))
+
+
+def test_parse_radical_terms_with_exponents():
+    assert parse_radical("2.5E+3*sqrt(2)") == RadicalScalar.make({2: 2500})
+    assert parse_radical("1e-1*sqrt(8)-5e-1") == RadicalScalar.make(
+        {1: Fraction(-1, 2), 2: Fraction(1, 5)}
+    )
+    assert parse_radical("sqrt(4e2)") == rat(20)
+    for bad in ["sqrt(1/2)", "sqrt(0)", "sqrt(2.5)", "1+-2", "2*", "2sqrt(2)", "sqrt()"]:
+        with pytest.raises(ValueError):
+            parse_radical(bad)
+
+
+def test_parse_print_roundtrip_seeded():
+    rng = random.Random(13)
+    for _ in range(200):
+        radicands = rng.sample([1, 2, 3, 5, 6, 7, 10, 30], rng.randint(0, 4))
+        value = RadicalScalar.make(
+            {d: Fraction(rng.randint(-50, 50), rng.randint(1, 30)) for d in radicands}
+        )
+        assert parse_radical(str(value)) == value
+
+
+@pytest.mark.parametrize("text", ["١", "1/٢", "1e٩٩٩٩٩٩٩", "１", "1²"])
+def test_non_ascii_digits_are_rejected_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_radical(text)
+    with pytest.raises(ValueError):
+        parse_radical(f"sqrt({text})")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_radicand_budget():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="1001 digits exceeds budget 1000"):
+        parse_radical("sqrt(" + "7" * 1001 + ")")
+    assert time.perf_counter() - start < 0.1

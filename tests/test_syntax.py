@@ -6,10 +6,13 @@ import pytest
 from plqo.cli import run
 from plqo.errors import BudgetExceeded, ParseError
 from plqo.hilbert import satisfies
-from plqo.parser import parse_classical, parse_plqo, parse_term, print_plqo, print_term
+from plqo.genmodel import GenericModelSpec, build_generic
+from plqo.parser import MAX_DEPTH, parse_classical, parse_plqo, parse_term, print_plqo, print_term
+from plqo.translate import translate_formula
 from plqo.prop import VERUM, atom, conj, eval_formula, is_tautology, print_prop
 from plqo.decide import Invalid, Valid, check_valid, letters_formula
 from plqo.syntax import (
+    EMPTY_ASSIGNMENT,
     Add,
     Assignment,
     InvNumeral,
@@ -152,8 +155,12 @@ def test_grammar_paths_round_trip_and_decide(text, printed, verdict):
     [
         ("P(B1) = x1 * x1", 3, "error[nonlinear]:"),
         ("O(B1)\n  & P(B2) = 1/2\n-> )", 2, "error[parse]: 3:4: "),
+        ("O(B\u0661)", 2, "error[parse]: 1:3: unexpected character 'B'"),
+        ("P(B1) = \u0661", 2, "error[parse]: 1:9: unexpected character"),
+        ("P(B1) = x\u0661", 2, "error[parse]: 1:9: unexpected character 'x'"),
     ],
-    ids=["nonlinear-product", "error-on-line-3"],
+    ids=["nonlinear-product", "error-on-line-3", "non-ascii-symbol-index", "non-ascii-numeral",
+         "non-ascii-variable-index"],
 )
 def test_grammar_paths_errors(capsys, text, code, error):
     assert run(["check", text]) == code
@@ -222,6 +229,51 @@ def test_dnf_budget():
     assert len(nnf_dnf_literals(f)) == 1
     with pytest.raises(BudgetExceeded, match="17 distinct atoms exceeds DNF budget 16"):
         nnf_dnf_literals(pconj(f, ObsAtom(atom(17))))
+
+
+# Formulas of nesting depth n, one per kind of level the parser counts.
+_DEPTH_SHAPES = {
+    "negations": lambda n: "!" * (n - 1) + "O(B1)",
+    "left-conjunction": lambda n: " & ".join(["O(B1)"] * n),
+    "right-conjunction": lambda n: "O(B1) & (" * (n - 1) + "O(B1)" + ")" * (n - 1),
+    "classical": lambda n: "O(" + "B1 & (" * (n - 1) + "B1" + ")" * (n - 1) + ")",
+    "unary-minus": lambda n: "P(B1) < " + "-" * (n - 1) + "1",
+}
+
+
+@pytest.mark.parametrize("shape", _DEPTH_SHAPES)
+def test_formula_at_the_depth_cap_goes_through_every_stage(shape):
+    make = _DEPTH_SHAPES[shape]
+    too_deep = f"nesting depth {MAX_DEPTH + 1} exceeds budget {MAX_DEPTH}"
+    with pytest.raises(BudgetExceeded, match=too_deep):
+        parse_plqo(make(MAX_DEPTH + 1))
+    f = parse_plqo(make(MAX_DEPTH))
+    print_plqo(f)
+    nnf_dnf_literals(f)
+    translate_formula(f)
+    s = build_generic(GenericModelSpec.make([atom(1).symbol], [], [Fraction(1, 2)] * 2))
+    satisfies(s, EMPTY_ASSIGNMENT, f)
+    check_valid(f)
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_plqo, "!" * 5000 + "O(B1)"),
+        (parse_plqo, "(" * 200 + "O(B1)" + ")" * 200),
+        (parse_plqo, "O(B1) & " * 800 + "O(B1)"),
+        (parse_plqo, "P(B1) = " + "x1 * " * 800 + "x1"),
+        (parse_classical, "!" * 5000 + "B1"),
+        (parse_classical, "B1 -> " * 800 + "B1"),
+        (parse_term, "-" * 5000 + "1"),
+        (parse_term, "(" * 200 + "1" + ")" * 200),
+    ],
+    ids=["negations", "parentheses", "conjunction-chain", "product-chain",
+         "classical-negations", "classical-implications", "term-negations", "term-parentheses"],
+)
+def test_deep_nesting_is_a_budget_error_in_the_library(parse, text):
+    with pytest.raises(BudgetExceeded, match=f"nesting depth {MAX_DEPTH + 1} exceeds budget"):
+        parse(text)
 
 
 def test_literal_complement():
