@@ -153,6 +153,17 @@ class _Parser:
         self.depths[id(node)] = (depth, node)
         return node
 
+    def prefixed(self, op, make, operand, *args):
+        """``operand(*args)`` under a run of prefix ``op``, each built by
+        ``make``; the run opens no level, and ``build`` bounds the depth."""
+        count = 0
+        while self.accept(op):
+            count += 1
+        node = operand(*args)
+        for _ in range(count):
+            node = self.build(make, node)
+        return node
+
     def expect_eof(self):
         tok = self.peek()
         if tok.kind != "eof":
@@ -188,9 +199,7 @@ class _Parser:
         return f
 
     def negation(self, layer):
-        if self.accept("!"):
-            return self.build(layer.neg, self.nested(self.negation, layer))
-        return layer.primary(self)
+        return self.prefixed("!", layer.neg, layer.primary, self)
 
     def c_primary(self):
         tok = self.peek()
@@ -253,9 +262,7 @@ class _Parser:
         return t
 
     def t_unary(self):
-        if self.accept("-"):
-            return self.build(TNeg, self.nested(self.t_unary))
-        return self.t_primary()
+        return self.prefixed("-", TNeg, self.t_primary)
 
     def t_primary(self):
         tok = self.peek()

@@ -293,15 +293,17 @@ class PlqoLiteral:
 
 
 def atoms_of(f):
-    """Distinct atoms of ``f`` in first-occurrence order."""
-    out = []
-    seen = set()
+    """Distinct atoms of ``f`` in first-occurrence order; a subformula
+    shared by several parents is walked once."""
+    found = {}  # atom -> None, in first-occurrence order
+    walked = {}  # id(node) -> node; holding the node keeps its id unique
 
     def walk(node):
+        if id(node) in walked:
+            return
+        walked[id(node)] = node
         if is_atom(node):
-            if node not in seen:
-                seen.add(node)
-                out.append(node)
+            found.setdefault(node)
         elif isinstance(node, PNeg):
             walk(node.child)
         elif isinstance(node, PImpl):
@@ -311,18 +313,27 @@ def atoms_of(f):
             raise TypeError(f"not a formula node: {node!r}")
 
     walk(f)
-    return out
+    return list(found)
 
 
 def prob_formulas_of(f):
     """The classical formulas alpha with a probability atom on them in ``f``,
     in first-occurrence order."""
+    return list(dict.fromkeys(a.alpha for a in atoms_of(f) if isinstance(a, ProbAtom)))
+
+
+def _join(candidates):
+    """``candidates`` (literal lists) without repeated literals, keeping the
+    first of each literal set and none with a complementary pair."""
     out = []
     seen = set()
-    for a in atoms_of(f):
-        if isinstance(a, ProbAtom) and a.alpha not in seen:
-            seen.add(a.alpha)
-            out.append(a.alpha)
+    for raw in candidates:
+        lits = list(dict.fromkeys(raw))
+        key = frozenset(lits)
+        if key in seen or any(lit.complement() in key for lit in lits):
+            continue
+        seen.add(key)
+        out.append(lits)
     return out
 
 
@@ -330,44 +341,31 @@ def nnf_dnf_literals(f):
     """Disjunctive normal form of ``f`` over its atoms, as a list of
     literal conjunctions.  Disjuncts containing complementary literals
     are pruned; duplicate literals and duplicate disjuncts are dropped.
-    Deterministic: syntax-directed expansion order."""
+    Deterministic: syntax-directed expansion order.  Each subformula is
+    expanded once per polarity, so a shared subformula costs its size,
+    not the number of paths to it."""
     n_atoms = len(atoms_of(f))
     if n_atoms > MAX_DNF_ATOMS:
         raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {MAX_DNF_ATOMS}")
+    # (id(node), positive) -> (node, disjuncts); holding the node keeps its id unique
+    memo = {}
 
     def expand(node, positive):
+        key = (id(node), positive)
+        if key in memo:
+            return memo[key][1]
         if is_atom(node):
-            return [[PlqoLiteral(positive, node)]]
-        if isinstance(node, PNeg):
-            return expand(node.child, not positive)
-        if isinstance(node, PImpl):
-            if positive:
-                return expand(node.left, False) + expand(node.right, True)
-            out = []
-            for a in expand(node.left, True):
-                for b in expand(node.right, False):
-                    out.append(a + b)
-            return out
-        raise TypeError(f"not a formula node: {node!r}")
+            out = [[PlqoLiteral(positive, node)]]
+        elif isinstance(node, PNeg):
+            out = expand(node.child, not positive)
+        elif isinstance(node, PImpl) and positive:
+            out = _join(expand(node.left, False) + expand(node.right, True))
+        elif isinstance(node, PImpl):
+            rights = expand(node.right, False)
+            out = _join(a + b for a in expand(node.left, True) for b in rights)
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        memo[key] = (node, out)
+        return out
 
-    disjuncts = []
-    seen = set()
-    for raw in expand(f, True):
-        lits = []
-        lit_set = set()
-        tautologous = False
-        for lit in raw:
-            if lit.complement() in lit_set:
-                tautologous = True
-                break
-            if lit not in lit_set:
-                lit_set.add(lit)
-                lits.append(lit)
-        if tautologous:
-            continue
-        key = frozenset(lit_set)
-        if key in seen:
-            continue
-        seen.add(key)
-        disjuncts.append(lits)
-    return disjuncts
+    return expand(f, True)

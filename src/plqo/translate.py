@@ -14,7 +14,7 @@ from .errors import BudgetExceeded, UnsupportedNonlinear
 from . import prop
 from .prop import canonical_text, phi_A_U
 from . import syntax as sx
-from .syntax import ObsAtom, PlqoLiteral, PNeg, PImpl, ProbAtom
+from .syntax import PNeg, PImpl, ProbAtom
 
 MAX_ADAMS_SYMBOLS = 12
 
@@ -313,27 +313,22 @@ def translate_atom(atom):
     return _dedupe(out)
 
 
-def _negative_obs_disjuncts(alpha):
-    ess = sorted(prop.essential_symbols(alpha))
-    return [
-        [constraint({PairVar.of(s1, s2): 1}, ">", 0)]
-        for s1, s2 in combinations(ess, 2)
-    ]
-
-
 def translate_literal(lit):
     """Disjunction of constraint conjunctions equivalent to a literal.
 
-    A negative observability literal becomes one disjunct per essential
-    2-subset asserting the pair variable strictly positive (the negation
-    of = 0 under the ambient >= 0); with at most one essential symbol the
-    disjunction is empty, i.e. unsatisfiable.  A negative probability
-    literal adds the comparison's complement disjuncts.
+    A negative observability literal becomes the single disjunct asserting
+    the sum of its essential pair variables strictly positive (the
+    negation of all = 0 under the ambient >= 0); with at most one
+    essential symbol there is no pair and the disjunction is empty, i.e.
+    unsatisfiable.  A negative probability literal adds the comparison's
+    complement disjuncts.
     """
     if lit.positive:
         return [translate_atom(lit.atom)]
     alpha = lit.atom.alpha
-    disjuncts = _negative_obs_disjuncts(alpha)
+    ess = sorted(prop.essential_symbols(alpha))
+    pairs = {PairVar.of(s1, s2): 1 for s1, s2 in combinations(ess, 2)}
+    disjuncts = [[constraint(pairs, ">", 0)]] if pairs else []
     if isinstance(lit.atom, ProbAtom):
         cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
         disjuncts = disjuncts + negate_constraint(cmp_c)

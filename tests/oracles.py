@@ -22,6 +22,14 @@ two_pass_pivot is the simplex pivot as first written, one pass over the
 rows to move the basic values and a second to substitute the entering
 column, where plqo.lra._Tableau does both in one pass.
 
+per_pair_translate_literal is the literal translation as first written,
+one disjunct per essential pair of a negative literal, where
+plqo.translate asserts the sum of the pair variables positive.
+
+tree_dnf_literals expands the DNF once per path through the formula and
+cleans up at the end, where plqo.syntax expands each shared subformula
+once and cleans up at every join.
+
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's value, and
 whether an exact scalar is rational.
@@ -35,7 +43,12 @@ from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
 from plqo.prop import all_valuations, essential_symbols, eval_formula
 from plqo.scalars import C_ONE, C_ZERO
-from plqo.syntax import Add, Mul, NumVar, ObsAtom, PImpl, PNeg, ProbAtom, TNeg, eval_term
+from plqo.syntax import (
+    Add, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
+)
+from plqo.translate import (
+    PairVar, _comparison_constraint, constraint, negate_constraint, translate_atom
+)
 
 
 def two_pass_pivot(tableau, xi, xj, target):
@@ -59,6 +72,66 @@ def two_pass_pivot(tableau, xi, xj, target):
                 rk[j] = rk.get(j, Fraction(0)) + c * a
                 if rk[j] == 0:
                     del rk[j]
+
+
+def per_pair_translate_literal(lit):
+    """Disjunction equivalent to a literal, with one disjunct per
+    essential pair of a negative literal's formula asserting that pair
+    variable strictly positive."""
+    if lit.positive:
+        return [translate_atom(lit.atom)]
+    alpha = lit.atom.alpha
+    ess = sorted(essential_symbols(alpha))
+    disjuncts = [
+        [constraint({PairVar.of(s1, s2): 1}, ">", 0)] for s1, s2 in combinations(ess, 2)
+    ]
+    if isinstance(lit.atom, ProbAtom):
+        cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
+        disjuncts = disjuncts + negate_constraint(cmp_c)
+    return disjuncts
+
+
+def tree_dnf_literals(f):
+    """The DNF of ``f`` as literal lists, expanded along every path of the
+    formula tree, then cleaned: duplicate literals dropped, disjuncts with
+    a complementary pair pruned, repeated literal sets dropped."""
+
+    def expand(node, positive):
+        if is_atom(node):
+            return [[PlqoLiteral(positive, node)]]
+        if isinstance(node, PNeg):
+            return expand(node.child, not positive)
+        if isinstance(node, PImpl):
+            if positive:
+                return expand(node.left, False) + expand(node.right, True)
+            out = []
+            for a in expand(node.left, True):
+                for b in expand(node.right, False):
+                    out.append(a + b)
+            return out
+        raise TypeError(f"not a formula node: {node!r}")
+
+    disjuncts = []
+    seen = set()
+    for raw in expand(f, True):
+        lits = []
+        lit_set = set()
+        tautologous = False
+        for lit in raw:
+            if lit.complement() in lit_set:
+                tautologous = True
+                break
+            if lit not in lit_set:
+                lit_set.add(lit)
+                lits.append(lit)
+        if tautologous:
+            continue
+        key = frozenset(lit_set)
+        if key in seen:
+            continue
+        seen.add(key)
+        disjuncts.append(lits)
+    return disjuncts
 
 
 def _rows_of(constraints):

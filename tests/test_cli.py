@@ -402,6 +402,21 @@ def test_deep_nesting_is_a_budget_error(formula):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("length", [8, 12])
+def test_iff_chain_is_decided_quickly(length):
+    """A chain of <-> shares each operand between two parents; the search
+    expands each shared subformula once, not once per path."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "plqo.cli", "check", " <-> ".join(["O(B1)"] * length)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 0
+    assert done.stdout.startswith("VALID\n")
+
+
 def test_failures_never_exit_as_verdicts(capsys, monkeypatch):
     def rejected(phi):
         raise VerificationFailed("countermodel failed re-verification")

@@ -29,7 +29,7 @@ from plqo.errors import SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import prob, satisfies
 from plqo.parser import parse_plqo
-from plqo.prop import Neg, PropSymbol, VERUM, atom, conj, disj, is_tautology
+from plqo.prop import Neg, PropSymbol, VERUM, atom, conj, disj, essential_symbols, is_tautology
 from plqo.scalars import RadicalScalar
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
@@ -40,12 +40,13 @@ from plqo.syntax import (
     PNeg,
     ProbAtom,
     fraction,
+    pdisj,
     prob_gt,
     prob_le,
 )
 
 from formgen import gen_classical, gen_plqo
-from oracles import as_fraction, is_rational, matrix_is_zero
+from oracles import as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal
 
 
 def justifications(proof):
@@ -227,6 +228,31 @@ def test_countermodels_always_verified():
             n_invalid += 1
             assert satisfies(verdict.structure, verdict.assignment, PNeg(phi))
     assert n_invalid > 0
+
+
+def test_one_sum_constraint_decides_as_the_per_pair_split(monkeypatch):
+    """A negative O literal over k essential symbols is one strict sum, not
+    C(k, 2) branches; verdicts agree with the per-pair reference on
+    formulas that put multi-pair negative O literals in the search."""
+    rng = random.Random(131)
+    cases = []
+    while len(cases) < 12:
+        symbols = [1, 2, 3] if len(cases) % 2 else [1, 2, 3, 4]
+        alpha = gen_classical(rng, symbols, 3)
+        if len(essential_symbols(alpha)) < 3:
+            continue
+        rest = gen_plqo(rng, symbols[:3], rng.randint(0, 1), allow_vars=True)
+        obs = ObsAtom(alpha)
+        cases.append(PImpl(rest, obs) if rng.random() < 0.5 else pdisj(obs, rest))
+    verdicts = [check_valid(phi) for phi in cases]
+    monkeypatch.setattr(decide, "translate_literal", per_pair_translate_literal)
+    for phi, verdict in zip(cases, verdicts):
+        reference = check_valid(phi)
+        assert type(verdict) is type(reference), phi
+        for found in (verdict, reference):
+            if isinstance(found, Invalid):
+                assert satisfies(found.structure, found.assignment, PNeg(phi))
+    assert {type(v) for v in verdicts} == {Valid, Invalid}
 
 
 def test_search_verifies_the_model_before_reporting(monkeypatch):

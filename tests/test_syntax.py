@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from plqo.syntax import (
     numeral,
     pconj,
     pdisj,
+    piff,
     prob_formulas_of,
     prob_ge,
     prob_gt,
@@ -41,7 +43,7 @@ from plqo.syntax import (
 )
 
 from formgen import gen_plqo, gen_term
-from oracles import closed
+from oracles import closed, tree_dnf_literals
 
 
 def test_numeral_roundtrip():
@@ -216,6 +218,28 @@ def test_dnf_equivalent_to_formula():
             assert direct == via_dnf
 
 
+def test_dnf_matches_the_tree_expansion():
+    """Expanding each shared subformula once and cleaning up at every join
+    gives the disjuncts, in the same order and literal order, of expanding
+    every path of the tree and cleaning up at the end."""
+    rng = random.Random(41)
+    for _ in range(300):
+        f = gen_plqo(rng, [1, 2, 3], rng.randint(0, 3))
+        g = gen_plqo(rng, [1, 2], rng.randint(0, 2))
+        for shared in (f, piff(f, g), piff(piff(g, f), pconj(f, g)), piff(g, piff(f, f))):
+            assert nnf_dnf_literals(shared) == tree_dnf_literals(shared)
+
+
+def test_dnf_of_an_iff_chain_costs_its_length():
+    """A chain of <-> is a DAG with 2^n paths; each node is expanded once."""
+    f = parse_plqo(" <-> ".join(["O(B1)"] * 21))
+    start = time.perf_counter()
+    disjuncts = nnf_dnf_literals(f)
+    assert time.perf_counter() - start < 0.1
+    assert disjuncts == [[PlqoLiteral(True, ObsAtom(atom(1)))]]
+    assert atoms_of(f) == [ObsAtom(atom(1))]
+
+
 def test_dnf_prunes_complementary():
     a = ObsAtom(atom(1))
     f = pconj(a, PNeg(a))
@@ -274,6 +298,18 @@ def test_formula_at_the_depth_cap_goes_through_every_stage(shape):
 def test_deep_nesting_is_a_budget_error_in_the_library(parse, text):
     with pytest.raises(BudgetExceeded, match=f"nesting depth {MAX_DEPTH + 1} exceeds budget"):
         parse(text)
+
+
+def test_printed_prefix_runs_reparse():
+    """A run of prefix operators opens no nesting level, so its printed
+    form parses again; the tree depth still bounds the run (see
+    test_deep_nesting_is_a_budget_error_in_the_library)."""
+    f = parse_plqo("P(B1) < " + "-" * 40 + "1")
+    printed = print_plqo(f)
+    assert printed.startswith("P(B1) < -(-(")
+    assert parse_plqo(printed) == f
+    g = parse_plqo("!" * 40 + "O(B1)")
+    assert parse_plqo(print_plqo(g)) == g
 
 
 def test_literal_complement():

@@ -17,6 +17,7 @@ from plqo.prop import (
     phi_A_U,
 )
 from plqo.syntax import (
+    ONE,
     Mul,
     NumVar,
     ObsAtom,
@@ -130,6 +131,18 @@ def test_negative_obs_literal_disjunction():
     assert c.rel == "<" and c.coeffs() == {PairVar(1, 2): -1}
     # one essential symbol: negation unsatisfiable, empty disjunction
     assert translate_literal(PlqoLiteral(False, ObsAtom(atom(1)))) == []
+
+
+def test_negative_obs_literal_is_one_sum_constraint():
+    """Not O(alpha) says some essential pair is incompatible: one strict
+    sum over the pair variables, not one disjunct per pair."""
+    alpha = conj(conj(atom(1), atom(2)), atom(3))
+    ((c,),) = translate_literal(PlqoLiteral(False, ObsAtom(alpha)))
+    assert c.rel == "<" and c.rhs == 0
+    assert c.coeffs() == {PairVar(1, 2): -1, PairVar(1, 3): -1, PairVar(2, 3): -1}
+    # the "alpha unobservable" alternative of a negative probability literal
+    obs, *complements = translate_literal(PlqoLiteral(False, ProbAtom(alpha, "=", ONE)))
+    assert obs == [c] and len(complements) == 2
 
 
 def test_negative_prob_literal_disjunction():
