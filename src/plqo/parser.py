@@ -21,20 +21,7 @@ from .errors import BudgetExceeded, ParseError
 from . import prop
 from .prop import Atom, Impl, Neg, PropSymbol, VERUM, FALSUM
 from . import syntax as sx
-from .syntax import (
-    Add,
-    InvNumeral,
-    Mul,
-    NumVar,
-    ObsAtom,
-    PImpl,
-    PNeg,
-    ProbAtom,
-    TNeg,
-    numeral,
-    match_numeral,
-    fraction,
-)
+from .syntax import Add, Const, Mul, NumVar, ObsAtom, PImpl, PNeg, ProbAtom, TNeg, fraction, numeral
 
 _TOKEN_RE = re.compile(
     r"""
@@ -55,6 +42,11 @@ MAX_DIGITS = 1000
 # Deepest nesting accepted, both of constructs open while parsing and of
 # the tree built; every later stage recurses a few frames per level.
 MAX_DEPTH = 64
+
+# Most nodes the built tree may unfold to.  A part shared by several
+# parents (each operand of ``<->`` occurs twice) counts once per parent,
+# so this bounds every later stage that walks the tree, not the DAG.
+MAX_UNFOLDED = 1 << 16
 
 
 class _Token:
@@ -101,8 +93,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0
-        # id(node) -> (depth, node); holding the node keeps its id unique
-        self.depths = {}
+        # id(node) -> (depth, unfolded size, node); holding the node keeps its id unique
+        self.built = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -147,11 +139,28 @@ class _Parser:
         return out
 
     def build(self, make, *parts):
-        """``make(*parts)``, one level above its deepest part."""
-        depth = self.within_depth(1 + max(self.depths.get(id(p), (0,))[0] for p in parts))
+        """``make(*parts)``, one level above its deepest part, within the
+        unfolded-size budget."""
+        depth = self.within_depth(1 + max(self.built.get(id(p), (0,))[0] for p in parts))
         node = make(*parts)
-        self.depths[id(node)] = (depth, node)
+        size = self.unfolded(node)
+        if size > MAX_UNFOLDED:
+            tok = self.peek()
+            raise BudgetExceeded(
+                f"{tok.line}:{tok.column}: formula unfolds to {size} nodes, budget {MAX_UNFOLDED}"
+            )
+        self.built[id(node)] = (depth, size, node)
         return node
+
+    def unfolded(self, node):
+        """The node count of ``node`` as a tree; a built part counts its
+        recorded size at each place it occurs."""
+        known = self.built.get(id(node))
+        if known is not None:
+            return known[1]
+        parts = (getattr(node, k) for k in node.__slots__)
+        nodes = (prop.PropFormula, sx.PlqoFormula, sx.RcofTerm)
+        return 1 + sum(self.unfolded(p) for p in parts if isinstance(p, nodes))
 
     def prefixed(self, op, make, operand, *args):
         """``operand(*args)`` under a run of prefix ``op``, each built by
@@ -247,8 +256,8 @@ class _Parser:
         while True:
             if self.accept("+"):
                 right = self.t_prod()
-                n = match_numeral(t)
-                # "n + 1" is the numeral n+1, so "1 + 1" and "2" make one atom
+                n = t.q if isinstance(t, Const) and t.q.denominator == 1 else 0
+                # "n + 1" is the constant n+1, so "1 + 1" and "2" make one atom
                 t = numeral(n + 1) if n and right == sx.ONE else self.build(Add, t, right)
             elif self.accept("-"):
                 t = self.build(Add, t, self.build(TNeg, self.t_prod()))
@@ -268,7 +277,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.pos += 1
-            n = int(tok.text)
+            m = 1
             if self.accept("/"):
                 den = self.peek()
                 if den.kind != "int":
@@ -277,8 +286,7 @@ class _Parser:
                 m = int(den.text)
                 if m == 0:
                     raise ParseError("zero denominator", den.line, den.column)
-                return fraction(n, m)
-            return numeral(n)
+            return fraction(int(tok.text), m)
         if tok.kind == "var":
             self.pos += 1
             return NumVar(int(tok.text[1:]))
@@ -341,24 +349,9 @@ def parse_plqo(text):
 _T_SUM, _T_PROD, _T_NEG = range(3)
 
 
-def _match_fraction(t):
-    if isinstance(t, Mul) and isinstance(t.left, InvNumeral):
-        n = match_numeral(t.right)
-        if n is not None:
-            return n, t.left.m
-    return None
-
-
 def _print_term(t, ctx):
-    n = match_numeral(t)
-    if n is not None:
-        return str(n)
-    frac = _match_fraction(t)
-    if frac is not None:
-        return f"{frac[0]}/{frac[1]}"
-    if isinstance(t, InvNumeral):
-        # no dedicated surface form; reparses to fraction(1, m)
-        return f"1/{t.m}"
+    if isinstance(t, Const):
+        return str(t.q)
     if isinstance(t, NumVar):
         return f"x{t.k}"
     if isinstance(t, TNeg):

@@ -242,14 +242,19 @@ PREC_IFF, PREC_IMPL, PREC_OR, PREC_AND, PREC_NEG = range(5)
 
 def print_connectives(f, ctx, leaf, neg, impl, sep=" "):
     """Render ``f``, built from the node classes ``neg`` and ``impl``, at
-    precedence ``ctx`` with the fewest parentheses: ``&`` and ``|`` sugar
-    is re-folded and ``->`` is right-associative.  ``leaf(node, ctx)``
-    renders atoms and any other sugar of the sort, and returns None for a
-    bare connective."""
+    precedence ``ctx`` with the fewest parentheses: ``<->``, ``&`` and
+    ``|`` sugar is re-folded, ``<->`` is left- and ``->`` right-associative.
+    ``leaf(node, ctx)`` renders atoms and any other sugar of the sort, and
+    returns None for a bare connective."""
     s = leaf(f, ctx)
     if s is not None:
         return s
     rest = (leaf, neg, impl, sep)  # recursing directly: one frame per level
+    if (isinstance(f, neg) and isinstance(f.child, impl) and isinstance(f.child.left, impl)
+            and f.child.right == neg(impl(f.child.left.right, f.child.left.left))):
+        a = print_connectives(f.child.left.left, PREC_IFF, *rest)
+        s = f"{a}{sep}<->{sep}{print_connectives(f.child.left.right, PREC_IFF + 1, *rest)}"
+        return f"({s})" if ctx > PREC_IFF else s
     if isinstance(f, neg) and isinstance(f.child, impl) and isinstance(f.child.right, neg):
         a = print_connectives(f.child.left, PREC_AND, *rest)
         s = f"{a}{sep}&{sep}{print_connectives(f.child.right.child, PREC_NEG, *rest)}"

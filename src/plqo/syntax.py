@@ -38,13 +38,17 @@ class RcofTerm:
 
 
 @dataclass(frozen=True, repr=False)
-class Zero(RcofTerm):
-    __slots__ = ()
+class Const(RcofTerm):
+    """A nonnegative rational constant as one node, held by value so that
+    its size is its digits, not its magnitude."""
 
+    __slots__ = ("q",)
+    q: Fraction
 
-@dataclass(frozen=True, repr=False)
-class One(RcofTerm):
-    __slots__ = ()
+    def __post_init__(self):
+        object.__setattr__(self, "q", Fraction(self.q))
+        if self.q < 0:
+            raise ValueError("constants are nonnegative; wrap in TNeg for negatives")
 
 
 @dataclass(frozen=True, repr=False)
@@ -73,72 +77,24 @@ class Mul(RcofTerm):
     right: RcofTerm
 
 
-@dataclass(frozen=True, repr=False)
-class Numeral(RcofTerm):
-    """An integer numeral n >= 2 as one node: the sum of n ones, held by
-    its value so that its size is its digits, not its magnitude."""
-
-    __slots__ = ("n",)
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("numeral nodes hold integers >= 2; use ZERO or ONE")
+ZERO = Const(0)
+ONE = Const(1)
 
 
-@dataclass(frozen=True, repr=False)
-class InvNumeral(RcofTerm):
-    """The multiplicative inverse of a positive integer numeral."""
-
-    __slots__ = ("m",)
-    m: int
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError("inverse-numeral denominator must be positive")
-
-
-ZERO = Zero()
-ONE = One()
-
-
-def numeral(m):
-    """The canonical numeral term for a nonnegative integer."""
-    if m < 0:
-        raise ValueError("numerals are nonnegative; wrap in TNeg for negatives")
-    if m == 0:
-        return ZERO
-    return ONE if m == 1 else Numeral(m)
-
-
-def match_numeral(t):
-    """Inverse of :func:`numeral`, also accepting a numeral followed by
-    ``+ 1`` any number of times; None for any other term."""
-    if isinstance(t, Zero):
-        return 0
-    n = 0
-    while isinstance(t, Add) and isinstance(t.right, One):
-        n += 1
-        t = t.left
-    if isinstance(t, One):
-        return n + 1
-    if isinstance(t, Numeral):
-        return n + t.n
-    return None
+def numeral(n):
+    """The constant term of a nonnegative integer."""
+    return Const(n)
 
 
 def fraction(n, m):
-    """The term n/m, built as the inverse numeral of m times the numeral n."""
-    return Mul(InvNumeral(m), numeral(n))
+    """The constant term n/m."""
+    return Const(Fraction(n, m))
 
 
 def term_of_fraction(q):
     """Canonical closed term denoting the rational ``q``."""
     q = Fraction(q)
-    mag = numeral(abs(q.numerator)) if q.denominator == 1 else fraction(
-        abs(q.numerator), q.denominator
-    )
-    return TNeg(mag) if q < 0 else mag
+    return TNeg(Const(-q)) if q < 0 else Const(q)
 
 
 @dataclass(frozen=True)
@@ -163,12 +119,8 @@ EMPTY_ASSIGNMENT = Assignment()
 
 def eval_term(t, rho=EMPTY_ASSIGNMENT):
     """Exact rational denotation of ``t`` under assignment ``rho``."""
-    if isinstance(t, Zero):
-        return Fraction(0)
-    if isinstance(t, One):
-        return Fraction(1)
-    if isinstance(t, Numeral):
-        return Fraction(t.n)
+    if isinstance(t, Const):
+        return t.q
     if isinstance(t, NumVar):
         return rho.value(t.k)
     if isinstance(t, TNeg):
@@ -177,8 +129,6 @@ def eval_term(t, rho=EMPTY_ASSIGNMENT):
         return eval_term(t.left, rho) + eval_term(t.right, rho)
     if isinstance(t, Mul):
         return eval_term(t.left, rho) * eval_term(t.right, rho)
-    if isinstance(t, InvNumeral):
-        return Fraction(1, t.m)
     raise TypeError(f"not a term node: {t!r}")
 
 

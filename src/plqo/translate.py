@@ -248,14 +248,8 @@ def q_adams(a_set, delta):
 def linearize_term(t):
     """Decompose a term into (numeric-variable coefficients, constant);
     rejects products of two variable-bearing subterms."""
-    if isinstance(t, sx.Zero):
-        return {}, Fraction(0)
-    if isinstance(t, sx.One):
-        return {}, Fraction(1)
-    if isinstance(t, sx.Numeral):
-        return {}, Fraction(t.n)
-    if isinstance(t, sx.InvNumeral):
-        return {}, Fraction(1, t.m)
+    if isinstance(t, sx.Const):
+        return {}, t.q
     if isinstance(t, sx.NumVar):
         return {NumericVar(t.k): Fraction(1)}, Fraction(0)
     if isinstance(t, sx.TNeg):

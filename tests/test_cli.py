@@ -402,7 +402,7 @@ def test_deep_nesting_is_a_budget_error(formula):
     assert "Traceback" not in done.stderr
 
 
-@pytest.mark.parametrize("length", [8, 12])
+@pytest.mark.parametrize("length", [8, 12, 13])
 def test_iff_chain_is_decided_quickly(length):
     """A chain of <-> shares each operand between two parents; the search
     expands each shared subformula once, not once per path."""
@@ -415,6 +415,20 @@ def test_iff_chain_is_decided_quickly(length):
     assert time.perf_counter() - start < 2
     assert done.returncode == 0
     assert done.stdout.startswith("VALID\n")
+
+
+def test_iff_chain_past_the_unfolded_budget_is_a_budget_error():
+    """14 links unfold to more nodes than the parser admits."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "plqo.cli", "check", " <-> ".join(["O(B1)"] * 14)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 2
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error[budget]:")
+    assert "formula unfolds to 90103 nodes, budget 65536" in done.stderr
 
 
 def test_failures_never_exit_as_verdicts(capsys, monkeypatch):

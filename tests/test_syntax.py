@@ -8,15 +8,15 @@ from plqo.cli import run
 from plqo.errors import BudgetExceeded, ParseError
 from plqo.hilbert import satisfies
 from plqo.genmodel import GenericModelSpec, build_generic
-from plqo.parser import MAX_DEPTH, parse_classical, parse_plqo, parse_term, print_plqo, print_term
+from plqo.parser import MAX_DEPTH, MAX_UNFOLDED, parse_classical, parse_plqo, parse_term, print_plqo, print_term
 from plqo.translate import translate_formula
-from plqo.prop import VERUM, atom, conj, eval_formula, is_tautology, print_prop
+from plqo.prop import VERUM, atom, canonical_text, conj, eval_formula, is_tautology, print_prop
 from plqo.decide import Invalid, Valid, check_valid, letters_formula
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
     Add,
     Assignment,
-    InvNumeral,
+    Const,
     NumVar,
     ObsAtom,
     ONE,
@@ -24,12 +24,10 @@ from plqo.syntax import (
     PNeg,
     PlqoLiteral,
     ProbAtom,
-    TNeg,
     ZERO,
     atoms_of,
     eval_term,
     fraction,
-    match_numeral,
     nnf_dnf_literals,
     numeral,
     pconj,
@@ -47,19 +45,33 @@ from oracles import closed, tree_dnf_literals
 
 
 def test_numeral_roundtrip():
+    assert (ZERO, ONE) == (Const(Fraction(0)), Const(Fraction(1)))
     for n in range(0, 12):
-        assert match_numeral(numeral(n)) == n
+        assert numeral(n) == Const(Fraction(n))
         assert eval_term(numeral(n)) == n
-    assert match_numeral(Add(ONE, ONE)) == 2
-    assert match_numeral(TNeg(ONE)) is None
+        assert parse_term(print_term(numeral(n))) == numeral(n)
+    assert parse_term("1 + 1") == parse_term("2") == numeral(2)
+    assert parse_term("0 + 1") == Add(ZERO, ONE)
+    big = "9" * 1000
+    assert parse_term(big) == Const(Fraction(int(big)))
+    assert print_term(parse_term(big)) == big
 
 
 def test_fraction_terms():
+    assert fraction(3, 4) == Const(Fraction(3, 4))
     assert eval_term(fraction(3, 4)) == Fraction(3, 4)
     assert eval_term(term_of_fraction(Fraction(-5, 6))) == Fraction(-5, 6)
     assert eval_term(term_of_fraction(2)) == 2
+    assert parse_term("2/4") == parse_term("1/2") == fraction(1, 2)
+    assert print_term(parse_term("2/4")) == "1/2"
+    assert parse_plqo("P(B1) = 2/4") == parse_plqo("P(B1) = 1/2")
     with pytest.raises(ValueError):
-        InvNumeral(0)
+        Const(Fraction(-1))
+    for q in (Fraction(-5, 6), Fraction(-3), Fraction(0), Fraction(7, 3), Fraction(4)):
+        t = term_of_fraction(q)
+        assert isinstance(t, Const) or isinstance(t.child, Const)
+        assert parse_term(print_term(t)) == t
+        assert eval_term(t) == q
 
 
 def test_closed_and_assignment():
@@ -113,17 +125,9 @@ def test_plqo_roundtrip_corpus():
 @pytest.mark.parametrize(
     "text, printed, verdict",
     [
-        ("B1 <-> B2", "(B1 -> B2) & (B2 -> B1)", None),
-        (
-            "(B1 <-> B2) <-> B3",
-            "(((B1 -> B2) -> !(B2 -> B1)) | B3) & (B3 -> (B1 -> B2) & (B2 -> B1))",
-            None,
-        ),
-        (
-            "O(B1 <-> B2) -> O(B2 <-> B1)",
-            "O((B1 -> B2) & (B2 -> B1)) -> O((B2 -> B1) & (B1 -> B2))",
-            Valid,
-        ),
+        ("B1 <-> B2", "B1 <-> B2", None),
+        ("(B1 <-> B2) <-> B3", "B1 <-> B2 <-> B3", None),
+        ("O(B1 <-> B2) -> O(B2 <-> B1)", "O(B1 <-> B2) -> O(B2 <-> B1)", Valid),
         ("P(B1) = 1 - x1 -> P(!B1) = x1", "(P(B1) = 1 - x1) -> P(!B1) = x1", Valid),
         ("P(B1) = 2 * x1 -> P(B1) = x1 + x1", "(P(B1) = 2 * x1) -> P(B1) = x1 + x1", Valid),
         ("P(B1) > -(x2)", "P(B1) > -x2", None),
@@ -232,7 +236,9 @@ def test_dnf_matches_the_tree_expansion():
 
 def test_dnf_of_an_iff_chain_costs_its_length():
     """A chain of <-> is a DAG with 2^n paths; each node is expanded once."""
-    f = parse_plqo(" <-> ".join(["O(B1)"] * 21))
+    f = ObsAtom(atom(1))
+    for _ in range(20):
+        f = piff(f, ObsAtom(atom(1)))
     start = time.perf_counter()
     disjuncts = nnf_dnf_literals(f)
     assert time.perf_counter() - start < 0.1
@@ -310,6 +316,49 @@ def test_printed_prefix_runs_reparse():
     assert parse_plqo(printed) == f
     g = parse_plqo("!" * 40 + "O(B1)")
     assert parse_plqo(print_plqo(g)) == g
+
+
+def test_iff_prints_as_itself():
+    """``<->`` prints as parsed: left-associative, one level per link, so
+    its printed form is as deep as the tree and as long as the text."""
+    f = parse_classical("B1 <-> B2 <-> B3")
+    assert print_prop(f) == "B1 <-> B2 <-> B3"
+    assert canonical_text(f) == "B1<->B2<->B3"
+    assert parse_classical(print_prop(f)) == parse_classical(canonical_text(f)) == f
+    g = parse_classical("B1 <-> (B2 <-> B3)")
+    assert print_prop(g) == "B1 <-> (B2 <-> B3)"
+    assert parse_classical(print_prop(g)) == g
+    text = "O(B1) <-> " + "!" * 62 + "O(B1)"
+    h = parse_plqo(text)
+    assert print_plqo(h) == text
+    assert parse_plqo(print_plqo(h)) == h
+
+
+def _iff_chain(atom_text, links):
+    return " <-> ".join([atom_text] * links)
+
+
+@pytest.mark.parametrize(
+    "text, too_big",
+    [
+        (_iff_chain("O(B1)", 13), _iff_chain("O(B1)", 14)),
+        (_iff_chain("O(B1 & B2)", 12), _iff_chain("O(B1 & B2)", 13)),
+        (
+            f"P({_iff_chain('B1', 13)}) = 1/2 -> O({_iff_chain('B1', 13)})",
+            f"P({_iff_chain('B1', 14)}) = 1/2 -> O({_iff_chain('B1', 14)})",
+        ),
+    ],
+    ids=["obs-chain", "obs-conjunction-chain", "classical-chain"],
+)
+def test_unfolded_size_is_budgeted(text, too_big):
+    """Each operand of <-> occurs twice in the tree, so a chain doubles
+    its unfolded size per link while its depth grows by one; the parser
+    bounds the size every tree walker pays."""
+    start = time.perf_counter()
+    check_valid(parse_plqo(text))
+    assert time.perf_counter() - start < 2
+    with pytest.raises(BudgetExceeded, match=f"formula unfolds to [0-9]+ nodes, budget {MAX_UNFOLDED}"):
+        parse_plqo(too_big)
 
 
 def test_literal_complement():
