@@ -1,17 +1,23 @@
 """Exact feasibility of conjunctions of linear rational constraints,
 including strict inequalities, with rational witnesses.
 
-The solver is a general simplex over delta-rationals (pairs a + b*delta
-for an infinitesimal positive delta), pivoting exactly with Bland's rule;
-strict bounds carry a -1 delta component.  A feasible delta-solution is
-turned into a purely rational witness by substituting a concrete delta
-small enough for every constraint.
+The solver is the bounded general simplex of Dutertre and de Moura ("A
+fast linear-arithmetic solver for DPLL(T)", CAV 2006) over
+delta-rationals (pairs a + b*delta for an infinitesimal positive delta),
+pivoting exactly with Bland's rule; strict bounds carry a delta component
+of -1 above and +1 below.  A one-term constraint bounds its column and
+every other constraint is a slack row; columns are numbered by how many
+constraints they occur in, fewest first, and the basics left to re-test
+after a pivot wait in a heap.  A feasible delta-solution is turned into
+a purely rational witness by substituting a concrete delta small enough
+for every constraint.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 
 from .errors import verify
@@ -56,37 +62,84 @@ INFEASIBLE = Infeasible()
 
 
 class _Tableau:
-    """Simplex state: slack variable per constraint row, Bland pivoting."""
+    """Simplex state: bounded columns, one slack row per multi-term
+    constraint, Bland pivoting.
+
+    Columns are numbered in ascending order of the number of constraints
+    they occur in, ties kept in order of first appearance: a marginal or
+    formula variable of ``Q``, private to one or two rows, comes before the
+    masses its rows share, so Bland's rule pivots it out of its own row
+    instead of filling every row that holds a mass.  A one-term constraint
+    is no row but a bound on its column, the tightest one kept; bounds that
+    cross make the system infeasible before any pivot.  A nonbasic column
+    sits at its lower bound, else its upper bound, else 0.
+
+    The basics that may lie outside their bounds wait in a min-heap: at
+    first every basic, then after each pivot the rewritten rows and the
+    entering column, the only basics whose value moved.  An entry is
+    re-tested when popped, so the first violated one is the smallest
+    violated basic, as Bland's rule needs.
+    """
 
     def __init__(self, constraints):
-        self.var_index = {}
-        self.columns = []
+        occurrences = {}
         for c in constraints:
             for v, _ in c.terms:
-                if v not in self.var_index:
-                    self.var_index[v] = len(self.columns)
-                    self.columns.append(v)
+                occurrences[v] = occurrences.get(v, 0) + 1
+        self.columns = sorted(occurrences, key=occurrences.__getitem__)
+        self.var_index = {v: j for j, v in enumerate(self.columns)}
         self.n_orig = len(self.columns)
-        n_rows = len(constraints)
-        n_total = self.n_orig + n_rows
-        self.lower = [None] * n_total
-        self.upper = [None] * n_total
-        self.beta = [_ZERO] * n_total
-        # rows[basic] = {nonbasic: coeff}; initially slack i = sum of terms
+        self.lower = [None] * self.n_orig
+        self.upper = [None] * self.n_orig
+        rows = []
+        for c in constraints:
+            if len(c.terms) == 1:
+                ((v, k),) = c.terms
+                self._bound(self.var_index[v], k, c.rel, c.rhs)
+            else:
+                rows.append(c)
+        self.crossed = any(
+            lo is not None and up is not None and lo > up
+            for lo, up in zip(self.lower, self.upper)
+        )
+        self.beta = [
+            lo if lo is not None else up if up is not None else _ZERO
+            for lo, up in zip(self.lower, self.upper)
+        ]
+        nonzero = {j: b for j, b in enumerate(self.beta) if b != _ZERO}
+        # rows[basic] = {nonbasic: coeff}; initially slack s = sum of terms
         self.rows = {}
-        for i, c in enumerate(constraints):
-            s = self.n_orig + i
-            self.rows[s] = {self.var_index[v]: Fraction(k) for v, k in c.terms}
-            if c.rel == "=":
-                self.lower[s] = DeltaRational(c.rhs)
-                self.upper[s] = DeltaRational(c.rhs)
-            elif c.rel == "<=":
-                self.upper[s] = DeltaRational(c.rhs)
-            else:  # strict <
-                self.upper[s] = DeltaRational(c.rhs, Fraction(-1))
+        for c in rows:
+            s = len(self.beta)
+            row = {self.var_index[v]: k for v, k in c.terms}
+            self.rows[s] = row
+            self.beta.append(
+                sum((nonzero[j].scale(k) for j, k in row.items() if j in nonzero), _ZERO)
+            )
+            self.lower.append(None)
+            self.upper.append(None)
+            self._bound(s, Fraction(1), c.rel, c.rhs)
+        self.queue = list(self.rows)  # ascending, so already a heap
+        self.queued = set(self.queue)
+
+    def _bound(self, j, k, rel, rhs):
+        """Tighten column j's bounds by k * x_j REL rhs; a strict bound is
+        one delta inside, on the side the sign of k says."""
+        inf = Fraction(-1 if k > 0 else 1) if rel == "<" else Fraction(0)
+        bound = DeltaRational(rhs / k, inf)
+        if rel == "=" or k > 0:
+            if self.upper[j] is None or bound < self.upper[j]:
+                self.upper[j] = bound
+        if rel == "=" or k < 0:
+            if self.lower[j] is None or bound > self.lower[j]:
+                self.lower[j] = bound
 
     def _out_of_bounds(self):
-        for x in sorted(self.rows):
+        while self.queue:
+            x = heappop(self.queue)
+            self.queued.discard(x)
+            if x not in self.rows:
+                continue
             if self.lower[x] is not None and self.beta[x] < self.lower[x]:
                 return x, "low"
             if self.upper[x] is not None and self.beta[x] > self.upper[x]:
@@ -124,6 +177,8 @@ class _Tableau:
         self.rows[xj] = new_row
 
     def check(self):
+        if self.crossed:
+            return False
         while True:
             violation = self._out_of_bounds()
             if violation is None:
@@ -134,7 +189,12 @@ class _Tableau:
             if xj is None:
                 return False
             target = self.lower[xi] if direction == "low" else self.upper[xi]
+            moved = [xk for xk, rk in self.rows.items() if xj in rk and xk != xi]
             self._pivot_and_update(xi, xj, target)
+            for x in moved + [xj]:
+                if x not in self.queued:
+                    self.queued.add(x)
+                    heappush(self.queue, x)
 
     def values(self):
         return {v: self.beta[j] for v, j in self.var_index.items()}

@@ -18,6 +18,13 @@ construction, which the decider never needs but the paper defines.
 square_split_bruteforce finds the largest square divisor by trying
 every candidate root, where plqo.scalars.square_split divides out primes.
 
+SlackRowTableau is the simplex tableau as first written: columns numbered
+by first appearance, one slack row per constraint, one-term ones
+included, and a sorted scan of every basic for the smallest violated one
+(sorted_scan_out_of_bounds), where plqo.lra._Tableau orders columns by
+occurrence, turns one-term constraints into column bounds and keeps the
+basics to re-test in a heap.  slack_row_feasible decides a system on it.
+
 two_pass_pivot is the simplex pivot as first written, one pass over the
 rows to move the basic values and a second to substitute the entering
 column, where plqo.lra._Tableau does both in one pass.
@@ -41,6 +48,7 @@ from math import isqrt
 
 from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
+from plqo.lra import INFEASIBLE, DeltaRational, Feasible, _concretize
 from plqo.prop import all_valuations, essential_symbols, eval_formula
 from plqo.scalars import C_ONE, C_ZERO
 from plqo.syntax import (
@@ -49,6 +57,109 @@ from plqo.syntax import (
 from plqo.translate import (
     PairVar, _comparison_constraint, constraint, negate_constraint, translate_atom
 )
+
+
+def sorted_scan_out_of_bounds(tableau):
+    """The smallest basic outside its bounds, found by testing every
+    basic in ascending order, with the side it left by; None if none."""
+    for x in sorted(tableau.rows):
+        if tableau.lower[x] is not None and tableau.beta[x] < tableau.lower[x]:
+            return x, "low"
+        if tableau.upper[x] is not None and tableau.beta[x] > tableau.upper[x]:
+            return x, "high"
+    return None
+
+
+class SlackRowTableau:
+    """Simplex state: slack variable per constraint row, Bland pivoting."""
+
+    def __init__(self, constraints):
+        self.var_index = {}
+        self.columns = []
+        for c in constraints:
+            for v, _ in c.terms:
+                if v not in self.var_index:
+                    self.var_index[v] = len(self.columns)
+                    self.columns.append(v)
+        self.n_orig = len(self.columns)
+        n_rows = len(constraints)
+        n_total = self.n_orig + n_rows
+        self.lower = [None] * n_total
+        self.upper = [None] * n_total
+        self.beta = [DeltaRational(Fraction(0))] * n_total
+        # rows[basic] = {nonbasic: coeff}; initially slack i = sum of terms
+        self.rows = {}
+        for i, c in enumerate(constraints):
+            s = self.n_orig + i
+            self.rows[s] = {self.var_index[v]: Fraction(k) for v, k in c.terms}
+            if c.rel == "=":
+                self.lower[s] = DeltaRational(c.rhs)
+                self.upper[s] = DeltaRational(c.rhs)
+            elif c.rel == "<=":
+                self.upper[s] = DeltaRational(c.rhs)
+            else:  # strict <
+                self.upper[s] = DeltaRational(c.rhs, Fraction(-1))
+
+    _out_of_bounds = sorted_scan_out_of_bounds
+
+    def _suitable(self, row, direction):
+        # Bland: smallest-index nonbasic column that can move the basic
+        # variable toward its violated bound.
+        for j in sorted(row):
+            if (row[j] > 0) == (direction == "low"):  # column j must go up
+                if self.upper[j] is None or self.beta[j] < self.upper[j]:
+                    return j
+            elif self.lower[j] is None or self.beta[j] > self.lower[j]:
+                return j
+        return None
+
+    def _pivot_and_update(self, xi, xj, target):
+        row = self.rows.pop(xi)
+        a_ij = row.pop(xj)
+        theta = (target - self.beta[xi]).scale(Fraction(1) / a_ij)
+        self.beta[xi] = target
+        self.beta[xj] = self.beta[xj] + theta
+        new_row = {j: -a / a_ij for j, a in row.items()}
+        new_row[xi] = Fraction(1) / a_ij
+        for xk, rk in self.rows.items():
+            c = rk.pop(xj, None)
+            if c is not None:
+                self.beta[xk] = self.beta[xk] + theta.scale(c)
+                for j, a in new_row.items():
+                    rk[j] = rk.get(j, Fraction(0)) + c * a
+                    if rk[j] == 0:
+                        del rk[j]
+        self.rows[xj] = new_row
+
+    def check(self):
+        while True:
+            violation = self._out_of_bounds()
+            if violation is None:
+                return True
+            xi, direction = violation
+            row = self.rows[xi]
+            xj = self._suitable(row, direction)
+            if xj is None:
+                return False
+            target = self.lower[xi] if direction == "low" else self.upper[xi]
+            self._pivot_and_update(xi, xj, target)
+
+    def values(self):
+        return {v: self.beta[j] for v, j in self.var_index.items()}
+
+
+def slack_row_feasible(constraints):
+    """plqo.lra.feasible on SlackRowTableau: Feasible with a rational
+    witness, or INFEASIBLE."""
+    constraints = list(constraints)
+    for c in constraints:
+        if not c.terms and not c.holds({}):
+            return INFEASIBLE
+    constraints = [c for c in constraints if c.terms]
+    tableau = SlackRowTableau(constraints)
+    if not tableau.check():
+        return INFEASIBLE
+    return Feasible(_concretize(tableau.values(), constraints))
 
 
 def two_pass_pivot(tableau, xi, xj, target):

@@ -1,12 +1,21 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from plqo import check_valid, parse_plqo
 from plqo.lra import DeltaRational, Feasible, Infeasible, _Tableau, check_implication, feasible
-from plqo.translate import NumericVar, constraint, constraints_hold
+from plqo.syntax import PNeg, nnf_dnf_literals
+from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
 
-from oracles import fourier_motzkin_feasible, two_pass_pivot
+from formgen import gen_plqo
+from oracles import (
+    fourier_motzkin_feasible,
+    slack_row_feasible,
+    sorted_scan_out_of_bounds,
+    two_pass_pivot,
+)
 
 
 def x(k):
@@ -151,3 +160,136 @@ def test_vertex_spot_check():
     ]
     assert isinstance(feasible(outside), Infeasible)
     assert not fourier_motzkin_feasible(outside)
+
+
+def _conj(n):
+    return " & ".join(f"B{i}" for i in range(1, n + 1))
+
+
+def _prob_ladder(n):
+    return parse_plqo(f"(O({_conj(n)}) & P(B1 & B{n}) = 1/3) -> P(B1) >= 1/3")
+
+
+def _obs_ladder(n):
+    return parse_plqo(f"O(B1 & B2) -> O({_conj(n)})")
+
+
+def _bounded_system(rng):
+    """A random system with one-term rows of both signs and every
+    relation, some variables bounded twice over and some contradictorily."""
+    n_vars = rng.randint(1, 4)
+    cs = _random_system(rng, n_vars, rng.randint(0, 5))
+    for k in rng.sample(range(1, n_vars + 1), rng.randint(1, n_vars)):
+        coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        rel = rng.choice(["=", "<=", "<", ">=", ">"])
+        rhs = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        cs.append(constraint({x(k): coeff}, rel, rhs))
+        if rng.random() < 0.2:
+            cs.append(constraint({x(k): coeff}, rel, rhs))
+        if rng.random() < 0.3:
+            # the opposite side, a little beyond or exactly at the bound
+            cs.append(constraint({x(k): -coeff}, rel, -rhs + rng.choice([-1, 0, 1])))
+    rng.shuffle(cs)
+    return cs
+
+
+def _agrees_with_references(cs, fourier_motzkin=True):
+    ours = feasible(cs)
+    reference = slack_row_feasible(cs)
+    assert bool(ours) == bool(reference), "\n".join(map(str, cs))
+    if fourier_motzkin:
+        assert bool(ours) == fourier_motzkin_feasible(cs), "\n".join(map(str, cs))
+    for result in (ours, reference):
+        if result:
+            assert constraints_hold(cs, result.witness)
+    return bool(ours)
+
+
+def test_column_bounds_agree_with_the_references():
+    rng = random.Random(20261018)
+    verdicts = [_agrees_with_references(_bounded_system(rng)) for _ in range(300)]
+    assert 50 < sum(verdicts) < 250
+
+
+def _query_systems(phi):
+    """The systems the search solves for check_valid(phi): the target's
+    distribution system joined with each branch of each disjunct."""
+    target = PNeg(phi)
+    q = q_of(target)
+    for lits in nnf_dnf_literals(target):
+        for branch in product(*[translate_literal(l) for l in lits]):
+            yield q + [c for part in branch for c in part]
+
+
+def test_query_systems_agree_with_the_slack_row_reference():
+    formulas = [ladder(n) for ladder in (_prob_ladder, _obs_ladder) for n in range(3, 7)]
+    rng = random.Random(20261019)
+    formulas += [gen_plqo(rng, [1, 2, 3], 3, allow_vars=True) for _ in range(40)]
+    verdicts = [
+        _agrees_with_references(cs, fourier_motzkin=False)
+        for phi in formulas
+        for cs in _query_systems(phi)
+    ]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _record_pivots(monkeypatch):
+    """The list every later pivot appends its (xi, xj, target) to."""
+    trail = []
+    pivot = _Tableau._pivot_and_update
+
+    def recorded(tableau, xi, xj, target):
+        trail.append((xi, xj, target))
+        pivot(tableau, xi, xj, target)
+
+    monkeypatch.setattr(_Tableau, "_pivot_and_update", recorded)
+    return trail
+
+
+def test_heap_scan_pivots_match_the_sorted_scan(monkeypatch):
+    rng = random.Random(20261020)
+    systems = [_bounded_system(rng) for _ in range(100)]
+    systems += [_random_system(rng, rng.randint(1, 6), rng.randint(1, 12)) for _ in range(100)]
+    systems += [cs for n in (3, 4) for cs in _query_systems(_prob_ladder(n))]
+    systems += [cs for n in (3, 4) for cs in _query_systems(_obs_ladder(n))]
+
+    def run():
+        trail = _record_pivots(monkeypatch)
+        witnesses = [r.witness if r else None for r in map(feasible, systems)]
+        monkeypatch.undo()
+        return trail, witnesses
+
+    ours = run()
+    monkeypatch.setattr(_Tableau, "_out_of_bounds", sorted_scan_out_of_bounds)
+    reference = run()
+    assert len(ours[0]) > 150
+    assert ours == reference
+
+
+@pytest.mark.parametrize(
+    "cs",
+    [
+        [constraint({x(1): 1}, ">=", 1), constraint({x(1): 1}, "<", 1)],
+        [constraint({x(1): 1}, "=", 0), constraint({x(1): 1}, "=", 1)],
+        [constraint({x(1): 2}, "<=", 1), constraint({x(1): -3}, "<", Fraction(-3, 2))],
+    ],
+    ids=["x>=1,x<1", "x=0,x=1", "2x<=1,-3x<-3/2"],
+)
+def test_crossed_bounds_are_infeasible_without_a_pivot(monkeypatch, cs):
+    trail = _record_pivots(monkeypatch)
+    assert isinstance(feasible(cs), Infeasible)
+    assert trail == []
+
+
+def test_strict_bounds_of_both_signs_give_an_interior_witness():
+    cs = [constraint({x(1): -2}, ">", Fraction(-1, 500)), constraint({x(1): 1}, ">", 0)]
+    res = feasible(cs)
+    assert isinstance(res, Feasible)
+    assert Fraction(0) < res.witness[x(1)] < Fraction(1, 1000)
+
+
+def test_prob_ladder_pivots_stay_few(monkeypatch):
+    # columns in first-appearance order took 382 pivots here
+    trail = _record_pivots(monkeypatch)
+    check_valid(_prob_ladder(6))
+    assert 0 < len(trail) <= 64
