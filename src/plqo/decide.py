@@ -3,7 +3,10 @@
 Validity of a formula is decided by negating it, taking the disjunctive
 normal form over its atoms, and checking every disjunct against the
 distribution system: a disjunct is refutable when every case-split branch
-of its literal translations is infeasible together with the system.  If
+of its literal translations is infeasible together with the system.  The
+system solved is ``translate.q_decide``, over the symbols under ``P``; it
+is equisatisfiable with the paper's ``Q`` over all of ``B_phi``, which the
+proof text still names as ``Q[base;delta]``.  If
 all disjuncts are refutable the formula is valid and a proof object is
 assembled (one RCOF/RR line pair per disjunct, a tautological glue line,
 and modus ponens steps); otherwise the first feasible branch's witness is
@@ -34,7 +37,7 @@ from .syntax import (
     prob_ge,
     prob_formulas_of,
 )
-from .translate import b_phi, eval_rcof, q_of, translate_formula, translate_literal
+from .translate import b_phi, eval_rcof, q_decide, translate_formula, translate_literal
 from .lra import first_feasible
 from .genmodel import model_from_witness
 
@@ -66,7 +69,10 @@ class RcofSentence:
         return prob_formulas_of(self.formula())
 
     def q_premise(self):
-        return q_of(self.formula())
+        """The system the side condition is checked against: the
+        decider's system for the derived implication, equisatisfiable with
+        the ``Q[base;delta]`` it is printed as."""
+        return q_decide(self.formula())
 
     def holds(self):
         """Verified by refuting every branch: the premise system plus the
@@ -241,13 +247,14 @@ class Unsatisfiable:
 
 def _search(target, conclusion):
     """Refute or satisfy ``target`` by one search: each DNF disjunct of
-    ``target`` is case-split against the target's distribution system.
+    ``target`` is case-split against the target's distribution system
+    over the symbols under ``P``.
     The first feasible branch gives a verified model of ``target``, as
     ``(structure, assignment, spec)``; when every disjunct is refuted, the
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
     disjuncts = nnf_dnf_literals(target)
-    q_premise = q_of(target)
+    q_premise = q_decide(target)
     for lits in disjuncts:
         witness = first_feasible(q_premise, [translate_literal(l) for l in lits])
         if witness is not None:

@@ -36,8 +36,10 @@ from .translate import (
     constraints_hold,
     eval_rcof,
     mass_var,
-    q_of,
+    p_symbols,
+    q_decide,
     translate_formula,
+    valuation_sets,
 )
 
 
@@ -152,24 +154,27 @@ def spec_to_json(spec):
 
 
 def model_from_witness(phi, witness):
-    """Turn a feasible witness of the translated system into a generic
-    structure (plus assignment) that satisfies phi exactly when the
-    witness satisfies the translation; the equivalence is verified.
+    """Turn a feasible witness of the decider's system ``q_decide(phi)``
+    into a generic structure (plus assignment) over all of ``B_phi`` that
+    satisfies phi exactly when the witness satisfies the translation; the
+    equivalence is verified.  The witness carries masses over the symbols
+    under ``P`` only: each of their valuations keeps its mass, with every
+    other symbol false.
 
     Returns (structure, assignment, spec).
     """
     base = sorted(b_phi(phi))
-    if not constraints_hold(q_of(phi), witness):
+    if not constraints_hold(q_decide(phi), witness):
         raise SpecInvalid("witness does not satisfy the distribution system")
 
-    n = len(base)
-    masses = []
-    for code in range(1 << n):
-        u = frozenset(base[j] for j in range(n) if (code >> j) & 1)
-        var = mass_var(base, u)
+    a_p = p_symbols(phi)
+    bit = {s: 1 << j for j, s in enumerate(base)}
+    masses = [Fraction(0)] * (1 << len(base))
+    for u in valuation_sets(a_p):
+        var = mass_var(a_p, u)
         if var not in witness:
             raise WitnessIncomplete(f"witness missing mass variable {var}")
-        masses.append(witness[var])
+        masses[sum(bit[s] for s in u)] = witness[var]
     nc = []
     for s1, s2 in combinations(base, 2):
         if witness.get(PairVar.of(s1, s2), Fraction(0)) > 0:

@@ -1,8 +1,19 @@
 """Translation of formulas and literals into linear constraint systems
 over tagged ordered-field variables: the observability system (pair
-variables pinned to zero), the probability-distribution system over
-valuation masses with consistent marginals, and per-literal constraint
-disjunctions consumed by the feasibility solver."""
+variables pinned to zero), the paper's probability-distribution system
+``Q`` over valuation masses with consistent marginals, the smaller system
+the decider solves in its place, and per-literal constraint disjunctions
+consumed by the feasibility solver.
+
+The decider's system (:func:`q_decide`) is that of Fagin, Halpern and
+Megiddo ("A logic for reasoning about probabilities", 1990): one mass per
+valuation of the symbols under ``P`` and each formula variable one sum of
+masses, with no marginal rows.  It is equisatisfiable with ``Q`` joined
+with any literal translations, because no row of ``Q`` holds both a mass
+and a pair variable and a formula variable only touches masses over its
+own symbols: a solution of ``Q`` marginalizes to the symbols under ``P``,
+and a solution over those extends to all of ``B_phi`` with every other
+symbol false."""
 
 from __future__ import annotations
 
@@ -186,12 +197,59 @@ def mass_var(a_set, u_set):
     return ProbVar.of(phi_A_U(a_set, u_set))
 
 
+def _check_budget(base):
+    if len(base) > MAX_ADAMS_SYMBOLS:
+        raise BudgetExceeded(
+            f"distribution system over {len(base)} symbols exceeds budget {MAX_ADAMS_SYMBOLS}"
+        )
+
+
+def _mass_rows(masses):
+    """Each mass in [0, 1], and the masses summing to one."""
+    out = []
+    for m in masses:
+        out.append(constraint({m: 1}, ">=", 0))
+        out.append(constraint({m: 1}, "<=", 1))
+    out.append(constraint({m: 1 for m in masses}, "=", 1))
+    return out
+
+
+def _pair_rows(base):
+    """Each pair variable over ``base`` nonnegative."""
+    return [constraint({PairVar.of(s1, s2): 1}, ">=", 0) for s1, s2 in combinations(base, 2)]
+
+
+def _formula_row(alpha, masses):
+    """The formula variable of ``alpha`` equal to the sum of the masses
+    whose valuation satisfies it; ``masses`` maps each valuation of a
+    superset of alpha's symbols, as the set it makes true, to its mass."""
+    b_alpha = frozenset(alpha.symbols())
+    satisfying = {
+        frozenset(s for s in b_alpha if v[s])
+        for v in prop.all_valuations(b_alpha)
+        if prop.eval_formula(alpha, v)
+    }
+    coeffs = {ProbVar.of(alpha): Fraction(1)}
+    for u, m in masses.items():
+        if u & b_alpha in satisfying:
+            coeffs[m] = coeffs.get(m, Fraction(0)) - 1
+    return constraint(coeffs, "=", 0)
+
+
+def valuation_sets(symbols):
+    """The valuations of the ascending ``symbols`` as the sets they make
+    true, indexed by code: bit j of the code is the value of the j-th
+    symbol."""
+    n = len(symbols)
+    return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
+
+
 def q_adams(a_set, delta):
-    """The distribution system over ``a_set``: valuation masses in [0,1]
-    summing to one, marginal consistency over every subset of ``a_set``,
-    nonnegative pair variables, and each formula variable equal to the
-    mass of its satisfying valuations.  Trivial identities (e.g. the
-    marginal of ``a_set`` inside itself) are dropped.
+    """The paper's distribution system over ``a_set``: valuation masses in
+    [0,1] summing to one, marginal consistency over every subset of
+    ``a_set``, nonnegative pair variables, and each formula variable equal
+    to the mass of its satisfying valuations.  Trivial identities (e.g.
+    the marginal of ``a_set`` inside itself) are dropped.
     """
     a_list = sorted(set(a_set))
     a_set = frozenset(a_list)
@@ -199,22 +257,12 @@ def q_adams(a_set, delta):
     for alpha in delta:
         if not alpha.symbols() <= a_set:
             raise ValueError(f"formula {alpha} mentions symbols outside the base set")
-    if len(a_list) > MAX_ADAMS_SYMBOLS:
-        raise BudgetExceeded(
-            f"distribution system over {len(a_list)} symbols exceeds budget {MAX_ADAMS_SYMBOLS}"
-        )
+    _check_budget(a_list)
 
-    out = []
     subsets_a = [frozenset(c) for r in range(len(a_list) + 1) for c in combinations(a_list, r)]
     masses = {u: mass_var(a_set, u) for u in subsets_a}
-
-    # (i) each mass in [0, 1]
-    for u in subsets_a:
-        out.append(constraint({masses[u]: 1}, ">=", 0))
-        out.append(constraint({masses[u]: 1}, "<=", 1))
-    # (ii) masses sum to one
-    out.append(constraint({m: 1 for m in masses.values()}, "=", 1))
-    # (iii) marginals
+    out = _mass_rows(list(masses.values()))
+    # marginals
     for a_sub in (s for s in subsets_a if s != a_set):
         sub_elems = sorted(a_sub)
         for r in range(len(sub_elems) + 1):
@@ -226,19 +274,10 @@ def q_adams(a_set, delta):
                         v = masses[u]
                         coeffs[v] = coeffs.get(v, Fraction(0)) - 1
                 out.append(constraint(coeffs, "=", 0))
-    # (iv) pair variables nonnegative
-    for s1, s2 in combinations(a_list, 2):
-        out.append(constraint({PairVar.of(s1, s2): 1}, ">=", 0))
-    # (v) formula variables from satisfying-valuation masses
+    out += _pair_rows(a_list)
     for alpha in delta:
-        b_alpha = frozenset(alpha.symbols())
-        coeffs = {ProbVar.of(alpha): Fraction(1)}
-        for v in prop.all_valuations(b_alpha):
-            if prop.eval_formula(alpha, v):
-                u = frozenset(s for s in b_alpha if v[s])
-                mv = mass_var(b_alpha, u)
-                coeffs[mv] = coeffs.get(mv, Fraction(0)) - 1
-        out.append(constraint(coeffs, "=", 0))
+        b_alpha = sorted(alpha.symbols())
+        out.append(_formula_row(alpha, {u: mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}))
     return _dedupe(out)
 
 
@@ -285,9 +324,32 @@ def b_phi(f):
 
 
 def q_of(f):
-    """The distribution system of a formula: ``Q`` over its symbols and
-    the classical formulas of its probability atoms."""
+    """The paper's distribution system of a formula: ``Q`` over its symbols
+    and the classical formulas of its probability atoms, as ``plqo
+    translate`` prints it.  The decider solves :func:`q_decide` instead."""
     return q_adams(sorted(b_phi(f)), sx.prob_formulas_of(f))
+
+
+def p_symbols(f):
+    """``A_P``: the symbols of the classical formulas under ``P`` in ``f``,
+    ascending."""
+    return sorted(frozenset().union(*(a.symbols() for a in sx.prob_formulas_of(f))))
+
+
+def q_decide(f):
+    """The system the decider solves for ``f``: one mass in [0,1] per
+    valuation of ``A_P`` (see :func:`p_symbols`), the masses summing to
+    one, every pair variable over ``B_phi`` nonnegative, and each formula
+    variable equal to the sum of the masses whose valuation satisfies it.
+    Its size is linear in 2^|A_P| and quadratic in |B_phi|; the budget
+    stays on |B_phi|, the symbols a countermodel is built over."""
+    base = sorted(b_phi(f))
+    _check_budget(base)
+    a_p = p_symbols(f)
+    masses = {u: mass_var(a_p, u) for u in valuation_sets(a_p)}
+    out = _mass_rows(list(masses.values())) + _pair_rows(base)
+    out += [_formula_row(alpha, masses) for alpha in sx.prob_formulas_of(f)]
+    return _dedupe(out)
 
 
 def _comparison_constraint(alpha, cmp, term):

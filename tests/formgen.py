@@ -3,6 +3,7 @@ formulas, shared across test modules."""
 
 from fractions import Fraction
 
+from plqo.parser import parse_plqo
 from plqo.prop import Atom, Impl, Neg, PropSymbol, VERUM, conj, disj
 from plqo.syntax import NumVar, ObsAtom, PImpl, PNeg, ProbAtom, term_of_fraction
 
@@ -54,14 +55,35 @@ def gen_plqo(rng, symbols, depth, atom_depth=2, allow_vars=False):
     )
 
 
+def conj_text(n):
+    return " & ".join(f"B{i}" for i in range(1, n + 1))
+
+
+def prob_ladder(n):
+    """Valid: n symbols in Q, two of them under P."""
+    return parse_plqo(f"(O({conj_text(n)}) & P(B1 & B{n}) = 1/3) -> P(B1) >= 1/3")
+
+
+def obs_ladder(n):
+    """Invalid, with a countermodel of dimension 2^n + 2."""
+    return parse_plqo(f"O(B1 & B2) -> O({conj_text(n)})")
+
+
+def chain(n, valid):
+    """P(B1) = 1 and P(Bi -> Bi+1) = 1 along the chain, then P(Bn) = 1
+    (valid) or P(Bn & B1) < 1 (invalid): every symbol is under P."""
+    links = [f"P(B{i} -> B{i + 1}) = 1" for i in range(1, n)]
+    concl = f"P(B{n}) = 1" if valid else f"P(B{n} & B1) < 1"
+    return parse_plqo(f"({' & '.join(['P(B1) = 1'] + links)}) -> {concl}")
+
+
 def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
     """A feasible point of q_adams(base, delta), built independently of
     the solver: draw a random joint distribution over the base and derive
     every marginal, formula and pair variable from it."""
     from itertools import combinations
 
-    from plqo.prop import all_valuations, eval_formula
-    from plqo.translate import PairVar, ProbVar, mass_var
+    from plqo.translate import PairVar
 
     base = sorted(base)
     n = len(base)
@@ -73,9 +95,27 @@ def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
     for code in range(1 << n):
         u = frozenset(base[j] for j in range(n) if (code >> j) & 1)
         joint[u] = weights[code] / total
+    values = distribution_point(base, joint, delta)
+    for s1, s2 in combinations(base, 2):
+        if extra_pairs_positive and rng.random() < 0.5:
+            values[PairVar.of(s1, s2)] = Fraction(rng.randint(1, 3), 2)
+        else:
+            values[PairVar.of(s1, s2)] = Fraction(0)
+    return values
+
+
+def distribution_point(base, joint, delta):
+    """The values q_adams(base, delta) gives its mass, marginal and
+    formula variables under ``joint``, a map from each valuation of
+    ``base`` (the set it makes true) to its mass."""
+    from itertools import combinations
+
+    from plqo.prop import all_valuations, eval_formula
+    from plqo.translate import ProbVar, mass_var
+
     values = {}
-    for r in range(n + 1):
-        for a_sub in combinations(base, r):
+    for r in range(len(base) + 1):
+        for a_sub in combinations(sorted(base), r):
             a_sub = frozenset(a_sub)
             for r2 in range(len(a_sub) + 1):
                 for u_sub in combinations(sorted(a_sub), r2):
@@ -92,9 +132,4 @@ def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
                 u = frozenset(s for s in b_alpha if v[s])
                 acc += values[mass_var(b_alpha, u)]
         values[ProbVar.of(alpha)] = acc
-    for s1, s2 in combinations(base, 2):
-        if extra_pairs_positive and rng.random() < 0.5:
-            values[PairVar.of(s1, s2)] = Fraction(rng.randint(1, 3), 2)
-        else:
-            values[PairVar.of(s1, s2)] = Fraction(0)
     return values

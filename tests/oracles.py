@@ -264,10 +264,16 @@ def _rows_of(constraints):
 
 
 def _prune(rows):
-    """Drop duplicate and dominated rows: for identical left-hand sides
+    """Drop duplicate and dominated rows: each row is first divided by its
+    largest absolute coefficient, so rows that are positive multiples of
+    each other share a left-hand side, and for identical left-hand sides
     only the tightest bound matters."""
     best = {}
     for coeffs, rhs, strict in rows:
+        if coeffs:
+            scale = max(abs(k) for k in coeffs.values())
+            coeffs = {v: k / scale for v, k in coeffs.items()}
+            rhs = rhs / scale
         key = frozenset(coeffs.items())
         prev = best.get(key)
         # tighter: smaller rhs, or equal rhs but strict

@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from plqo.errors import MissingSymbol, SpecInvalid
+from plqo.errors import MissingSymbol, SpecInvalid, WitnessIncomplete
 from plqo.genmodel import (
     GenericModelSpec,
     build_generic,
@@ -180,6 +181,28 @@ def test_model_from_witness_rejects_bad_distribution():
     phi = ProbAtom(atom(1), "=", fraction(1, 3))
     with pytest.raises(SpecInvalid):
         model_from_witness(phi, {ProbVar.of(atom(1)): Fraction(2)})
+
+
+def test_model_from_witness_names_a_missing_mass():
+    # the masses present sum to one, so only the extension can tell
+    phi = ProbAtom(atom(1), "=", fraction(1, 3))
+    missing = ProbVar.of(Neg(atom(1)))
+    with pytest.raises(WitnessIncomplete, match=re.escape(f"missing mass variable {missing}")):
+        model_from_witness(phi, {ProbVar.of(atom(1)): Fraction(1)})
+
+
+def test_model_from_witness_missing_mass_under_p_with_more_symbols():
+    # B2 and B3 are not under P: only the masses over B1 are asked for
+    phi = parse_plqo("O(B2 & B3) -> P(B1) = 1/3")
+    w = {ProbVar.of(atom(1)): Fraction(1), PairVar(2, 3): Fraction(1)}
+    missing = ProbVar.of(Neg(atom(1)))
+    with pytest.raises(WitnessIncomplete, match=re.escape(f"missing mass variable {missing}")):
+        model_from_witness(phi, w)
+    w[missing] = Fraction(0)
+    structure, rho, spec = model_from_witness(phi, w)
+    assert spec.symbols == (B(1), B(2), B(3))
+    assert spec.masses == (0, 1) + (0,) * 6
+    assert spec.nc == frozenset({frozenset({B(2), B(3)})})
 
 
 def test_witness_model_equivalence_corpus():

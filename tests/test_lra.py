@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
-from plqo import check_valid, parse_plqo
+from plqo import check_valid
 from plqo.lra import DeltaRational, Feasible, Infeasible, _Tableau, check_implication, feasible
 from plqo.syntax import PNeg, nnf_dnf_literals
 from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
 
-from formgen import gen_plqo
+from formgen import gen_plqo, obs_ladder, prob_ladder
 from oracles import (
     fourier_motzkin_feasible,
     slack_row_feasible,
@@ -162,18 +162,6 @@ def test_vertex_spot_check():
     assert not fourier_motzkin_feasible(outside)
 
 
-def _conj(n):
-    return " & ".join(f"B{i}" for i in range(1, n + 1))
-
-
-def _prob_ladder(n):
-    return parse_plqo(f"(O({_conj(n)}) & P(B1 & B{n}) = 1/3) -> P(B1) >= 1/3")
-
-
-def _obs_ladder(n):
-    return parse_plqo(f"O(B1 & B2) -> O({_conj(n)})")
-
-
 def _bounded_system(rng):
     """A random system with one-term rows of both signs and every
     relation, some variables bounded twice over and some contradictorily."""
@@ -222,7 +210,7 @@ def _query_systems(phi):
 
 
 def test_query_systems_agree_with_the_slack_row_reference():
-    formulas = [ladder(n) for ladder in (_prob_ladder, _obs_ladder) for n in range(3, 7)]
+    formulas = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
     rng = random.Random(20261019)
     formulas += [gen_plqo(rng, [1, 2, 3], 3, allow_vars=True) for _ in range(40)]
     verdicts = [
@@ -250,8 +238,8 @@ def test_heap_scan_pivots_match_the_sorted_scan(monkeypatch):
     rng = random.Random(20261020)
     systems = [_bounded_system(rng) for _ in range(100)]
     systems += [_random_system(rng, rng.randint(1, 6), rng.randint(1, 12)) for _ in range(100)]
-    systems += [cs for n in (3, 4) for cs in _query_systems(_prob_ladder(n))]
-    systems += [cs for n in (3, 4) for cs in _query_systems(_obs_ladder(n))]
+    systems += [cs for n in (3, 4) for cs in _query_systems(prob_ladder(n))]
+    systems += [cs for n in (3, 4) for cs in _query_systems(obs_ladder(n))]
 
     def run():
         trail = _record_pivots(monkeypatch)
@@ -291,5 +279,5 @@ def test_strict_bounds_of_both_signs_give_an_interior_witness():
 def test_prob_ladder_pivots_stay_few(monkeypatch):
     # columns in first-appearance order took 382 pivots here
     trail = _record_pivots(monkeypatch)
-    check_valid(_prob_ladder(6))
+    check_valid(prob_ladder(6))
     assert 0 < len(trail) <= 64

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from plqo.errors import BudgetExceeded, UnsupportedNonlinear
+from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
 from plqo.prop import (
@@ -21,10 +23,13 @@ from plqo.syntax import (
     Mul,
     NumVar,
     ObsAtom,
+    PNeg,
     PlqoLiteral,
     ProbAtom,
     fraction,
+    nnf_dnf_literals,
     numeral,
+    prob_formulas_of,
 )
 from plqo.translate import (
     LinConstraint,
@@ -38,14 +43,25 @@ from plqo.translate import (
     linearize_term,
     mass_var,
     negate_constraint,
+    p_symbols,
     q_adams,
+    q_decide,
     q_obs,
     translate_atom,
     translate_formula,
     translate_literal,
 )
 
-from formgen import gen_plqo, random_feasible_point
+from formgen import (
+    chain,
+    conj_text,
+    distribution_point,
+    gen_plqo,
+    obs_ladder,
+    prob_ladder,
+    random_feasible_point,
+)
+from oracles import slack_row_feasible
 
 
 def syms(*idx):
@@ -96,6 +112,76 @@ def test_q_adams_budget():
 def test_q_adams_rejects_outside_symbols():
     with pytest.raises(ValueError):
         q_adams(syms(1), [atom(2)])
+
+
+def _paper_point(spec, witness, delta):
+    """The countermodel's masses over B_phi as a point of the paper's Q:
+    every marginal and formula variable derived from them, joined with the
+    witness's own values, which must agree wherever both name a variable."""
+    n = len(spec.symbols)
+    joint = {
+        frozenset(spec.symbols[j] for j in range(n) if code >> j & 1): m
+        for code, m in enumerate(spec.masses)
+    }
+    point = distribution_point(spec.symbols, joint, delta)
+    for v, value in witness.items():
+        assert point.setdefault(v, value) == value, v
+    return point
+
+
+def test_q_decide_agrees_with_the_papers_q():
+    """Each branch the search solves, over the decider's system and over
+    the paper's Q: a witness, extended to B_phi by model_from_witness,
+    satisfies all of Q and the branch; a refuted branch is refuted on Q
+    too, by the slack-row reference."""
+    formulas = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
+    formulas += [chain(n, valid) for n in range(3, 7) for valid in (True, False)]
+    rng = random.Random(20261021)
+    formulas += [gen_plqo(rng, [1, 2, 3], 3, allow_vars=True) for _ in range(40)]
+    extended = refuted = 0
+    for phi in formulas:
+        target = PNeg(phi)
+        delta = prob_formulas_of(target)
+        q = q_decide(target)
+        q_full = q_adams(sorted(b_phi(target)), delta)
+        for lits in nnf_dnf_literals(target):
+            for parts in product(*[translate_literal(l) for l in lits]):
+                branch = [c for part in parts for c in part]
+                result = feasible(q + branch)
+                if result:
+                    _, _, spec = model_from_witness(target, result.witness)
+                    point = _paper_point(spec, result.witness, delta)
+                    assert constraints_hold(q_full + branch, point)
+                    extended += 1
+                else:
+                    assert not slack_row_feasible(q_full + branch)
+                    refuted += 1
+    assert extended > 40 and refuted > 40
+
+
+def test_q_decide_grows_with_the_symbols_under_p():
+    """prob-n12 puts two of its twelve symbols under P: its system has
+    2^2 masses, not 3^12 marginals."""
+    phi = PNeg(prob_ladder(12))
+    a_p = p_symbols(phi)
+    assert len(a_p) == 2 and len(b_phi(phi)) == 12
+    q = q_decide(phi)
+    assert len(q) <= len(prob_formulas_of(phi)) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
+    masses = {mass_var(a_p, frozenset(u)) for r in range(3) for u in combinations(a_p, r)}
+    assert len(masses) == 4
+    prob_vars = {v for c in q for v, _ in c.terms if isinstance(v, ProbVar)}
+    assert prob_vars <= masses | {ProbVar.of(a) for a in prob_formulas_of(phi)}
+    # the pair rows are Q's, over all of B_phi: the simplex never moves a
+    # pair variable below zero, so no witness would show one missing
+    base = syms(*range(1, 13))
+    pairs = {constraint({PairVar.of(s1, s2): 1}, ">=", 0) for s1, s2 in combinations(base, 2)}
+    assert pairs <= set(q)
+
+
+def test_q_decide_budget_is_on_b_phi():
+    phi = parse_plqo(f"O({conj_text(13)}) -> P(B1) = 1")
+    with pytest.raises(BudgetExceeded, match="over 13 symbols exceeds budget 12"):
+        q_decide(phi)
 
 
 def test_linearize():
