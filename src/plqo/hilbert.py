@@ -29,8 +29,8 @@ from .prop import (
     PropSymbol,
     all_valuations,
     essential_symbols,
-    eval_formula,
     is_tautology,
+    satisfying_sets,
     conj,
     disj,
     Neg,
@@ -58,14 +58,17 @@ def scalar_is_zero(x, tol=None):
 class Matrix:
     """A square matrix held by rows: ``rows[i]`` maps a column index to the
     nonzero scalar there (exact ComplexScalar, or builtin complex in
-    tolerance mode).  Products, adjoints and comparisons cost O(nnz): a
-    generic structure is diagonal plus one 2x2 block per incompatible
-    pair, so its projectors have O(dim) entries."""
+    tolerance mode); the constructor drops zero entries, so exact
+    matrices are canonical.  Products, adjoints and comparisons cost
+    O(nnz): a generic structure is diagonal plus one 2x2 block per
+    incompatible pair, so its projectors have O(dim) entries."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(rows)
+        self.rows = tuple(
+            row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows
+        )
 
     @property
     def dim(self):
@@ -89,7 +92,7 @@ class Matrix:
             for k, x in row.items():
                 for j, y in other.rows[k].items():
                     out[j] = out[j] + x * y if j in out else x * y
-            rows.append({j: v for j, v in out.items() if v})
+            rows.append(out)
         return Matrix(rows)
 
     def __sub__(self, other):
@@ -103,8 +106,14 @@ class Matrix:
 
 
 def matrices_equal(a, b, tol=None):
-    """Entrywise equality of two Matrix values, exact or within ``tol``."""
-    return all(scalar_is_zero(x, tol) for row in (a - b).rows for x in row.values())
+    """Entrywise equality of two Matrix values, exact or within ``tol``.
+    Exact scalars and matrices are canonical (no zero entries, radicals
+    of distinct squarefree integers), so exact equality is structural."""
+    if tol is None:
+        return a.rows == b.rows
+    return a.dim == b.dim and all(
+        scalar_is_zero(x, tol) for row in (a - b).rows for x in row.values()
+    )
 
 
 def _sub(u, v):
@@ -147,7 +156,7 @@ class Pqv:
         if not isinstance(m, Matrix):
             if any(len(row) != len(m) for row in m):
                 raise DimMismatch("projector is not square")
-            m = Matrix({j: x for j, x in enumerate(row) if x} for row in m)
+            m = Matrix(dict(enumerate(row)) for row in m)
             object.__setattr__(self, "projector", m)
         if not matrices_equal(m, m.dagger(), self.tol):
             raise SpecInvalid("projector is not Hermitian")
@@ -236,12 +245,12 @@ def prob(structure, alpha):
         raise IncompatibleFamily(
             f"symbol family {[str(s) for s in syms]} is not pairwise compatible"
         )
-    # inessential symbols cannot change the truth value; pad them with zeros
-    padding = {s: 0 for s in alpha.symbols() if s not in syms}
+    # inessential symbols cannot change the truth value; read them as false
+    satisfying = satisfying_sets(alpha, alpha.symbols())
     total = czero(structure.tol is None)
     psi = {i: x for i, x in enumerate(structure.state.amps) if x}
     for v in all_valuations(syms):
-        if eval_formula(alpha, v | padding):
+        if frozenset(s for s in syms if v[s]) in satisfying:
             total = total + _projected_mass(structure, syms, v, psi)
     return _as_real(total, structure.tol)
 

@@ -157,10 +157,62 @@ def _check_budget(symbols, what):
         )
 
 
+def _column(n, i):
+    """The truth table column of the i-th of n symbols: bit k is set iff
+    the symbol is true in the k-th valuation, whose bit n-1-i it is."""
+    width = 1 << (n - 1 - i)
+    block = ((1 << width) - 1) << width
+    return (1 << (1 << n)) // ((1 << 2 * width) - 1) * block
+
+
+def truth_table(f, syms):
+    """The truth table of ``f`` over ``syms`` as one int: bit k is the
+    value of ``f`` under the k-th valuation of ``all_valuations(syms)``.
+    One walk of the tree, each node one bitwise operation on the columns;
+    the caller bounds ``syms``."""
+    syms = sorted(syms)
+    full = (1 << (1 << len(syms))) - 1
+    columns = {s: _column(len(syms), i) for i, s in enumerate(syms)}
+
+    def walk(node):
+        if isinstance(node, Verum):
+            return full
+        if isinstance(node, Atom):
+            try:
+                return columns[node.symbol]
+            except KeyError:
+                raise MissingSymbol(f"valuation does not cover {node.symbol}") from None
+        if isinstance(node, Neg):
+            return full ^ walk(node.child)
+        if isinstance(node, Impl):
+            return (full ^ walk(node.left)) | walk(node.right)
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return walk(f)
+
+
+def _true_sets(table, syms):
+    """The set bits of a table over the ascending ``syms``, each as the
+    set of symbols its valuation makes true."""
+    n = len(syms)
+    bits = format(table, f"0{1 << n}b")[::-1]
+    return frozenset(
+        frozenset(s for i, s in enumerate(syms) if k >> (n - 1 - i) & 1)
+        for k, bit in enumerate(bits) if bit == "1"
+    )
+
+
+def satisfying_sets(f, syms):
+    """The valuations of ``syms`` that satisfy ``f``, each as the set of
+    symbols it makes true."""
+    syms = sorted(syms)
+    return _true_sets(truth_table(f, syms), syms)
+
+
 def is_tautology(f):
     syms = f.symbols()
     _check_budget(syms, "is_tautology")
-    return all(eval_formula(f, v) for v in all_valuations(syms))
+    return truth_table(f, syms) == (1 << (1 << len(syms))) - 1
 
 
 @dataclass(frozen=True)
@@ -185,35 +237,37 @@ class AnfPoly:
         return " + ".join(parts)
 
 
-def anf(f):
-    """Zhegalkin polynomial of ``f`` via the Moebius transform of its
-    truth table.  The variables of the result are exactly the essential
-    symbols of ``f``."""
+def _anf_table(f):
+    """``f``'s symbols, ascending, and its truth table over them."""
     syms = sorted(f.symbols())
     _check_budget(syms, "anf")
+    return syms, truth_table(f, syms)
+
+
+def anf(f):
+    """Zhegalkin polynomial of ``f`` via the Moebius transform of its
+    truth table: per symbol, every entry where it is true xors in the
+    entry where it is false, one shift and mask on the whole table.  The
+    variables of the result are exactly the essential symbols of ``f``."""
+    syms, coeffs = _anf_table(f)
     n = len(syms)
-    table = []
-    for bits in product((0, 1), repeat=n):
-        table.append(eval_formula(f, dict(zip(syms, bits))))
-    # in-place Moebius (xor) transform over the subset lattice
-    coeffs = list(table)
+    full = (1 << (1 << n)) - 1
     for i in range(n):
-        step = 1 << (n - 1 - i)
-        for j in range(1 << n):
-            if j & step:
-                coeffs[j] ^= coeffs[j ^ step]
-    monomials = set()
-    for j in range(1 << n):
-        if coeffs[j]:
-            monomials.add(
-                frozenset(syms[i] for i in range(n) if j & (1 << (n - 1 - i)))
-            )
-    return AnfPoly(frozenset(monomials))
+        coeffs ^= (coeffs & (full ^ _column(n, i))) << (1 << (n - 1 - i))
+    return AnfPoly(_true_sets(coeffs, syms))
 
 
 def essential_symbols(f):
-    """Essential symbols of ``f``; computed from the ANF variable set."""
-    return anf(f).variables()
+    """Essential symbols of ``f``, the variables of its ANF: those whose
+    two cofactors differ in the truth table."""
+    syms, table = _anf_table(f)
+    n = len(syms)
+    full = (1 << (1 << n)) - 1
+    # the entry where s is true sits 2^(n-1-i) bits above the one where it is false
+    return frozenset(
+        s for i, s in enumerate(syms)
+        if ((table >> (1 << (n - 1 - i))) ^ table) & (full ^ _column(n, i))
+    )
 
 
 def phi_A_U(a_set, u_set):

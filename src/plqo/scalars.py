@@ -66,10 +66,9 @@ class RadicalScalar:
     @staticmethod
     def make(coeffs):
         """From a {d: c} map; drops zeros, sorts, validates nothing else."""
-        items = tuple(
-            (d, Fraction(c)) for d, c in sorted(coeffs.items()) if Fraction(c) != 0
+        return RadicalScalar(
+            tuple((d, q) for d, c in sorted(coeffs.items()) if (q := Fraction(c)))
         )
-        return RadicalScalar(items)
 
     @staticmethod
     def rational(q):
@@ -93,6 +92,10 @@ class RadicalScalar:
 
     def __add__(self, other):
         other = _coerce_real(other)
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
         out = dict(self.terms)
         for d, c in other.terms:
             out[d] = out.get(d, Fraction(0)) + c
@@ -112,6 +115,11 @@ class RadicalScalar:
 
     def __mul__(self, other):
         other = _coerce_real(other)
+        if not self.terms or not other.terms:
+            return RAD_ZERO
+        if len(self.terms) == len(other.terms) == 1 and self.terms[0][0] == other.terms[0][0] == 1:
+            # two rationals; their product is nonzero
+            return RadicalScalar(((1, self.terms[0][1] * other.terms[0][1]),))
         out = {}
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:
@@ -218,16 +226,18 @@ class ComplexScalar:
         return ComplexScalar(_coerce_real(x), RAD_ZERO)
 
     def conjugate(self):
-        return ComplexScalar(self.re, -self.im)
+        return ComplexScalar(self.re, -self.im) if self.im.terms else self
 
     def is_zero(self):
-        return self.re.is_zero() and self.im.is_zero()
+        return not (self.re.terms or self.im.terms)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re.terms or self.im.terms)
 
     def __add__(self, other):
         other = coerce_complex(other)
+        if not self.im.terms and not other.im.terms:
+            return ComplexScalar(self.re + other.re, RAD_ZERO)
         return ComplexScalar(self.re + other.re, self.im + other.im)
 
     def __radd__(self, other):
@@ -241,6 +251,13 @@ class ComplexScalar:
 
     def __mul__(self, other):
         other = coerce_complex(other)
+        # the one that generic structures share multiplies for free
+        if self is C_ONE:
+            return other
+        if other is C_ONE:
+            return self
+        if not self.im.terms and not other.im.terms:
+            return ComplexScalar(self.re * other.re, RAD_ZERO)
         if not self.im.terms:
             return ComplexScalar(self.re * other.re, self.re * other.im)
         if not other.im.terms:

@@ -223,12 +223,8 @@ def _formula_row(alpha, masses):
     """The formula variable of ``alpha`` equal to the sum of the masses
     whose valuation satisfies it; ``masses`` maps each valuation of a
     superset of alpha's symbols, as the set it makes true, to its mass."""
-    b_alpha = frozenset(alpha.symbols())
-    satisfying = {
-        frozenset(s for s in b_alpha if v[s])
-        for v in prop.all_valuations(b_alpha)
-        if prop.eval_formula(alpha, v)
-    }
+    b_alpha = alpha.symbols()
+    satisfying = prop.satisfying_sets(alpha, b_alpha)
     coeffs = {ProbVar.of(alpha): Fraction(1)}
     for u, m in masses.items():
         if u & b_alpha in satisfying:

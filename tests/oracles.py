@@ -37,20 +37,33 @@ tree_dnf_literals expands the DNF once per path through the formula and
 cleans up at the end, where plqo.syntax expands each shared subformula
 once and cleans up at every join.
 
+anf_by_valuation is the algebraic normal form as first written, one
+evaluation per valuation and a Moebius transform entry by entry, where
+plqo.prop transforms the whole bit-parallel truth table by shift and
+mask.
+
+radical_add, radical_sub, radical_mul and the complex_ forms are the
+exact scalar arithmetic as first written, the general loop for every
+operand, where plqo.scalars short-circuits zero and rational operands.
+matrices_equal_by_subtraction compares two sparse matrices by their
+entrywise difference, where plqo.hilbert compares canonical rows.
+
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's value, and
-whether an exact scalar is rational.
+whether an exact scalar is rational or canonical.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import isqrt
+from itertools import combinations, product
+from math import gcd, isqrt
 
-from plqo.errors import IncompatibleFamily, MissingSymbol, SpecInvalid
+from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
 from plqo.lra import INFEASIBLE, DeltaRational, Feasible, _concretize
-from plqo.prop import all_valuations, essential_symbols, eval_formula
-from plqo.scalars import C_ONE, C_ZERO
+from plqo.prop import (
+    MAX_VALUATION_SYMBOLS, AnfPoly, all_valuations, essential_symbols, eval_formula
+)
+from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
     Add, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
 )
@@ -342,6 +355,97 @@ def essential_symbols_bruteforce(f):
                 essential.add(s)
                 break
     return frozenset(essential)
+
+
+def anf_by_valuation(f):
+    """Zhegalkin polynomial of ``f``: its truth table one valuation at a
+    time, then the Moebius (xor) transform over the subset lattice."""
+    syms = sorted(f.symbols())
+    if len(syms) > MAX_VALUATION_SYMBOLS:
+        raise BudgetExceeded(
+            f"anf: {len(syms)} symbols exceeds budget {MAX_VALUATION_SYMBOLS}"
+        )
+    n = len(syms)
+    coeffs = [eval_formula(f, dict(zip(syms, bits))) for bits in product((0, 1), repeat=n)]
+    for i in range(n):
+        step = 1 << (n - 1 - i)
+        for j in range(1 << n):
+            if j & step:
+                coeffs[j] ^= coeffs[j ^ step]
+    monomials = set()
+    for j in range(1 << n):
+        if coeffs[j]:
+            monomials.add(
+                frozenset(syms[i] for i in range(n) if j & (1 << (n - 1 - i)))
+            )
+    return AnfPoly(frozenset(monomials))
+
+
+# -- exact scalars and sparse matrices -----------------------------------------
+
+
+def _radical(coeffs):
+    return RadicalScalar(tuple((d, c) for d, c in sorted(coeffs.items()) if c != 0))
+
+
+def radical_add(a, b):
+    out = dict(a.terms)
+    for d, c in b.terms:
+        out[d] = out.get(d, Fraction(0)) + c
+    return _radical(out)
+
+
+def radical_sub(a, b):
+    return radical_add(a, RadicalScalar(tuple((d, -c) for d, c in b.terms)))
+
+
+def radical_mul(a, b):
+    out = {}
+    for d1, c1 in a.terms:
+        for d2, c2 in b.terms:
+            # squarefree d1, d2: d1*d2 = g*g * (d1/g)*(d2/g), the last squarefree
+            g = gcd(d1, d2)
+            d = (d1 // g) * (d2 // g)
+            out[d] = out.get(d, Fraction(0)) + c1 * c2 * g
+    return _radical(out)
+
+
+def complex_add(a, b):
+    return ComplexScalar(radical_add(a.re, b.re), radical_add(a.im, b.im))
+
+
+def complex_sub(a, b):
+    return ComplexScalar(radical_sub(a.re, b.re), radical_sub(a.im, b.im))
+
+
+def complex_mul(a, b):
+    return ComplexScalar(
+        radical_sub(radical_mul(a.re, b.re), radical_mul(a.im, b.im)),
+        radical_add(radical_mul(a.re, b.im), radical_mul(a.im, b.re)),
+    )
+
+
+def is_canonical(x):
+    """Whether a RadicalScalar's terms have strictly ascending squarefree
+    radicands and nonzero Fraction coefficients."""
+    ds = [d for d, _ in x.terms]
+    return (
+        ds == sorted(set(ds))
+        and all(square_split_bruteforce(d) == (1, d) for d in ds)
+        and all(isinstance(c, Fraction) and c != 0 for _, c in x.terms)
+    )
+
+
+def matrices_equal_by_subtraction(a, b):
+    """Whether two exact sparse Matrix values have the same dimension and
+    a zero entrywise difference."""
+    if a.dim != b.dim:
+        return False
+    return all(
+        complex_sub(ra.get(j, C_ZERO), rb.get(j, C_ZERO)).is_zero()
+        for ra, rb in zip(a.rows, b.rows)
+        for j in set(ra) | set(rb)
+    )
 
 
 # -- dense matrices ------------------------------------------------------------

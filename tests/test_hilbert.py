@@ -8,6 +8,7 @@ import pytest
 from plqo.errors import DimMismatch, IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import GenericModelSpec, build_generic
 from plqo.hilbert import (
+    Matrix,
     Pqv,
     QuantumStructure,
     StateVector,
@@ -15,6 +16,7 @@ from plqo.hilbert import (
     compatible,
     is_observable,
     load_structure,
+    matrices_equal,
     prob,
     satisfies,
     structure_from_json,
@@ -30,7 +32,7 @@ from plqo.prop import (
     iff,
     Neg,
 )
-from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
+from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
     ObsAtom,
@@ -52,6 +54,7 @@ from oracles import (
     inner,
     mat_sub,
     mat_vec,
+    matrices_equal_by_subtraction,
 )
 
 
@@ -470,3 +473,85 @@ def test_generic_structure_beyond_dense_reach():
     expected = sum((m for code, m in enumerate(masses) if code & 0b10010000 == 0b10010000),
                    Fraction(0))
     assert prob(s, conj(atom(5), atom(8))) == RadicalScalar.rational(expected)
+
+
+# -- exact matrix equality by canonical rows -------------------------------------
+
+_HALF = ComplexScalar.real(Fraction(1, 2))
+_ENTRIES = [
+    C_ONE,
+    -C_ONE,
+    _HALF,
+    -_HALF,
+    ComplexScalar(RAD_ZERO, RadicalScalar.rational(1)),
+    ComplexScalar.real(RadicalScalar.sqrt_of(2)),
+    ComplexScalar.real(-RadicalScalar.sqrt_of(2)),
+]
+
+
+def _sparse(rng, dim, density):
+    return Matrix(
+        {j: rng.choice(_ENTRIES) for j in range(dim) if rng.random() < density}
+        for _ in range(dim)
+    )
+
+
+def test_exact_equality_matches_subtraction_on_random_sparse_matrices():
+    rng = random.Random(149)
+    verdicts = set()
+    cancelled = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        a, b, c = (_sparse(rng, dim, rng.choice([0.3, 0.6, 1.0])) for _ in range(3))
+        ab, ba = a @ b, b @ a
+        # an entry whose terms cancel is absent from the product
+        cancelled += sum(
+            1 for i, row in enumerate(ab.rows) for j in range(dim)
+            if j not in row and any(j in b.rows[k] for k in a.rows[i])
+        )
+        for x, y in ((ab, ba), (ab, c), (a, a.dagger().dagger()), (ab @ c, a @ (b @ c))):
+            want = matrices_equal_by_subtraction(x, y)
+            assert matrices_equal(x, y) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    assert cancelled > 20
+
+
+def test_exact_equality_of_products_that_cancel_to_zero():
+    # P (I - P) = 0 for the projector P onto (|0> + |1>)/sqrt(2)
+    p = Matrix([{0: _HALF, 1: _HALF}, {0: _HALF, 1: _HALF}])
+    q = Matrix([{0: _HALF, 1: -_HALF}, {0: -_HALF, 1: _HALF}])
+    zero = Matrix([{}, {}])
+    assert (p @ q).rows == ({}, {})
+    assert matrices_equal(p @ q, zero) and matrices_equal_by_subtraction(p @ q, zero)
+    assert matrices_equal(p @ p, p)
+    assert not matrices_equal(p, q)
+
+
+def test_exact_equality_needs_equal_dimensions():
+    one, two = Matrix([{0: C_ONE}]), Matrix([{0: C_ONE}, {1: C_ONE}])
+    assert not matrices_equal(one, two) and not matrices_equal(two, one)
+    assert not matrices_equal(Matrix([{}]), Matrix([{}, {}]))
+    assert not matrices_equal(Matrix([{}]), Matrix([{}, {}]), 1e-9)
+
+
+def test_explicit_zero_entries_are_dropped():
+    with_zeros = Matrix([{0: C_ONE, 1: C_ZERO}, {0: C_ZERO, 1: C_ZERO}])
+    assert with_zeros.rows == ({0: C_ONE}, {})
+    assert matrices_equal(with_zeros, Matrix([{0: C_ONE}, {}]))
+    assert Pqv(((C_ONE, C_ZERO), (C_ZERO, C_ZERO))).projector.rows == ({0: C_ONE}, {})
+
+
+def test_exact_projector_laws_still_checked():
+    s2 = RadicalScalar.sqrt_of(2)
+    with pytest.raises(SpecInvalid, match="not idempotent"):
+        Pqv(Matrix([{0: _HALF}]))
+    with pytest.raises(SpecInvalid, match="not idempotent"):
+        Pqv(Matrix([{0: C_ONE, 1: C_ZERO}, {1: C_ONE * ComplexScalar.real(s2)}]))
+    with pytest.raises(SpecInvalid, match="not Hermitian"):
+        Pqv(Matrix([{1: C_ONE}, {}]))
+    i_half = ComplexScalar(RAD_ZERO, RadicalScalar.rational(Fraction(1, 2)))
+    with pytest.raises(SpecInvalid, match="not Hermitian"):
+        Pqv(Matrix([{0: _HALF, 1: i_half}, {0: i_half, 1: _HALF}]))
+    # the same matrix with the adjoint's sign is a projector
+    Pqv(Matrix([{0: _HALF, 1: i_half}, {0: -i_half, 1: _HALF}]))

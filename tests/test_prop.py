@@ -25,10 +25,12 @@ from plqo.prop import (
     is_tautology,
     phi_A_U,
     print_prop,
+    satisfying_sets,
+    truth_table,
 )
 
 from formgen import gen_classical
-from oracles import anf_evaluate, essential_symbols_bruteforce
+from oracles import anf_by_valuation, anf_evaluate, essential_symbols_bruteforce
 
 
 def test_eval_primitives():
@@ -140,3 +142,72 @@ def test_symbol_budget():
     f = conj_all([atom(i) for i in range(1, MAX_VALUATION_SYMBOLS + 2)])
     with pytest.raises(BudgetExceeded, match="17 symbols exceeds budget 16"):
         is_tautology(f)
+
+
+def test_truth_table_bit_k_is_the_kth_valuation():
+    rng = random.Random(17)
+    for _ in range(200):
+        f = gen_classical(rng, [2, 5, 9], rng.randint(0, 4))
+        syms = sorted(f.symbols() | {PropSymbol(5)})
+        table = truth_table(f, syms)
+        assert table >> (1 << len(syms)) == 0
+        satisfying = satisfying_sets(f, syms)
+        for k, v in enumerate(all_valuations(syms)):
+            assert table >> k & 1 == eval_formula(f, v)
+            assert (frozenset(s for s in syms if v[s]) in satisfying) == eval_formula(f, v)
+        assert len(satisfying) == bin(table).count("1")
+
+
+def test_truth_table_without_symbols():
+    assert truth_table(VERUM, []) == 1
+    assert truth_table(FALSUM, []) == 0
+    assert truth_table(VERUM, [PropSymbol(3)]) == 0b11
+    assert truth_table(atom(3), [PropSymbol(7), PropSymbol(3)]) == 0b1100
+    with pytest.raises(MissingSymbol):
+        truth_table(atom(7), [PropSymbol(3)])
+
+
+def _anf_cases():
+    b3, b7 = atom(3), atom(7)
+    # (B1 & B2) | (B3 & B4) | ... | (B15 & B16): 255 monomials over 16 symbols
+    pairs = [conj(atom(i), atom(i + 1)) for i in range(1, MAX_VALUATION_SYMBOLS, 2)]
+    sixteen = pairs[0]
+    for p in pairs[1:]:
+        sixteen = disj(sixteen, p)
+    return [
+        VERUM,
+        FALSUM,
+        iff(VERUM, FALSUM),
+        b3,
+        conj(b3, Neg(b7)),
+        iff(b7, disj(b3, atom(12))),
+        sixteen,
+    ]
+
+
+def test_anf_matches_the_per_valuation_reference():
+    rng = random.Random(19)
+    formulas = _anf_cases()
+    formulas += [gen_classical(rng, [3, 7, 8, 12], rng.randint(0, 5)) for _ in range(150)]
+    for f in formulas:
+        poly = anf(f)
+        assert poly == anf_by_valuation(f), print_prop(f)
+        assert essential_symbols(f) == poly.variables()
+        assert is_tautology(f) == (str(poly) == "1")
+
+
+def test_essential_symbols_of_sixteen_symbols():
+    sixteen = [atom(i) for i in range(1, MAX_VALUATION_SYMBOLS + 1)]
+    f = conj(conj_all(sixteen), disj(sixteen[4], Neg(sixteen[4])))
+    assert essential_symbols(f) == {PropSymbol(i) for i in range(1, 17)}
+    assert str(anf(f)) == "*".join(f"B{i}" for i in range(1, 17))
+    g = disj(conj_all(sixteen[:15]), iff(sixteen[15], sixteen[15]))
+    assert essential_symbols(g) == frozenset()
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers())
+def test_anf_matches_the_reference_hypothesis(depth, seed):
+    rng = random.Random(seed)
+    f = gen_classical(rng, [1, 4, 5, 11], depth)
+    assert anf(f) == anf_by_valuation(f)
+    assert essential_symbols(f) == essential_symbols_bruteforce(f)

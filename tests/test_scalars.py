@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plqo.errors import BudgetExceeded
 from plqo.scalars import (
@@ -18,7 +19,17 @@ from plqo.scalars import (
     square_split,
 )
 
-from oracles import as_fraction, square_split_bruteforce
+from oracles import (
+    as_fraction,
+    complex_add,
+    complex_mul,
+    complex_sub,
+    is_canonical,
+    radical_add,
+    radical_mul,
+    radical_sub,
+    square_split_bruteforce,
+)
 
 # Two 30-digit primes; their product has no factor a bounded trial division finds.
 P30 = 10**29 + 319
@@ -296,3 +307,57 @@ def test_radicand_budget():
     with pytest.raises(BudgetExceeded, match="1001 digits exceeds budget 1000"):
         parse_radical("sqrt(" + "7" * 1001 + ")")
     assert time.perf_counter() - start < 0.1
+
+
+# -- fast paths against the general arithmetic -----------------------------------
+
+_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_radicals = st.one_of(
+    st.just(RAD_ZERO),
+    st.just(RAD_ONE),
+    _fractions.map(RadicalScalar.rational),
+    st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 10, 15, 30]), _fractions, max_size=4).map(
+        RadicalScalar.make
+    ),
+)
+_complexes = st.one_of(
+    st.sampled_from([C_ZERO, C_ONE]),
+    _radicals.map(ComplexScalar.real),
+    st.builds(ComplexScalar, _radicals, _radicals),
+)
+
+
+def _canonical_complex(z):
+    return is_canonical(z.re) and is_canonical(z.im)
+
+
+@given(_radicals, _radicals)
+def test_radical_arithmetic_matches_the_general_loop(a, b):
+    for got, want in ((a + b, radical_add(a, b)), (a - b, radical_sub(a, b)),
+                      (a * b, radical_mul(a, b))):
+        assert got == want
+        assert is_canonical(got)
+
+
+@given(_complexes, _complexes)
+def test_complex_arithmetic_matches_the_general_loop(a, b):
+    for got, want in ((a + b, complex_add(a, b)), (a - b, complex_sub(a, b)),
+                      (a * b, complex_mul(a, b))):
+        assert got == want
+        assert _canonical_complex(got)
+
+
+def test_fast_paths_return_canonical_values():
+    s2 = RadicalScalar.sqrt_of(2)
+    assert RAD_ZERO * s2 is RAD_ZERO and s2 * RAD_ZERO is RAD_ZERO
+    assert RAD_ZERO + s2 is s2 and s2 + RAD_ZERO is s2
+    assert rat(Fraction(2, 3)) * rat(Fraction(-3, 4)) == rat(Fraction(-1, 2))
+    assert (rat(2) * rat(3)).terms == ((1, Fraction(6)),)
+    assert isinstance((rat(2) * rat(3)).terms[0][1], Fraction)
+    assert rat(Fraction(1, 2)) + rat(Fraction(-1, 2)) == RAD_ZERO
+    assert RadicalScalar.make({1: 0, 2: Fraction(0), 3: 2}).terms == ((3, Fraction(2)),)
+    assert C_ONE * ComplexScalar(RAD_ZERO, s2) == ComplexScalar(RAD_ZERO, s2)
+    assert ComplexScalar.real(s2) * ComplexScalar.real(s2) == ComplexScalar.real(2)
+    assert (C_ONE + C_ONE).im is RAD_ZERO
+    assert ComplexScalar.real(s2).conjugate() == ComplexScalar.real(s2)
+    assert not C_ZERO and C_ONE
