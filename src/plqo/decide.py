@@ -37,9 +37,10 @@ from .syntax import (
     prob_ge,
     prob_formulas_of,
 )
-from .translate import b_phi, eval_rcof, q_decide, translate_formula, translate_literal
+from .translate import b_phi, q_decide, translate_literal
 from .lra import first_feasible
-from .genmodel import model_from_witness
+from .genmodel import structure_of_witness
+from .hilbert import satisfies
 
 
 # -- RCOF sentences and branch feasibility -----------------------------------
@@ -249,7 +250,7 @@ def _search(target, conclusion):
     """Refute or satisfy ``target`` by one search: each DNF disjunct of
     ``target`` is case-split against the target's distribution system
     over the symbols under ``P``.
-    The first feasible branch gives a verified model of ``target``, as
+    The first feasible branch gives a model checked to satisfy ``target``, as
     ``(structure, assignment, spec)``; when every disjunct is refuted, the
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
@@ -258,13 +259,9 @@ def _search(target, conclusion):
     for lits in disjuncts:
         witness = first_feasible(q_premise, [translate_literal(l) for l in lits])
         if witness is not None:
-            # with model_from_witness's equivalence check, this makes the
-            # structure satisfy target, not merely agree with the witness
-            verify(
-                eval_rcof(translate_formula(target), witness),
-                "the witness does not satisfy the translated target",
-            )
-            return model_from_witness(target, witness)
+            structure, rho, spec = structure_of_witness(target, witness)
+            verify(satisfies(structure, rho, target), "the model does not satisfy the target")
+            return structure, rho, spec
     proof = _assemble_proof(conclusion, disjuncts)
     check_proof(proof)
     return proof
@@ -272,7 +269,7 @@ def _search(target, conclusion):
 
 def check_valid(phi):
     """Valid(proof) or Invalid(countermodel); the countermodel is
-    re-verified to satisfy the negation."""
+    verified to satisfy the negation."""
     found = _search(PNeg(phi), phi)
     return Valid(found) if isinstance(found, Proof) else Invalid(*found)
 

@@ -55,8 +55,9 @@ class GenericModelSpec:
     masses: tuple
 
     def __post_init__(self):
-        if list(self.symbols) != sorted(set(self.symbols)):
-            raise SpecInvalid("symbols must be strictly ascending")
+        for a, b in zip(self.symbols, self.symbols[1:]):
+            if not a < b:
+                raise SpecInvalid(f"symbol {a} named twice" if a == b else "symbols must ascend")
         if len(self.masses) != 1 << len(self.symbols):
             raise SpecInvalid(
                 f"need {1 << len(self.symbols)} masses, got {len(self.masses)}"
@@ -80,7 +81,7 @@ class GenericModelSpec:
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise SpecInvalid(f"bad mass {m!r}") from None
         return GenericModelSpec(
-            tuple(sorted(set(symbols))),
+            tuple(sorted(symbols)),
             frozenset(frozenset(p) for p in nc),
             tuple(fractions),
         )
@@ -153,20 +154,16 @@ def spec_to_json(spec):
     }
 
 
-def model_from_witness(phi, witness):
-    """Turn a feasible witness of the decider's system ``q_decide(phi)``
-    into a generic structure (plus assignment) over all of ``B_phi`` that
-    satisfies phi exactly when the witness satisfies the translation; the
-    equivalence is verified.  The witness carries masses over the symbols
+def structure_of_witness(phi, witness):
+    """The generic structure (plus assignment) over all of ``B_phi`` that a
+    feasible witness of the decider's system ``q_decide(phi)`` describes,
+    built without checks.  The witness carries masses over the symbols
     under ``P`` only: each of their valuations keeps its mass, with every
     other symbol false.
 
     Returns (structure, assignment, spec).
     """
     base = sorted(b_phi(phi))
-    if not constraints_hold(q_decide(phi), witness):
-        raise SpecInvalid("witness does not satisfy the distribution system")
-
     a_p = p_symbols(phi)
     bit = {s: 1 << j for j, s in enumerate(base)}
     masses = [Fraction(0)] * (1 << len(base))
@@ -180,14 +177,20 @@ def model_from_witness(phi, witness):
         if witness.get(PairVar.of(s1, s2), Fraction(0)) > 0:
             nc.append((s1, s2))
     spec = GenericModelSpec.make(base, nc, masses)
-    structure = build_generic(spec)
     rho = Assignment(
         {v.k: val for v, val in witness.items() if isinstance(v, NumericVar)}
     )
-    model_truth = satisfies(structure, rho, phi)
-    witness_truth = eval_rcof(translate_formula(phi), witness)
+    return build_generic(spec), rho, spec
+
+
+def model_from_witness(phi, witness):
+    """``structure_of_witness`` for a witness from outside the decider: its
+    fit to ``q_decide(phi)`` and the satisfaction equivalence are verified."""
+    if not constraints_hold(q_decide(phi), witness):
+        raise SpecInvalid("witness does not satisfy the distribution system")
+    structure, rho, spec = structure_of_witness(phi, witness)
     verify(
-        model_truth == witness_truth,
+        satisfies(structure, rho, phi) == eval_rcof(translate_formula(phi), witness),
         "witness-to-structure map broke the satisfaction equivalence",
     )
     return structure, rho, spec

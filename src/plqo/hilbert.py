@@ -15,6 +15,7 @@ tolerance instead.  Either way projectors are held as sparse Matrix rows.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -389,6 +390,8 @@ def structure_from_json(doc, tol=None):
     """Build a structure from its JSON document.  Floating-point entries
     force tolerance mode (default tolerance if none was given)."""
     expect_type(doc, dict, "a structure document")
+    if tol is not None and not (isinstance(tol, (int, float)) and 0 <= tol < math.inf):
+        raise SpecInvalid(f"tolerance must be a finite number >= 0, not {tol!r}")
     if "generic" in doc:
         from .genmodel import spec_from_json, build_generic
 
@@ -411,7 +414,10 @@ def structure_from_json(doc, tol=None):
             tuple(_parse_entry(x, exact) for x in expect_type(row, list, f"a row of {name}"))
             for row in rows
         )
-        pqvs[symbol_of(name)] = Pqv(matrix, tol)
+        symbol = symbol_of(name)
+        if symbol in pqvs:
+            raise SpecInvalid(f"projector {name} names {symbol} a second time")
+        pqvs[symbol] = Pqv(matrix, tol)
     return QuantumStructure(dim, state, pqvs, tol)
 
 
@@ -434,8 +440,11 @@ def load_assignment(path):
     for key, raw in doc.items():
         if not re.fullmatch(rf"x[0-9]{{1,{MAX_DIGITS}}}", key):
             raise SpecInvalid(f"bad assignment variable {key!r}")
+        k = int(key[1:])
+        if k in numeric:
+            raise SpecInvalid(f"assignment variable {key} names x{k} a second time")
         try:
-            numeric[int(key[1:])] = parse_rational(raw)
+            numeric[k] = parse_rational(raw)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise SpecInvalid(f"bad value of {key}: {raw!r}") from None
     return Assignment(numeric)

@@ -316,7 +316,10 @@ _TERM_RE = re.compile(rf"(?P<sign>[-+])(?P<q>{_RATIONAL})?(?:(?(q)\*)sqrt\((?P<n
 def parse_rational(value):
     """The rational a text of the grammar above names; any other value goes
     to ``Fraction``.  A digit run or an exponent past MAX_DIGITS is a budget
-    error, since a few characters of exponent can name millions of digits."""
+    error, since a few characters of exponent can name millions of digits.
+    A bool (a JSON true/false) is not a number here."""
+    if isinstance(value, bool):
+        raise TypeError(f"not a rational: {value!r}")
     if not isinstance(value, str):
         return Fraction(value)
     m = _RATIONAL_RE.fullmatch(value)

@@ -124,8 +124,13 @@ def test_huge_numeral_is_a_budget_error(capsys):
 
 @pytest.mark.parametrize(
     "symbols, masses",
-    [(["X1"], ["1/2", "1/2"]), (["BB1"], ["1/2", "1/2"]), (["B1"], ["1/2", "x"])],
-    ids=["X1", "BB1", "bad-mass"],
+    [
+        (["X1"], ["1/2", "1/2"]),
+        (["BB1"], ["1/2", "1/2"]),
+        (["B1"], ["1/2", "x"]),
+        (["B2", "B02"], ["1/4", "3/4"]),
+    ],
+    ids=["X1", "BB1", "bad-mass", "B2-B02"],
 )
 def test_genmodel_rejects_malformed_spec(capsys, symbols, masses):
     code, out, err = invoke(capsys, "genmodel", "--symbols", *symbols, "--masses", *masses)
@@ -297,6 +302,66 @@ def test_eval_tol_selects_tolerance_mode(capsys, tmp_path):
         capsys, "eval", "--model", str(model), "--formula", "O(T)", "--tol", "1e-3"
     )
     assert (code, out) == (0, "SATISFIED\n")
+
+
+_NOT_A_PROJECTOR = {
+    "dim": 2,
+    "state": ["1", "0"],
+    "pqvs": {"B1": [["1", "0"], ["0", "0"]], "B2": [[1, 1], [0, 3]]},
+}
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1"])
+@pytest.mark.parametrize("doc", [_NOT_A_PROJECTOR, {"generic": {"symbols": ["B1"], "nc": [],
+                                                                 "masses": ["1/2", "1/2"]}}],
+                         ids=["dense", "generic"])
+def test_eval_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol, doc):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    code, out, err = invoke(
+        capsys, "eval", "--model", str(model), f"--tol={tol}", "--formula", "P(B1) = 5"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error[spec-invalid]: tolerance must be a finite number >= 0")
+    assert err.rstrip().endswith(f"not {float(tol)!r}")
+
+
+def test_eval_tol_zero_is_a_tolerance(capsys, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"dim": 1, "state": [1.0], "pqvs": {}}))
+    code, out, _ = invoke(capsys, "eval", "--model", str(model), "--tol", "0", "--formula", "O(T)")
+    assert (code, out) == (0, "SATISFIED\n")
+    model.write_text(json.dumps(_NOT_A_PROJECTOR))
+    code, _, err = invoke(capsys, "eval", "--model", str(model), "--tol", "1e-3", "--formula", "O(T)")
+    assert code == 2 and err.startswith("error[spec-invalid]:")
+
+
+@pytest.mark.parametrize(
+    "structure, assignment, named",
+    [
+        (dict(_STRUCTURE, pqvs={"B1": [["1", "0"], ["0", "0"]], "B01": [["0", "0"], ["0", "0"]]}),
+         None, "projector B01 names B1 a second time"),
+        (_STRUCTURE, {"x1": "1/2", "x01": "1/3"}, "assignment variable x01 names x1 a second time"),
+        ({"generic": {"symbols": ["B1", "B01"], "nc": [], "masses": ["1/2", "1/2"]}}, None,
+         "symbol B1 named twice"),
+        ({"generic": {"symbols": ["B1"], "nc": [], "masses": [True, False]}}, None,
+         "bad mass True"),
+        (_STRUCTURE, {"x1": True}, "bad value of x1: True"),
+    ],
+    ids=["pqvs-B1-B01", "assign-x1-x01", "generic-B1-B01", "generic-bool-masses", "assign-bool"],
+)
+def test_repeats_and_booleans_in_files_are_spec_invalid(capsys, tmp_path, structure, assignment,
+                                                        named):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(structure))
+    argv = ["eval", "--model", str(model), "--prob", "B1"]
+    if assignment is not None:
+        assign = tmp_path / "a.json"
+        assign.write_text(json.dumps(assignment))
+        argv += ["--assign", str(assign)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error[spec-invalid]: {named}\n"
 
 
 def test_genmodel_eval_roundtrip(capsys, tmp_path):

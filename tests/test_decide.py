@@ -24,7 +24,7 @@ from plqo.decide import (
     conservativeness_check,
     derive_schema,
 )
-from plqo import decide, lra
+from plqo import decide, genmodel, lra
 from plqo.errors import SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import prob, satisfies
@@ -269,6 +269,47 @@ def test_search_verifies_the_model_before_reporting(monkeypatch):
         check_valid(parse_plqo("O(T)"))
 
 
+def test_a_model_is_checked_once_by_satisfaction(monkeypatch):
+    """An Invalid and a Satisfiable verdict build the decider's system once
+    and never translate the target: the structure is checked against the
+    formula itself."""
+    calls = {}
+    for module in (decide, genmodel):
+        for name in ("q_decide", "translate_formula"):
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    for query, kind in [
+        (lambda: check_valid(parse_plqo("O(B1 & B2) -> O(B1 & B2 & B3)")), Invalid),
+        (lambda: check_sat(parse_plqo("P(B1) = x1 & P(B2) > x1 & !O(B1 & B2)")), Satisfiable),
+    ]:
+        calls.clear()
+        assert isinstance(query(), kind)
+        assert calls == {"q_decide": 1}
+
+
+def test_search_rejects_a_structure_without_its_incompatible_pairs(monkeypatch):
+    """The witness is right but the structure built from it lacks the
+    incompatible pair the countermodel needs; satisfaction catches it."""
+
+    def without_nc(phi, witness):
+        _, rho, spec = genmodel.structure_of_witness(phi, witness)
+        spec = GenericModelSpec(spec.symbols, frozenset(), spec.masses)
+        return build_generic(spec), rho, spec
+
+    phi = parse_plqo("(O(B1) & O(B2)) -> O(B1 & B2)")
+    assert check_valid(phi).spec.nc == frozenset({frozenset({PropSymbol(1), PropSymbol(2)})})
+    monkeypatch.setattr(decide, "structure_of_witness", without_nc)
+    with pytest.raises(VerificationFailed):
+        check_valid(phi)
+
+
 # -- proofs and their checker -------------------------------------------------
 
 
@@ -300,17 +341,18 @@ def test_proof_checker_rejects_undeclared_hyp():
 
 
 def test_proof_checker_rejects_tampering_under_optimize():
-    """The three tamper cases above, run by a child interpreter under -O,
-    which strips assert statements."""
+    """The three tamper cases above and the search's model check, run by a
+    child interpreter under -O, which strips assert statements."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     done = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         str(root / "tests" / "test_decide.py"), "-k", "proof_checker_rejects and not optimize"],
+         str(root / "tests" / "test_decide.py"), "-k",
+         "(proof_checker_rejects and not optimize) or search_verifies_the_model_before_reporting"],
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "3 passed" in done.stdout
+    assert "4 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -13,6 +13,7 @@ from plqo.genmodel import (
     model_from_witness,
     spec_from_json,
     spec_to_json,
+    structure_of_witness,
 )
 from plqo.hilbert import compatible, prob, satisfies
 from plqo.parser import parse_plqo
@@ -48,6 +49,22 @@ def test_spec_validation():
         GenericModelSpec.make([B(1)], [[B(1), B(1)]], uniform_masses(1))
     with pytest.raises(SpecInvalid):
         GenericModelSpec.make([B(1)], [[B(1), B(2)]], uniform_masses(1))
+
+
+def test_spec_names_a_repeated_symbol():
+    with pytest.raises(SpecInvalid, match="symbol B2 named twice"):
+        GenericModelSpec.make([B(2), B(2)], [], [Fraction(1, 4), Fraction(3, 4)])
+    doc = {"symbols": ["B1", "B01"], "nc": [], "masses": ["1/2", "1/2"]}
+    with pytest.raises(SpecInvalid, match="symbol B1 named twice"):
+        spec_from_json(doc)
+    assert spec_from_json(dict(doc, symbols=["B01"])).symbols == (B(1),)
+
+
+def test_spec_masses_are_not_booleans():
+    for masses in ([True, False], [False, True], ["1", False]):
+        with pytest.raises(SpecInvalid, match="bad mass"):
+            spec_from_json({"symbols": ["B1"], "nc": [], "masses": masses})
+    assert spec_from_json({"symbols": ["B1"], "nc": [], "masses": [1, 0]}).masses == (1, 0)
 
 
 def test_dimension_law():
@@ -203,6 +220,22 @@ def test_model_from_witness_missing_mass_under_p_with_more_symbols():
     assert spec.symbols == (B(1), B(2), B(3))
     assert spec.masses == (0, 1) + (0,) * 6
     assert spec.nc == frozenset({frozenset({B(2), B(3)})})
+
+
+def test_structure_of_witness_builds_without_checking_the_system():
+    """The decider's own witnesses are already re-verified by the solver, so
+    the builder does not re-check them; the public map still does."""
+    phi = parse_plqo("O(B2 & B3) -> P(B1) = 1/3")
+    w = {ProbVar.of(atom(1)): Fraction(1, 3), ProbVar.of(Neg(atom(1))): Fraction(2, 3)}
+    w[PairVar(2, 3)] = Fraction(1)
+    structure, rho, spec = structure_of_witness(phi, w)
+    checked = model_from_witness(phi, w)
+    assert spec == checked[2] and rho == checked[1]
+    assert structure.dim == checked[0].dim == 10
+    w[PairVar(2, 3)] = Fraction(-1)  # outside the system, which bounds pairs below by 0
+    assert structure_of_witness(phi, w)[2].nc == frozenset()
+    with pytest.raises(SpecInvalid, match="distribution system"):
+        model_from_witness(phi, w)
 
 
 def test_witness_model_equivalence_corpus():

@@ -210,6 +210,10 @@ def test_parse_rational_keeps_the_fraction_grammar():
     assert parse_rational("1e1000") == 10**1000
     with pytest.raises(ValueError):
         parse_rational("e5")
+    # JSON true/false are not numbers, though Fraction(True) == 1
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            parse_rational(flag)
 
 
 @pytest.mark.parametrize(
