@@ -9,6 +9,7 @@ Errors go to standard error with a machine-parsable ``error[CODE]:`` prefix.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -160,7 +161,10 @@ def _cmd_prove(args):
     return EXIT_TRUE
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and each ``append`` option copies its default."""
     top = argparse.ArgumentParser(
         prog="plqo",
         description="Decide validity/satisfiability of observation-logic "

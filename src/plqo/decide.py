@@ -1,23 +1,30 @@
 """The top-level decision procedure.
 
 Validity of a formula is decided by negating it, taking the disjunctive
-normal form over its atoms, and checking every disjunct against the
-distribution system: a disjunct is refutable when every case-split branch
-of its literal translations is infeasible together with the system.  The
-system solved is ``translate.q_decide``, over the symbols under ``P``; it
-is equisatisfiable with the paper's ``Q`` over all of ``B_phi``, which the
-proof text still names as ``Q[base;delta]``.  If
-all disjuncts are refutable the formula is valid and a proof object is
+normal form over its atoms, and refuting every disjunct: a disjunct is
+the RCOF sentence deriving the complement of its last literal from the
+others, and it is refuted when every case-split branch of its literal
+translations is infeasible together with the sentence's own distribution
+system.  That system is ``translate.DecideSystem``, over the symbols
+under ``P``; it is equisatisfiable with the paper's ``Q`` over all of
+``B_phi``, which the proof text still names as ``Q[base;delta]``.  Each
+infeasible branch leaves a Farkas certificate in the sentence.  If all
+disjuncts are refuted the formula is valid and a proof object is
 assembled (one RCOF/RR line pair per disjunct, a tautological glue line,
 and modus ponens steps); otherwise the first feasible branch's witness is
 turned into a verified finite quantum countermodel.  Satisfiability runs
 the same search on the formula itself: a feasible branch is a model, and
 refuting every disjunct proves the negation.
+
+The proof checker never runs the solver: it rebuilds the rows each
+certificate cites and checks one exact linear combination of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import product
 
 from .errors import SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
@@ -37,8 +44,8 @@ from .syntax import (
     prob_ge,
     prob_formulas_of,
 )
-from .translate import b_phi, q_decide, translate_literal
-from .lra import first_feasible
+from .translate import DecideSystem, b_phi, mass_var, q_decide, translate_literal, valuation_sets
+from . import lra
 from .genmodel import structure_of_witness
 from .hilbert import satisfies
 
@@ -51,10 +58,18 @@ class RcofSentence:
     """The universally closed implication justifying one RR line: the
     distribution system of the derived implication, joined with the
     premise literals' translations, entails the conclusion literal's
-    translation."""
+    translation.
+
+    ``certificates`` holds one Farkas certificate per case-split branch of
+    :meth:`literals`, in ``product`` order: the (row name, multiplier)
+    pairs that refute the branch.  A row name is one of
+    :class:`translate.DecideSystem`'s, or ``("literal", k, i)`` for
+    constraint i of the k-th literal's disjunct in the branch.
+    Certificates are not printed."""
 
     premise_literals: tuple
     conclusion: PlqoLiteral
+    certificates: tuple = ()
 
     def formula(self):
         """The derived implication itself."""
@@ -63,6 +78,11 @@ class RcofSentence:
             return concl
         return PImpl(pconj_all([l.formula() for l in self.premise_literals]), concl)
 
+    def literals(self):
+        """The literals refuted together: the premises and the
+        conclusion's complement."""
+        return self.premise_literals + (self.conclusion.complement(),)
+
     def base(self):
         return sorted(b_phi(self.formula()))
 
@@ -70,17 +90,10 @@ class RcofSentence:
         return prob_formulas_of(self.formula())
 
     def q_premise(self):
-        """The system the side condition is checked against: the
+        """The rows the certificates cite besides the literals': the
         decider's system for the derived implication, equisatisfiable with
         the ``Q[base;delta]`` it is printed as."""
         return q_decide(self.formula())
-
-    def holds(self):
-        """Verified by refuting every branch: the premise system plus the
-        premise literals plus the conclusion's complement is infeasible
-        under every case split."""
-        literals = list(self.premise_literals) + [self.conclusion.complement()]
-        return first_feasible(self.q_premise(), [translate_literal(l) for l in literals]) is None
 
     def __str__(self):
         q = "Q[" + ",".join(str(s) for s in self.base()) + ";" + ",".join(
@@ -89,6 +102,79 @@ class RcofSentence:
         parts = [q] + [f"({l.formula()})^R" for l in self.premise_literals]
         concl = f"({self.conclusion.formula()})^R"
         return f"forall (({' & '.join(parts)}) -> {concl})"
+
+
+def _branches(sent):
+    """The case-split branches of the sentence's literal translations, in
+    ``product`` order: one disjunct of each literal."""
+    return product(*[translate_literal(l) for l in sent.literals()])
+
+
+def _literal_rows(branch):
+    return [(("literal", k, i), c) for k, part in enumerate(branch) for i, c in enumerate(part)]
+
+
+def _refute(sent):
+    """Case-split ``sent``'s literals against its system.  Returns
+    ``sent`` carrying one certificate per branch when every branch is
+    infeasible, else the first feasible branch's witness with the
+    system it satisfies."""
+    system = DecideSystem(sent.formula())
+    premise = system.rows()
+    certificates = []
+    for branch in _branches(sent):
+        rows = premise + _literal_rows(branch)
+        result = lra.feasible([c for _, c in rows])
+        if result:
+            return result.witness, system
+        certificates.append(tuple((rows[i][0], m) for i, m in result.multipliers))
+    return replace(sent, certificates=tuple(certificates))
+
+
+def check_refutation(cited):
+    """Verify a Farkas refutation given as (constraint, multiplier) pairs:
+    each inequality's multiplier is nonnegative, every variable cancels
+    in the sum of the scaled constraints, and that sum reads ``0 <= c``
+    with c < 0, or ``0 < c`` with c <= 0 when a strict constraint has a
+    positive multiplier.  Raises VerificationFailed otherwise."""
+    total = {}
+    rhs = Fraction(0)
+    strict = False
+    for c, m in cited:
+        if c.rel != "=":
+            if m < 0:
+                raise VerificationFailed(f"negative multiplier {m} on inequality {c}")
+            strict = strict or (c.rel == "<" and m > 0)
+        for v, a in c.terms:
+            total[v] = total.get(v, 0) + m * a
+        rhs += m * c.rhs
+    verify(not any(total.values()), "the certificate's variables do not cancel")
+    verify(
+        rhs < 0 or (strict and rhs == 0),
+        f"the certificate sums to 0 {'<' if strict else '<='} {rhs}, no contradiction",
+    )
+    return True
+
+
+def _check_certificates(sent):
+    """Each case-split branch of ``sent`` refuted by its own certificate,
+    over rows rebuilt here from their names."""
+    system = DecideSystem(sent.formula())
+    branches = list(_branches(sent))
+    verify(
+        len(sent.certificates) == len(branches),
+        f"{len(sent.certificates)} certificates for {len(branches)} branches",
+    )
+    for branch, certificate in zip(branches, sent.certificates):
+        cited = []
+        for name, m in certificate:
+            if name[0] != "literal":
+                cited.append((system.row(name), m))
+            elif 0 <= name[1] < len(branch) and 0 <= name[2] < len(branch[name[1]]):
+                cited.append((branch[name[1]][name[2]], m))
+            else:
+                raise VerificationFailed(f"no row of the branch is named {name}")
+        check_refutation(cited)
 
 
 # -- proof objects -----------------------------------------------------------
@@ -161,14 +247,17 @@ def is_tautological_formula(f):
 
 def check_proof(proof):
     """Independent checker: TT lines by truth table over atom letters, MP
-    by shape, RR by re-running the side condition's feasibility checks,
-    HYP against the declared hypotheses.  Raises VerificationFailed (an
-    AssertionError) on any bad line."""
+    by shape, RCOF lines by their certificates, RR against the sentence
+    it cites, HYP against the declared hypotheses.  It runs no solver.
+    Raises VerificationFailed (an AssertionError) on any bad line."""
     derived = {}
     for line in proof.lines:
         if line.kind == "RCOF":
             verify(isinstance(line.content, RcofSentence), "RCOF line is not a sentence")
-            verify(line.content.holds(), f"side condition fails on line {line.number}")
+            try:
+                _check_certificates(line.content)
+            except VerificationFailed as e:
+                raise VerificationFailed(f"side condition fails on line {line.number}: {e}") from None
         elif line.kind == "HYP":
             verify(line.content in proof.hypotheses, "undeclared hypothesis")
         elif line.kind == "TT":
@@ -191,14 +280,13 @@ def check_proof(proof):
     return True
 
 
-def _assemble_proof(phi, disjuncts):
-    """The completeness-recipe proof of phi, given the refuted disjuncts
-    of its negation."""
+def _assemble_proof(phi, sentences):
+    """The completeness-recipe proof of phi, given the sentences that
+    refute the disjuncts of its negation."""
     lines = []
     c_lines = []
     n = 1
-    for lits in disjuncts:
-        sent = RcofSentence(tuple(lits[:-1]), lits[-1].complement())
+    for sent in sentences:
         lines.append(ProofLine(n, sent, "RCOF"))
         c_formula = sent.formula()
         lines.append(ProofLine(n + 1, c_formula, "RR", (n,)))
@@ -246,23 +334,39 @@ class Unsatisfiable:
     proof: Proof
 
 
+def _lift(witness, system, a_p):
+    """``witness`` of ``system`` with masses over the valuations of
+    ``a_p``, a superset of the system's symbols under ``P``: each of the
+    system's valuations keeps its mass, with every other symbol false,
+    and the other valuations have none."""
+    if system.a_p == a_p:
+        return witness
+    lifted = dict(witness)
+    for u in valuation_sets(a_p):
+        var = system.masses.get(u)
+        lifted[mass_var(a_p, u)] = Fraction(0) if var is None else witness[var]
+    return lifted
+
+
 def _search(target, conclusion):
     """Refute or satisfy ``target`` by one search: each DNF disjunct of
-    ``target`` is case-split against the target's distribution system
-    over the symbols under ``P``.
+    ``target`` is case-split against its own sentence's distribution
+    system over the symbols under ``P``.
     The first feasible branch gives a model checked to satisfy ``target``, as
     ``(structure, assignment, spec)``; when every disjunct is refuted, the
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
     disjuncts = nnf_dnf_literals(target)
-    q_premise = q_decide(target)
+    a_p = DecideSystem(target).a_p  # checks the symbol budget on B_phi(target)
+    sentences = []
     for lits in disjuncts:
-        witness = first_feasible(q_premise, [translate_literal(l) for l in lits])
-        if witness is not None:
-            structure, rho, spec = structure_of_witness(target, witness)
+        found = _refute(RcofSentence(tuple(lits[:-1]), lits[-1].complement()))
+        if not isinstance(found, RcofSentence):
+            structure, rho, spec = structure_of_witness(target, _lift(*found, a_p))
             verify(satisfies(structure, rho, target), "the model does not satisfy the target")
             return structure, rho, spec
-    proof = _assemble_proof(conclusion, disjuncts)
+        sentences.append(found)
+    proof = _assemble_proof(conclusion, sentences)
     check_proof(proof)
     return proof
 
@@ -308,6 +412,14 @@ def derive_schema(name, *args):
     raise SchemaPreconditionFailed(f"unknown schema {name!r}")
 
 
+def _refuted(premise_literals, conclusion):
+    """The sentence deriving ``conclusion`` from ``premise_literals``,
+    carrying its certificates; its side condition must hold."""
+    found = _refute(RcofSentence(premise_literals, conclusion))
+    verify(isinstance(found, RcofSentence), "the schema's side condition fails")
+    return found
+
+
 def _schema_obs_equiv(alpha1, alpha2):
     """Seven-line derivation of (O alpha1) <-> (O alpha2) for classically
     equivalent alpha1, alpha2."""
@@ -316,7 +428,7 @@ def _schema_obs_equiv(alpha1, alpha2):
     o1 = PlqoLiteral(True, ObsAtom(alpha1))
     o2 = PlqoLiteral(True, ObsAtom(alpha2))
     equiv = piff(o1.atom, o2.atom)
-    proof = _assemble_proof(equiv, [[o1, o2.complement()], [o2, o1.complement()]])
+    proof = _assemble_proof(equiv, [_refuted((o1,), o2), _refuted((o2,), o1)])
     check_proof(proof)
     return proof
 
@@ -327,7 +439,7 @@ def _schema_prob_nonneg():
     alpha = prop_conj(prop_atom(1), prop_atom(2))
     hyp = ObsAtom(alpha)
     concl_lit = PlqoLiteral(False, ProbAtom(alpha, "<", ZERO))
-    sent = RcofSentence((PlqoLiteral(True, hyp),), concl_lit)
+    sent = _refuted((PlqoLiteral(True, hyp),), concl_lit)
     impl = sent.formula()
     verify(impl.right == prob_ge(alpha, ZERO), "fig2 conclusion is not P(B1 & B2) >= 0")
     proof = Proof(
@@ -347,7 +459,7 @@ def _schema_obs_verum():
     """Two-line derivation of O(T): the side condition's premise system
     over the empty base reduces to x_T = 1."""
     lit = PlqoLiteral(True, ObsAtom(prop.VERUM))
-    sent = RcofSentence((), lit)
+    sent = _refuted((), lit)
     proof = Proof(
         (
             ProofLine(1, sent, "RCOF"),

@@ -10,7 +10,10 @@ every other constraint is a slack row; columns are numbered by how many
 constraints they occur in, fewest first, and the basics left to re-test
 after a pivot wait in a heap.  A feasible delta-solution is turned into
 a purely rational witness by substituting a concrete delta small enough
-for every constraint.
+for every constraint.  An infeasible system comes with a Farkas
+certificate over its input constraints: the conflict explanation of the
+same paper, each bound the conflict uses traced back to the constraint
+that gave it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import product
 
 from .errors import verify
 from .translate import constraints_hold, negate_constraint
@@ -54,11 +56,16 @@ class Feasible:
 
 @dataclass(frozen=True)
 class Infeasible:
+    """multipliers: (index, multiplier) pairs over the input constraints,
+    ascending by index, that refute them.  Each multiplier of an inequality
+    is positive; in the combination of the constraints, scaled by their
+    multipliers, every variable cancels, leaving ``0 <= c`` with c < 0, or
+    ``0 < c`` with c <= 0 when a strict constraint takes part."""
+
+    multipliers: tuple
+
     def __bool__(self):
         return False
-
-
-INFEASIBLE = Infeasible()
 
 
 class _Tableau:
@@ -72,7 +79,9 @@ class _Tableau:
     instead of filling every row that holds a mass.  A one-term constraint
     is no row but a bound on its column, the tightest one kept; bounds that
     cross make the system infeasible before any pivot.  A nonbasic column
-    sits at its lower bound, else its upper bound, else 0.
+    sits at its lower bound, else its upper bound, else 0.  Each bound
+    keeps its source: the index of the constraint that gave it and that
+    constraint's coefficient on the column (1 for a slack).
 
     The basics that may lie outside their bounds wait in a min-heap: at
     first every basic, then after each pivot the rewritten rows and the
@@ -91,16 +100,22 @@ class _Tableau:
         self.n_orig = len(self.columns)
         self.lower = [None] * self.n_orig
         self.upper = [None] * self.n_orig
+        self.lower_src = [None] * self.n_orig
+        self.upper_src = [None] * self.n_orig
         rows = []
-        for c in constraints:
+        for i, c in enumerate(constraints):
             if len(c.terms) == 1:
                 ((v, k),) = c.terms
-                self._bound(self.var_index[v], k, c.rel, c.rhs)
+                self._bound(self.var_index[v], k, c, i)
             else:
-                rows.append(c)
-        self.crossed = any(
-            lo is not None and up is not None and lo > up
-            for lo, up in zip(self.lower, self.upper)
+                rows.append((i, c))
+        self.crossed = next(
+            (
+                j
+                for j, (lo, up) in enumerate(zip(self.lower, self.upper))
+                if lo is not None and up is not None and lo > up
+            ),
+            None,
         )
         self.beta = [
             lo if lo is not None else up if up is not None else _ZERO
@@ -109,30 +124,33 @@ class _Tableau:
         nonzero = {j: b for j, b in enumerate(self.beta) if b != _ZERO}
         # rows[basic] = {nonbasic: coeff}; initially slack s = sum of terms
         self.rows = {}
-        for c in rows:
+        for i, c in rows:
             s = len(self.beta)
             row = {self.var_index[v]: k for v, k in c.terms}
             self.rows[s] = row
             self.beta.append(
                 sum((nonzero[j].scale(k) for j, k in row.items() if j in nonzero), _ZERO)
             )
-            self.lower.append(None)
-            self.upper.append(None)
-            self._bound(s, Fraction(1), c.rel, c.rhs)
+            for side in (self.lower, self.upper, self.lower_src, self.upper_src):
+                side.append(None)
+            self._bound(s, Fraction(1), c, i)
         self.queue = list(self.rows)  # ascending, so already a heap
         self.queued = set(self.queue)
 
-    def _bound(self, j, k, rel, rhs):
-        """Tighten column j's bounds by k * x_j REL rhs; a strict bound is
-        one delta inside, on the side the sign of k says."""
-        inf = Fraction(-1 if k > 0 else 1) if rel == "<" else Fraction(0)
-        bound = DeltaRational(rhs / k, inf)
-        if rel == "=" or k > 0:
+    def _bound(self, j, k, c, i):
+        """Tighten column j's bounds by constraint i, ``c``, which reads
+        k * x_j REL rhs; a strict bound is one delta inside, on the side
+        the sign of k says."""
+        inf = Fraction(-1 if k > 0 else 1) if c.rel == "<" else Fraction(0)
+        bound = DeltaRational(c.rhs / k, inf)
+        if c.rel == "=" or k > 0:
             if self.upper[j] is None or bound < self.upper[j]:
                 self.upper[j] = bound
-        if rel == "=" or k < 0:
+                self.upper_src[j] = (i, k)
+        if c.rel == "=" or k < 0:
             if self.lower[j] is None or bound > self.lower[j]:
                 self.lower[j] = bound
+                self.lower_src[j] = (i, k)
 
     def _out_of_bounds(self):
         while self.queue:
@@ -176,18 +194,36 @@ class _Tableau:
                         del rk[j]
         self.rows[xj] = new_row
 
+    def _explain(self, combination):
+        """Farkas multipliers, by constraint index, for a combination
+        {column: g} of the columns that is identically zero: column v
+        contributes its upper bound scaled by g when g > 0, else its lower
+        bound scaled by -g.  A bound from constraint i with coefficient k
+        is that constraint scaled by 1/k, or by -1/k for a lower bound."""
+        multipliers = {}
+        for v, g in combination:
+            i, k = (self.upper_src if g > 0 else self.lower_src)[v]
+            multipliers[i] = multipliers.get(i, Fraction(0)) + g / k
+        return multipliers
+
     def check(self):
-        if self.crossed:
-            return False
+        """None when the bounds can all be met, else Farkas multipliers
+        over the constraints: for crossed bounds, x_j - x_j; for a violated
+        basic with no suitable column, its row x_i - sum a_ij x_j, signed
+        toward the violated bound, every other column at the bound that
+        blocks it."""
+        if self.crossed is not None:
+            return self._explain([(self.crossed, 1), (self.crossed, -1)])
         while True:
             violation = self._out_of_bounds()
             if violation is None:
-                return True
+                return None
             xi, direction = violation
             row = self.rows[xi]
             xj = self._suitable(row, direction)
             if xj is None:
-                return False
+                sign = 1 if direction == "high" else -1
+                return self._explain([(xi, sign)] + [(j, -sign * a) for j, a in row.items()])
             target = self.lower[xi] if direction == "low" else self.upper[xi]
             moved = [xk for xk, rk in self.rows.items() if xj in rk and xk != xi]
             self._pivot_and_update(xi, xj, target)
@@ -227,30 +263,21 @@ def _concretize(delta_values, constraints):
 
 def feasible(constraints):
     """Decide feasibility of a constraint conjunction; Feasible results
-    carry a rational witness, re-verified by exact substitution."""
+    carry a rational witness, re-verified by exact substitution, and
+    Infeasible ones a Farkas certificate."""
     constraints = list(constraints)
-    for c in constraints:
+    for i, c in enumerate(constraints):
         if not c.terms and not c.holds({}):
-            return INFEASIBLE
-    constraints = [c for c in constraints if c.terms]
-    tableau = _Tableau(constraints)
-    if not tableau.check():
-        return INFEASIBLE
-    witness = _concretize(tableau.values(), constraints)
-    verify(constraints_hold(constraints, witness), "witness failed re-verification")
+            return Infeasible(((i, Fraction(-1 if c.rel == "=" and c.rhs > 0 else 1)),))
+    kept = [i for i, c in enumerate(constraints) if c.terms]
+    rows = [constraints[i] for i in kept]
+    tableau = _Tableau(rows)
+    conflict = tableau.check()
+    if conflict is not None:
+        return Infeasible(tuple(sorted((kept[i], m) for i, m in conflict.items())))
+    witness = _concretize(tableau.values(), rows)
+    verify(constraints_hold(rows, witness), "witness failed re-verification")
     return Feasible(witness)
-
-
-def first_feasible(premise, pools):
-    """Case split: the witness of the first feasible conjunction of
-    ``premise`` with one conjunction from each pool, in ``product``
-    order, or None when every branch is infeasible."""
-    premise = list(premise)
-    for branch in product(*pools):
-        result = feasible(premise + [c for part in branch for c in part])
-        if result:
-            return result.witness
-    return None
 
 
 def check_implication(premise, conclusion):
@@ -258,5 +285,5 @@ def check_implication(premise, conclusion):
     holds over the reals, for constraint conjunctions: true iff the
     premise joined with each disjunct of the conclusion's negation is
     infeasible."""
-    negation = [d for c in conclusion for d in negate_constraint(c)]
-    return first_feasible(premise, [negation]) is None
+    premise = list(premise)
+    return not any(feasible(premise + d) for c in conclusion for d in negate_constraint(c))

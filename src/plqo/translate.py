@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, UnsupportedNonlinear
+from .errors import BudgetExceeded, UnsupportedNonlinear, VerificationFailed
 from . import prop
 from .prop import canonical_text, phi_A_U
 from . import syntax as sx
@@ -332,20 +332,74 @@ def p_symbols(f):
     return sorted(frozenset().union(*(a.symbols() for a in sx.prob_formulas_of(f))))
 
 
+class DecideSystem:
+    """The system the decider solves for a formula ``f``: one mass in
+    [0,1] per valuation of ``A_P`` (see :func:`p_symbols`), the masses
+    summing to one, every pair variable over ``B_phi`` nonnegative, and
+    each formula variable equal to the sum of the masses whose valuation
+    satisfies it.  Its size is linear in 2^|A_P| and quadratic in
+    |B_phi|; the budget stays on |B_phi|, the symbols a countermodel is
+    built over.
+
+    Each row has a name, which a refutation certificate cites and
+    :meth:`row` rebuilds alone:
+
+    - ``("mass>=0", u)`` and ``("mass<=1", u)``: the bounds on the mass of
+      the valuation of ``A_P`` that makes exactly the set ``u`` true;
+    - ``("sum",)``: the masses summing to one;
+    - ``("pair", s1, s2)``: the pair variable of symbols s1 < s2 of
+      ``B_phi`` nonnegative;
+    - ``("formula", k)``: the row of the k-th formula of ``delta``, the
+      classical formulas under ``P`` in first-occurrence order.
+    """
+
+    def __init__(self, f):
+        # b_phi, prob_formulas_of and p_symbols from one walk of f
+        atoms = sx.atoms_of(f)
+        self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
+        _check_budget(self.base)
+        self.delta = list(dict.fromkeys(a.alpha for a in atoms if isinstance(a, ProbAtom)))
+        self.a_p = sorted(frozenset().union(*(alpha.symbols() for alpha in self.delta)))
+        self._masses = None
+
+    @property
+    def masses(self):
+        """Each valuation of ``A_P``, as the set it makes true, to its mass."""
+        if self._masses is None:
+            self._masses = {u: mass_var(self.a_p, u) for u in valuation_sets(self.a_p)}
+        return self._masses
+
+    def row(self, name):
+        """The row called ``name``; VerificationFailed when no row of this
+        system has that name."""
+        kind = name[0]
+        if kind == "pair" and name[1] < name[2] and name[1] in self.base and name[2] in self.base:
+            return constraint({PairVar.of(name[1], name[2]): 1}, ">=", 0)
+        if kind == "formula" and 0 <= name[1] < len(self.delta):
+            return _formula_row(self.delta[name[1]], self.masses)
+        if kind == "sum":
+            return constraint({m: 1 for m in self.masses.values()}, "=", 1)
+        if kind in ("mass>=0", "mass<=1") and name[1] in self.masses:
+            m = self.masses[name[1]]
+            return constraint({m: 1}, ">=", 0) if kind == "mass>=0" else constraint({m: 1}, "<=", 1)
+        raise VerificationFailed(f"no row of the system is named {name}")
+
+    def rows(self):
+        """(name, row) for every row, in order, without trivial identities;
+        a row that repeats an earlier one keeps the earlier name only."""
+        names = [(kind, u) for u in self.masses for kind in ("mass>=0", "mass<=1")]
+        names.append(("sum",))
+        names += [("pair", s1, s2) for s1, s2 in combinations(self.base, 2)]
+        names += [("formula", k) for k in range(len(self.delta))]
+        kept = {}
+        for name in names:
+            kept.setdefault(self.row(name), name)
+        return [(name, c) for c, name in kept.items() if c.terms or not c.holds({})]
+
+
 def q_decide(f):
-    """The system the decider solves for ``f``: one mass in [0,1] per
-    valuation of ``A_P`` (see :func:`p_symbols`), the masses summing to
-    one, every pair variable over ``B_phi`` nonnegative, and each formula
-    variable equal to the sum of the masses whose valuation satisfies it.
-    Its size is linear in 2^|A_P| and quadratic in |B_phi|; the budget
-    stays on |B_phi|, the symbols a countermodel is built over."""
-    base = sorted(b_phi(f))
-    _check_budget(base)
-    a_p = p_symbols(f)
-    masses = {u: mass_var(a_p, u) for u in valuation_sets(a_p)}
-    out = _mass_rows(list(masses.values())) + _pair_rows(base)
-    out += [_formula_row(alpha, masses) for alpha in sx.prob_formulas_of(f)]
-    return _dedupe(out)
+    """The rows of :class:`DecideSystem` for ``f``."""
+    return [c for _, c in DecideSystem(f).rows()]
 
 
 def _comparison_constraint(alpha, cmp, term):

@@ -29,6 +29,11 @@ two_pass_pivot is the simplex pivot as first written, one pass over the
 rows to move the basic values and a second to substitute the entering
 column, where plqo.lra._Tableau does both in one pass.
 
+rcof_holds_by_solving is the RCOF side-condition check as first written:
+it solves every case-split branch of the sentence again, where
+plqo.decide.check_proof checks the certificates the search left in the
+sentence and runs no solver.
+
 per_pair_translate_literal is the literal translation as first written,
 one disjunct per essential pair of a negative literal, where
 plqo.translate asserts the sum of the pair variables positive.
@@ -59,7 +64,7 @@ from math import gcd, isqrt
 
 from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import build_generic
-from plqo.lra import INFEASIBLE, DeltaRational, Feasible, _concretize
+from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.prop import (
     MAX_VALUATION_SYMBOLS, AnfPoly, all_valuations, essential_symbols, eval_formula
 )
@@ -68,7 +73,13 @@ from plqo.syntax import (
     Add, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
 )
 from plqo.translate import (
-    PairVar, _comparison_constraint, constraint, negate_constraint, translate_atom
+    PairVar,
+    _comparison_constraint,
+    constraint,
+    negate_constraint,
+    q_decide,
+    translate_atom,
+    translate_literal,
 )
 
 
@@ -161,6 +172,9 @@ class SlackRowTableau:
         return {v: self.beta[j] for v, j in self.var_index.items()}
 
 
+INFEASIBLE = Infeasible(())  # the references decide, and certify nothing
+
+
 def slack_row_feasible(constraints):
     """plqo.lra.feasible on SlackRowTableau: Feasible with a rational
     witness, or INFEASIBLE."""
@@ -196,6 +210,16 @@ def two_pass_pivot(tableau, xi, xj, target):
                 rk[j] = rk.get(j, Fraction(0)) + c * a
                 if rk[j] == 0:
                     del rk[j]
+
+
+def rcof_holds_by_solving(sent):
+    """Whether every case-split branch of the sentence's literals is
+    infeasible together with the decider's system for its formula."""
+    premise = q_decide(sent.formula())
+    pools = [translate_literal(l) for l in sent.literals()]
+    return not any(
+        feasible(premise + [c for part in branch for c in part]) for branch in product(*pools)
+    )
 
 
 def per_pair_translate_literal(lit):

@@ -83,6 +83,27 @@ def test_entail(capsys):
     assert code == 1 and out.startswith("NOT ENTAILED")
 
 
+def test_one_parser_serves_every_run(capsys):
+    """The parser is built once per process; runs through it print and
+    exit as through a fresh one.  The second entailment holds only if the
+    first one's premise leaks into its --premise list."""
+    argvs = [
+        ["entail", "--premise", "P(B1) = 0", "--conclusion", "P(B1) < 1"],
+        ["entail", "--premise", "P(B2) = 1", "--premise", "O(B1 & B2)", "--conclusion", "P(B1) < 1"],
+        ["entail", "--conclusion", "P(B1) < 1"],
+        ["check", "--json", "O(T)"],
+        ["sat", "P(B1) = 1/2 & !O(B1 & B2)"],
+    ]
+    shared = [invoke(capsys, *argv) for argv in argvs]
+    assert plqo.cli.build_parser() is plqo.cli.build_parser()
+    fresh = []
+    for argv in argvs:
+        plqo.cli.build_parser.cache_clear()
+        fresh.append(invoke(capsys, *argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 1, 0, 0]
+
+
 def test_at_file_formula(capsys, tmp_path):
     f = tmp_path / "phi.txt"
     f.write_text("O(T)\n")

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -14,6 +15,7 @@ from plqo.decide import (
     Invalid,
     Proof,
     ProofLine,
+    RcofSentence,
     Satisfiable,
     Unsatisfiable,
     Valid,
@@ -40,13 +42,17 @@ from plqo.syntax import (
     PNeg,
     ProbAtom,
     fraction,
+    nnf_dnf_literals,
     pdisj,
     prob_gt,
     prob_le,
 )
+from plqo.translate import DecideSystem
 
-from formgen import gen_classical, gen_plqo
-from oracles import as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal
+from formgen import chain, gen_classical, gen_plqo, obs_ladder, prob_ladder
+from oracles import (
+    as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal, rcof_holds_by_solving
+)
 
 
 def justifications(proof):
@@ -138,7 +144,8 @@ def test_valid_iff_negation_unsat():
 
 def test_unsat_runs_the_search_once(monkeypatch):
     """check_sat's Unsatisfiable proof comes from its own search, not
-    from a second search through check_valid."""
+    from a second search through check_valid, and checking the proof
+    runs no solver."""
     calls = []
     real = lra.feasible
 
@@ -152,7 +159,7 @@ def test_unsat_runs_the_search_once(monkeypatch):
     sat_calls = len(calls)
     calls.clear()
     assert isinstance(check_valid(PNeg(psi)), Valid)
-    assert (sat_calls, len(calls)) == (2, 2)
+    assert (sat_calls, len(calls)) == (1, 1)
 
 
 def test_numerals_cost_their_digits():
@@ -274,24 +281,27 @@ def test_a_model_is_checked_once_by_satisfaction(monkeypatch):
     and never translate the target: the structure is checked against the
     formula itself."""
     calls = {}
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(DecideSystem, "rows")
     for module in (decide, genmodel):
-        for name in ("q_decide", "translate_formula"):
-            original = getattr(module, name, None)
-            if original is None:
-                continue
-
-            def counted(*args, _name=name, _original=original):
-                calls[_name] = calls.get(_name, 0) + 1
-                return _original(*args)
-
-            monkeypatch.setattr(module, name, counted)
+        if hasattr(module, "translate_formula"):
+            count(module, "translate_formula")
     for query, kind in [
         (lambda: check_valid(parse_plqo("O(B1 & B2) -> O(B1 & B2 & B3)")), Invalid),
         (lambda: check_sat(parse_plqo("P(B1) = x1 & P(B2) > x1 & !O(B1 & B2)")), Satisfiable),
     ]:
         calls.clear()
         assert isinstance(query(), kind)
-        assert calls == {"q_decide": 1}
+        assert calls == {"rows": 1}
 
 
 def test_search_rejects_a_structure_without_its_incompatible_pairs(monkeypatch):
@@ -340,8 +350,136 @@ def test_proof_checker_rejects_undeclared_hyp():
         check_proof(Proof((line,)))
 
 
+def _sentence_line(proof):
+    """The index of the proof's first RCOF line and its sentence."""
+    i = next(i for i, line in enumerate(proof.lines) if line.kind == "RCOF")
+    return i, proof.lines[i].content
+
+
+def _with_certificates(proof, edit):
+    """The proof with its first sentence's certificates replaced by
+    ``edit(certificates)``."""
+    i, sent = _sentence_line(proof)
+    line = proof.lines[i]
+    sent = replace(sent, certificates=edit(sent.certificates))
+    tampered = ProofLine(line.number, sent, line.kind, line.refs)
+    return Proof(proof.lines[:i] + (tampered,) + proof.lines[i + 1:], proof.hypotheses)
+
+
+def _ladder_proof():
+    """prob-n3's proof; its one certificate cites a mass bound, a formula
+    row and two literal rows."""
+    proof = check_valid(prob_ladder(3)).proof
+    _, sent = _sentence_line(proof)
+    (certificate,) = sent.certificates
+    kinds = sorted(name[0] for name, _ in certificate)
+    assert kinds == ["formula", "literal", "literal", "mass>=0"]
+    return proof
+
+
+def _edit_entry(kind, change):
+    """Apply ``change`` to the (name, multiplier) entry of the first
+    certificate that cites a row of this kind."""
+
+    def edit(certificates):
+        first = list(certificates[0])
+        j = next(j for j, (name, _) in enumerate(first) if name[0] == kind)
+        first[j:j + 1] = change(first[j])
+        return (tuple(first),) + certificates[1:]
+
+    return edit
+
+
+def test_proof_checker_rejects_a_flipped_multiplier_sign():
+    proof = _ladder_proof()
+    check_proof(proof)
+    with pytest.raises(VerificationFailed):
+        check_proof(_with_certificates(proof, _edit_entry("mass>=0", lambda e: [(e[0], -e[1])])))
+
+
+def test_proof_checker_rejects_a_dropped_row():
+    proof = _ladder_proof()
+    with pytest.raises(VerificationFailed):
+        check_proof(_with_certificates(proof, _edit_entry("literal", lambda e: [])))
+
+
+def test_proof_checker_rejects_a_scaled_equality():
+    """The formula row's multiplier doubled: its terms no longer cancel."""
+    proof = _ladder_proof()
+    with pytest.raises(VerificationFailed):
+        check_proof(_with_certificates(proof, _edit_entry("formula", lambda e: [(e[0], 2 * e[1])])))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        ("pair", PropSymbol(1), PropSymbol(4)),
+        ("pair", PropSymbol(2), PropSymbol(1)),
+        ("formula", 2),
+        ("mass>=0", frozenset({PropSymbol(2)})),
+        ("literal", 3, 0),
+        ("literal", 2, 1),
+    ],
+    ids=["pair-outside-base", "pair-descending", "k-past-delta", "u-outside-a_p",
+         "literal-past-branch", "row-past-disjunct"],
+)
+def test_proof_checker_rejects_a_row_outside_the_system(name):
+    """A foreign row cited with multiplier zero leaves the combination as
+    it was: only the name check can reject it."""
+    proof = _ladder_proof()
+    _, sent = _sentence_line(proof)
+    assert len(sent.delta()) == 2 and sent.base() == [PropSymbol(i) for i in (1, 2, 3)]
+    with pytest.raises(VerificationFailed):
+        check_proof(_with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),)))
+
+
+@pytest.mark.parametrize(
+    "edit", [lambda cs: cs[:-1], lambda cs: cs + cs[-1:]], ids=["missing", "extra"]
+)
+def test_proof_checker_rejects_a_missing_or_extra_certificate(edit):
+    proof = check_valid(chain(3, True)).proof
+    _, sent = _sentence_line(proof)
+    assert len(sent.certificates) == 2  # P(B3) < 1 and P(B3) > 1
+    check_proof(proof)
+    with pytest.raises(VerificationFailed):
+        check_proof(_with_certificates(proof, edit))
+
+
+def test_proof_checker_runs_no_solver(monkeypatch):
+    proofs = [check_valid(phi).proof for phi in (prob_ladder(4), chain(4, True))]
+    proofs += [check_sat(parse_plqo("P(T) < 1")).proof, derive_schema("fig2")]
+    proofs.append(derive_schema("fig1", atom(1), Neg(Neg(atom(1)))))
+
+    def refuse(constraints):
+        raise AssertionError("the checker ran the solver")
+
+    monkeypatch.setattr(lra, "feasible", refuse)
+    for proof in proofs:
+        assert check_proof(proof)
+
+
+def test_certificates_agree_with_re_solving():
+    """Each disjunct's sentence is refuted, with certificates the checker
+    accepts, exactly when solving its branches again finds none feasible."""
+    formulas = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
+    formulas += [chain(n, valid) for n in range(3, 7) for valid in (True, False)]
+    rng = random.Random(20261019)
+    formulas += [gen_plqo(rng, [1, 2, 3], rng.randint(0, 2), allow_vars=True) for _ in range(40)]
+    outcomes = set()
+    for phi in formulas:
+        for lits in nnf_dnf_literals(PNeg(phi)):
+            sent = RcofSentence(tuple(lits[:-1]), lits[-1].complement())
+            found = decide._refute(sent)
+            refuted = isinstance(found, RcofSentence)
+            assert refuted == rcof_holds_by_solving(sent), phi
+            if refuted:
+                assert check_proof(Proof((ProofLine(1, found, "RCOF"),)))
+            outcomes.add(refuted)
+    assert outcomes == {True, False}
+
+
 def test_proof_checker_rejects_tampering_under_optimize():
-    """The three tamper cases above and the search's model check, run by a
+    """The tamper cases above and the search's model check, run by a
     child interpreter under -O, which strips assert statements."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -352,7 +490,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "4 passed" in done.stdout
+    assert "15 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from plqo import check_valid
+from plqo.decide import check_refutation
 from plqo.lra import DeltaRational, Feasible, Infeasible, _Tableau, check_implication, feasible
 from plqo.syntax import PNeg, nnf_dnf_literals
 from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
@@ -20,6 +21,14 @@ from oracles import (
 
 def x(k):
     return NumericVar(k)
+
+
+def certified(cs, result):
+    """Whether ``result`` is Infeasible and its certificate, read over
+    ``cs``, passes the proof checker's test."""
+    return isinstance(result, Infeasible) and check_refutation(
+        [(cs[i], m) for i, m in result.multipliers]
+    )
 
 
 def test_delta_rational_order():
@@ -46,7 +55,7 @@ def test_infeasible_equalities():
         constraint({x(1): 1}, "=", 0),
         constraint({x(1): 1}, "=", 1),
     ]
-    assert isinstance(feasible(cs), Infeasible)
+    assert certified(cs, feasible(cs))
 
 
 def test_strict_boundary_infeasible():
@@ -55,7 +64,7 @@ def test_strict_boundary_infeasible():
         constraint({x(1): 1}, ">=", 1),
         constraint({x(1): 1}, "<", 1),
     ]
-    assert isinstance(feasible(cs), Infeasible)
+    assert certified(cs, feasible(cs))
 
 
 def test_strict_open_interval_witness():
@@ -69,8 +78,16 @@ def test_strict_open_interval_witness():
 
 
 def test_empty_lhs_contradiction():
-    assert isinstance(feasible([constraint({}, "<", 0)]), Infeasible)
-    assert isinstance(feasible([constraint({x(1): 0}, "=", 3)]), Infeasible)
+    for c in [
+        constraint({}, "<", 0),
+        constraint({x(1): 0}, "=", 3),
+        constraint({}, "=", -3),
+        constraint({}, "<=", -1),
+    ]:
+        cs = [constraint({x(1): 1}, ">=", 0), c]
+        result = feasible(cs)
+        assert certified(cs, result)
+        assert [i for i, _ in result.multipliers] == [1]
 
 
 def test_unconstrained_is_feasible():
@@ -112,6 +129,8 @@ def test_oracle_agreement_random_corpus():
         if ours:
             assert constraints_hold(cs, ours.witness)
             n_feasible += 1
+        else:
+            assert certified(cs, ours)
         n_checked += 1
     assert n_checked >= 100
     # the corpus should exercise both outcomes
@@ -158,7 +177,7 @@ def test_vertex_spot_check():
         constraint({x(1): 1}, "=", 1),
         constraint({x(2): 1}, "=", 1),
     ]
-    assert isinstance(feasible(outside), Infeasible)
+    assert certified(outside, feasible(outside))
     assert not fourier_motzkin_feasible(outside)
 
 
@@ -190,6 +209,7 @@ def _agrees_with_references(cs, fourier_motzkin=True):
     for result in (ours, reference):
         if result:
             assert constraints_hold(cs, result.witness)
+    assert ours or certified(cs, ours)
     return bool(ours)
 
 
@@ -265,7 +285,7 @@ def test_heap_scan_pivots_match_the_sorted_scan(monkeypatch):
 )
 def test_crossed_bounds_are_infeasible_without_a_pivot(monkeypatch, cs):
     trail = _record_pivots(monkeypatch)
-    assert isinstance(feasible(cs), Infeasible)
+    assert certified(cs, feasible(cs))
     assert trail == []
 
 
