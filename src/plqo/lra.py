@@ -3,14 +3,18 @@ including strict inequalities, with rational witnesses.
 
 The solver is the bounded general simplex of Dutertre and de Moura ("A
 fast linear-arithmetic solver for DPLL(T)", CAV 2006) over
-delta-rationals (pairs a + b*delta for an infinitesimal positive delta),
-pivoting exactly with Bland's rule; strict bounds carry a delta component
-of -1 above and +1 below.  A one-term constraint bounds its column and
-every other constraint is a slack row; columns are numbered by how many
-constraints they occur in, fewest first, and the basics left to re-test
-after a pivot wait in a heap.  A feasible delta-solution is turned into
-a purely rational witness by substituting a concrete delta small enough
-for every constraint.  An infeasible system comes with a Farkas
+delta-rationals (pairs a + b*delta for an infinitesimal positive delta,
+held as a NamedTuple and ordered as a tuple), pivoting exactly with
+Bland's rule; strict bounds carry a delta component of -1 above and +1
+below.  A one-term constraint bounds its column, with no division when
+its coefficient is 1 or -1, and every other constraint is a slack row;
+columns are numbered by how many constraints they occur in, fewest
+first, and the basics left to re-test after a pivot wait in a heap.  A
+feasible delta-solution is turned into a purely rational witness by
+substituting a concrete delta small enough for every constraint; only
+the constraints over a column with a nonzero delta part can bound it, so
+only those are read, and the witness is then checked on every
+constraint.  An infeasible system comes with a Farkas
 certificate over its input constraints: the conflict explanation of the
 same paper, each bound the conflict uses traced back to the constraint
 that gave it.
@@ -21,14 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from .errors import verify
 from .translate import constraints_hold, negate_constraint
 
 
-@dataclass(frozen=True, order=True)
-class DeltaRational:
-    """a + b*delta for an infinitesimal delta > 0; ordered lexicographically."""
+class DeltaRational(NamedTuple):
+    """a + b*delta for an infinitesimal delta > 0; ordered lexicographically,
+    as the tuple (std, inf)."""
 
     std: Fraction
     inf: Fraction = Fraction(0)
@@ -43,7 +48,12 @@ class DeltaRational:
         return DeltaRational(self.std * c, self.inf * c)
 
 
-_ZERO = DeltaRational(Fraction(0))
+_ONE = Fraction(1)
+# the delta part of a bound: none, or one delta inside a strict bound
+_NO_DELTA = Fraction(0)
+_BELOW = Fraction(-1)
+_ABOVE = Fraction(1)
+_ZERO = DeltaRational(_NO_DELTA)
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ class _Tableau:
             )
             for side in (self.lower, self.upper, self.lower_src, self.upper_src):
                 side.append(None)
-            self._bound(s, Fraction(1), c, i)
+            self._bound(s, _ONE, c, i)
         self.queue = list(self.rows)  # ascending, so already a heap
         self.queued = set(self.queue)
 
@@ -141,8 +151,9 @@ class _Tableau:
         """Tighten column j's bounds by constraint i, ``c``, which reads
         k * x_j REL rhs; a strict bound is one delta inside, on the side
         the sign of k says."""
-        inf = Fraction(-1 if k > 0 else 1) if c.rel == "<" else Fraction(0)
-        bound = DeltaRational(c.rhs / k, inf)
+        inf = (_BELOW if k > 0 else _ABOVE) if c.rel == "<" else _NO_DELTA
+        std = c.rhs if k == 1 else -c.rhs if k == -1 else c.rhs / k
+        bound = DeltaRational(std, inf)
         if c.rel == "=" or k > 0:
             if self.upper[j] is None or bound < self.upper[j]:
                 self.upper[j] = bound
@@ -177,20 +188,23 @@ class _Tableau:
 
     def _pivot_and_update(self, xi, xj, target):
         row = self.rows.pop(xi)
-        a_ij = row.pop(xj)
-        theta = (target - self.beta[xi]).scale(Fraction(1) / a_ij)
+        inverse = _ONE / row.pop(xj)
+        theta = (target - self.beta[xi]).scale(inverse)
         self.beta[xi] = target
         self.beta[xj] = self.beta[xj] + theta
         # express xj by xi's row; one pass moves and rewrites each row holding xj
-        new_row = {j: -a / a_ij for j, a in row.items()}
-        new_row[xi] = Fraction(1) / a_ij
+        new_row = {j: -a * inverse for j, a in row.items()}
+        new_row[xi] = inverse
         for xk, rk in self.rows.items():
             c = rk.pop(xj, None)
             if c is not None:
                 self.beta[xk] = self.beta[xk] + theta.scale(c)
                 for j, a in new_row.items():
-                    rk[j] = rk.get(j, Fraction(0)) + c * a
-                    if rk[j] == 0:
+                    # c and a are nonzero, so an entry rk lacked stays nonzero
+                    v = rk[j] + c * a if j in rk else c * a
+                    if v:
+                        rk[j] = v
+                    else:
                         del rk[j]
         self.rows[xj] = new_row
 
@@ -238,9 +252,16 @@ class _Tableau:
 
 def _concretize(delta_values, constraints):
     """Substitute a concrete rational delta small enough for every
-    constraint, producing an exact rational witness."""
+    constraint, producing an exact rational witness.  Only a constraint
+    over a column with a delta part can cap delta, so only those are
+    read; with no delta part anywhere the witness is the standard parts."""
+    touched = {v for v, dv in delta_values.items() if dv.inf}
+    if not touched:
+        return {v: dv.std for v, dv in delta_values.items()}
     delta_cap = Fraction(1)
     for c in constraints:
+        if not any(v in touched for v, _ in c.terms):
+            continue
         a = Fraction(0)
         b = Fraction(0)
         for v, k in c.terms:

@@ -21,13 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, UnsupportedNonlinear, VerificationFailed
+from .errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear, VerificationFailed
 from . import prop
-from .prop import canonical_text, phi_A_U
+from .prop import canonical_text
 from . import syntax as sx
 from .syntax import PNeg, PImpl, ProbAtom
 
 MAX_ADAMS_SYMBOLS = 12
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 # -- variables ---------------------------------------------------------------
@@ -101,9 +105,8 @@ class LinConstraint:
         return dict(self.terms)
 
     def holds(self, values):
-        lhs = sum(
-            (c * values.get(v, Fraction(0)) for v, c in self.terms), Fraction(0)
-        )
+        # a variable missing from values is 0 and adds nothing
+        lhs = sum(c * values[v] for v, c in self.terms if v in values)
         if self.rel == "=":
             return lhs == self.rhs
         if self.rel == "<=":
@@ -132,8 +135,8 @@ class LinConstraint:
 
 def constraint(coeffs, rel, rhs=0):
     """Build a normalized constraint from a var -> coefficient mapping."""
-    rhs = Fraction(rhs)
-    coeffs = {v: Fraction(c) for v, c in coeffs.items() if c != 0}
+    rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
+    coeffs = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items() if c != 0}
     if rel in (">", ">="):
         coeffs = {v: -c for v, c in coeffs.items()}
         rhs = -rhs
@@ -193,8 +196,16 @@ def q_obs(a_set):
 
 def mass_var(a_set, u_set):
     """Variable carrying the probability mass of the valuation on
-    ``a_set`` that makes exactly ``u_set`` true."""
-    return ProbVar.of(phi_A_U(a_set, u_set))
+    ``a_set`` that makes exactly ``u_set`` true: the canonical text of
+    ``phi_A_U(a_set, u_set)``, written from its literals."""
+    u_set = frozenset(u_set)
+    if not u_set.issubset(a_set):
+        raise UNotSubset(f"{sorted(u_set)} is not a subset of {sorted(a_set)}")
+    lits = [str(s) if s in u_set else f"!{s}" for s in sorted(a_set)]
+    if len(lits) < 2:
+        return ProbVar(lits[0] if lits else "T")
+    # right-nested, as the printer writes it: l1&(l2&(...&(l{n-1}&ln)))
+    return ProbVar("&(".join(lits[:-1]) + "&" + lits[-1] + ")" * (len(lits) - 2))
 
 
 def _check_budget(base):
@@ -380,8 +391,11 @@ class DecideSystem:
         if kind == "sum":
             return constraint({m: 1 for m in self.masses.values()}, "=", 1)
         if kind in ("mass>=0", "mass<=1") and name[1] in self.masses:
+            # constraint({m: 1}, ">=", 0) and constraint({m: 1}, "<=", 1), built directly
             m = self.masses[name[1]]
-            return constraint({m: 1}, ">=", 0) if kind == "mass>=0" else constraint({m: 1}, "<=", 1)
+            if kind == "mass>=0":
+                return LinConstraint(((m, _MINUS_ONE),), "<=", _ZERO)
+            return LinConstraint(((m, _ONE),), "<=", _ONE)
         raise VerificationFailed(f"no row of the system is named {name}")
 
     def rows(self):

@@ -25,6 +25,12 @@ included, and a sorted scan of every basic for the smallest violated one
 occurrence, turns one-term constraints into column bounds and keeps the
 basics to re-test in a heap.  slack_row_feasible decides a system on it.
 
+every_row_concretize is the concretization of a delta-solution as first
+written: it reads every constraint for the cap on delta and checks each
+one on the way, where plqo.lra._concretize reads only the constraints
+over a column with a delta part and leaves the check of every constraint
+to its caller.
+
 two_pass_pivot is the simplex pivot as first written, one pass over the
 rows to move the basic values and a second to substitute the entering
 column, where plqo.lra._Tableau does both in one pass.
@@ -62,7 +68,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid
+from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, verify
 from plqo.genmodel import build_generic
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.prop import (
@@ -76,6 +82,7 @@ from plqo.translate import (
     PairVar,
     _comparison_constraint,
     constraint,
+    constraints_hold,
     negate_constraint,
     q_decide,
     translate_atom,
@@ -186,7 +193,34 @@ def slack_row_feasible(constraints):
     tableau = SlackRowTableau(constraints)
     if not tableau.check():
         return INFEASIBLE
-    return Feasible(_concretize(tableau.values(), constraints))
+    witness = _concretize(tableau.values(), constraints)
+    verify(constraints_hold(constraints, witness), "witness failed re-verification")
+    return Feasible(witness)
+
+
+def every_row_concretize(delta_values, constraints):
+    """A rational witness from a delta-solution: delta is half the
+    smallest cap any constraint puts on it, and at most 1/2."""
+    delta_cap = Fraction(1)
+    for c in constraints:
+        a = Fraction(0)
+        b = Fraction(0)
+        for v, k in c.terms:
+            dv = delta_values[v]
+            a += k * dv.std
+            b += k * dv.inf
+        if c.rel == "=":
+            verify(a == c.rhs and b == 0, "delta-solution violates an equality")
+            continue
+        slack = c.rhs - a
+        verify(
+            slack > 0 or (slack == 0 and (b < 0 or (b <= 0 and c.rel == "<="))),
+            "delta-solution violates an inequality",
+        )
+        if b > 0 and slack > 0:
+            delta_cap = min(delta_cap, slack / b)
+    delta = delta_cap / 2
+    return {v: dv.std + dv.inf * delta for v, dv in delta_values.items()}
 
 
 def two_pass_pivot(tableau, xi, xj, target):

@@ -6,12 +6,22 @@ import pytest
 
 from plqo import check_valid
 from plqo.decide import check_refutation
-from plqo.lra import DeltaRational, Feasible, Infeasible, _Tableau, check_implication, feasible
+from plqo.lra import (
+    _ZERO,
+    DeltaRational,
+    Feasible,
+    Infeasible,
+    _concretize,
+    _Tableau,
+    check_implication,
+    feasible,
+)
 from plqo.syntax import PNeg, nnf_dnf_literals
-from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
+from plqo.translate import NumericVar, constraint, constraints_hold, q_decide, q_of, translate_literal
 
 from formgen import gen_plqo, obs_ladder, prob_ladder
 from oracles import (
+    every_row_concretize,
     fourier_motzkin_feasible,
     slack_row_feasible,
     sorted_scan_out_of_bounds,
@@ -37,6 +47,21 @@ def test_delta_rational_order():
     c = DeltaRational(Fraction(2), Fraction(-5))
     assert a < b < c
     assert (b - a).inf == 1
+    assert a + c == DeltaRational(Fraction(3), Fraction(-6))
+    assert c - a == DeltaRational(Fraction(1), Fraction(-4))
+    assert c.scale(Fraction(-1, 2)) == DeltaRational(Fraction(-1), Fraction(5, 2))
+    assert a - a == _ZERO == DeltaRational(Fraction(0), Fraction(0))
+    assert b.scale(Fraction(0)) == _ZERO and a != b
+    # a strict bound k*x < k (or >) is one delta inside x <= 1 (or >=),
+    # whichever of the two comes first
+    one = DeltaRational(Fraction(1))
+    for k, (strict, loose), first in product((1, -1, 2, -3), [("<", "<="), (">", ">=")], (0, 1)):
+        pair = [constraint({x(1): k}, strict, k), constraint({x(1): k}, loose, k)]
+        tableau = _Tableau(pair[first:] + pair[:first])
+        if (k > 0) == (strict == "<"):
+            assert tableau.upper[0] == DeltaRational(Fraction(1), Fraction(-1)) < one
+        else:
+            assert tableau.lower[0] == DeltaRational(Fraction(1), Fraction(1)) > one
 
 
 def test_feasible_simple_box():
@@ -219,11 +244,12 @@ def test_column_bounds_agree_with_the_references():
     assert 50 < sum(verdicts) < 250
 
 
-def _query_systems(phi):
+def _query_systems(phi, system=q_of):
     """The systems the search solves for check_valid(phi): the target's
-    distribution system joined with each branch of each disjunct."""
+    distribution system, the paper's Q or another ``system`` of it,
+    joined with each branch of each disjunct."""
     target = PNeg(phi)
-    q = q_of(target)
+    q = system(target)
     for lits in nnf_dnf_literals(target):
         for branch in product(*[translate_literal(l) for l in lits]):
             yield q + [c for part in branch for c in part]
@@ -239,6 +265,31 @@ def test_query_systems_agree_with_the_slack_row_reference():
         for cs in _query_systems(phi)
     ]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_concretize_matches_the_every_row_reference():
+    """On every delta-solution the simplex reaches, reading only the
+    constraints a delta part touches gives the witness the every-row
+    loop gives, value for value and in the same order."""
+    rng = random.Random(20261018)
+    systems = [_bounded_system(rng) for _ in range(300)]
+    ladders = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
+    systems += [cs for phi in ladders for cs in _query_systems(phi)]
+    systems += [cs for phi in ladders for cs in _query_systems(phi, q_decide)]
+    solved = with_delta = capped = 0
+    for cs in systems:
+        rows = [c for c in cs if c.terms]
+        tableau = _Tableau(rows)
+        if tableau.check() is not None:
+            continue
+        values = tableau.values()
+        witness = _concretize(values, rows)
+        assert list(witness.items()) == list(every_row_concretize(values, rows).items())
+        solved += 1
+        with_delta += any(dv.inf for dv in values.values())
+        # a constraint capped delta below 1, so it was not 1/2
+        capped += any(w != dv.std + dv.inf / 2 for w, dv in zip(witness.values(), values.values()))
+    assert solved > 100 and with_delta > 50 and capped > 5
 
 
 def _record_pivots(monkeypatch):

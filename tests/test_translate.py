@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from plqo.errors import BudgetExceeded, UnsupportedNonlinear
+from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
@@ -14,6 +14,7 @@ from plqo.prop import (
     VERUM,
     all_valuations,
     atom,
+    canonical_text,
     conj,
     eval_formula,
     phi_A_U,
@@ -32,6 +33,7 @@ from plqo.syntax import (
     prob_formulas_of,
 )
 from plqo.translate import (
+    DecideSystem,
     LinConstraint,
     NumericVar,
     PairVar,
@@ -283,3 +285,40 @@ def test_negate_constraint():
 def test_constraint_rendering_stable():
     c = constraint({NumericVar(2): -1, ProbVar.of(atom(1)): 1}, "<=", Fraction(1, 3))
     assert str(c) == "-xn[2] + x[B1] <= 1/3"
+
+
+@pytest.mark.parametrize("idx", [(), (4,), (1, 2), (1, 2, 3), (2, 5, 9), (1, 3, 4, 7, 12)])
+def test_mass_var_is_the_text_of_phi_a_u(idx):
+    a = syms(*idx)
+    for r in range(len(a) + 1):
+        for u in combinations(a, r):
+            expected = ProbVar(canonical_text(phi_A_U(a, u)))
+            assert mass_var(a, frozenset(u)) == expected
+            assert mass_var(set(a), set(u)) == expected
+    with pytest.raises(UNotSubset):
+        mass_var(a, frozenset(syms(13)))
+
+
+def test_mass_var_texts():
+    b1, b2, b3 = syms(1, 2, 3)
+    assert mass_var([b1, b2, b3], frozenset()).key == "!B1&(!B2&!B3)"
+    assert mass_var({b2, b1}, {b1}).key == "B1&!B2"
+    assert mass_var([b1], frozenset()).key == "!B1"
+    assert mass_var([], frozenset()).key == "T"
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [parse_plqo("(P(B1 & B2) = 1/3 & P(B3 & B4) = 2/5) -> O(B1 & B2 & B3 & B4)"), chain(4, True)],
+    ids=["radical-n4", "chain-n4"],
+)
+def test_mass_rows_equal_the_normalized_constraints(phi):
+    system = DecideSystem(PNeg(phi))
+    assert len(system.masses) == 16
+    for u, m in system.masses.items():
+        for kind, expected in [
+            ("mass>=0", constraint({m: 1}, ">=", 0)),
+            ("mass<=1", constraint({m: 1}, "<=", 1)),
+        ]:
+            row = system.row((kind, u))
+            assert row == expected and hash(row) == hash(expected) and str(row) == str(expected)
