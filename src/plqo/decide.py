@@ -44,7 +44,7 @@ from .syntax import (
     prob_ge,
     prob_formulas_of,
 )
-from .translate import DecideSystem, b_phi, mass_var, q_decide, translate_literal, valuation_sets
+from .translate import DecideSystem, b_phi, q_decide, translate_literal
 from . import lra
 from .genmodel import structure_of_witness
 from .hilbert import satisfies
@@ -136,11 +136,15 @@ def check_refutation(cited):
     each inequality's multiplier is nonnegative, every variable cancels
     in the sum of the scaled constraints, and that sum reads ``0 <= c``
     with c < 0, or ``0 < c`` with c <= 0 when a strict constraint has a
-    positive multiplier.  Raises VerificationFailed otherwise."""
+    positive multiplier.  Each multiplier must be exact, an int or a
+    Fraction: float rounding could cancel a term that does not cancel.
+    Raises VerificationFailed otherwise."""
     total = {}
     rhs = Fraction(0)
     strict = False
     for c, m in cited:
+        if type(m) is not int and type(m) is not Fraction:
+            raise VerificationFailed(f"multiplier {m!r} on {c} is not an exact rational")
         if c.rel != "=":
             if m < 0:
                 raise VerificationFailed(f"negative multiplier {m} on inequality {c}")
@@ -161,16 +165,28 @@ def _check_certificates(sent):
     over rows rebuilt here from their names."""
     system = DecideSystem(sent.formula())
     branches = list(_branches(sent))
+    certificates = sent.certificates
+    verify(type(certificates) is tuple, "the certificates are not a tuple")
     verify(
-        len(sent.certificates) == len(branches),
-        f"{len(sent.certificates)} certificates for {len(branches)} branches",
+        len(certificates) == len(branches),
+        f"{len(certificates)} certificates for {len(branches)} branches",
     )
-    for branch, certificate in zip(branches, sent.certificates):
+    for branch, certificate in zip(branches, certificates):
+        verify(type(certificate) is tuple, "a certificate is not a tuple")
         cited = []
-        for name, m in certificate:
-            if name[0] != "literal":
+        for entry in certificate:
+            if not (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is tuple):
+                raise VerificationFailed(f"{entry!r} is not a (row name, multiplier) pair")
+            name, m = entry
+            if not name or name[0] != "literal":
                 cited.append((system.row(name), m))
-            elif 0 <= name[1] < len(branch) and 0 <= name[2] < len(branch[name[1]]):
+            elif (
+                len(name) == 3
+                and type(name[1]) is int
+                and type(name[2]) is int
+                and 0 <= name[1] < len(branch)
+                and 0 <= name[2] < len(branch[name[1]])
+            ):
                 cited.append((branch[name[1]][name[2]], m))
             else:
                 raise VerificationFailed(f"no row of the branch is named {name}")
@@ -221,11 +237,10 @@ class Proof:
         }
 
 
-def letters_formula(f, mapping=None):
+def letters_formula(f):
     """Abstract a formula's atoms into fresh propositional letters, so
     tautology of the skeleton can be decided by truth tables."""
-    if mapping is None:
-        mapping = {}
+    mapping = {}
 
     def conv(node):
         if is_atom(node):
@@ -236,7 +251,7 @@ def letters_formula(f, mapping=None):
             return Neg(conv(node.child))
         if isinstance(node, PImpl):
             return Impl(conv(node.left), conv(node.right))
-        raise TypeError(f"not a formula node: {node!r}")
+        raise VerificationFailed(f"not a formula node: {node!r}")
 
     return conv(f)
 
@@ -251,7 +266,18 @@ def check_proof(proof):
     it cites, HYP against the declared hypotheses.  It runs no solver.
     Raises VerificationFailed (an AssertionError) on any bad line."""
     derived = {}
-    for line in proof.lines:
+    for position, line in enumerate(proof.lines, 1):
+        if type(line.number) is not int or line.number != position:
+            raise VerificationFailed(f"line {position} is numbered {line.number!r}")
+        wanted = 1 if line.kind == "RR" else 2 if line.kind == "MP" else 0
+        if not (
+            type(line.refs) is tuple
+            and len(line.refs) == wanted
+            and all(type(r) is int and 1 <= r < position for r in line.refs)
+        ):
+            raise VerificationFailed(
+                f"line {position} cites {line.refs!r}, not {wanted} earlier lines"
+            )
         if line.kind == "RCOF":
             verify(isinstance(line.content, RcofSentence), "RCOF line is not a sentence")
             try:
@@ -269,9 +295,9 @@ def check_proof(proof):
             verify(sent.formula() == line.content, "RR formula differs from its sentence")
         elif line.kind == "MP":
             minor, major = line.refs
-            impl = derived[major]
+            impl = derived.get(major)  # an RCOF line derives nothing
             verify(isinstance(impl, PImpl), "MP major premise is not an implication")
-            verify(derived[minor] == impl.left, "MP minor premise mismatch")
+            verify(derived.get(minor) == impl.left, "MP minor premise mismatch")
             verify(impl.right == line.content, "MP conclusion mismatch")
         else:
             raise VerificationFailed(f"unknown justification {line.kind}")
@@ -334,20 +360,6 @@ class Unsatisfiable:
     proof: Proof
 
 
-def _lift(witness, system, a_p):
-    """``witness`` of ``system`` with masses over the valuations of
-    ``a_p``, a superset of the system's symbols under ``P``: each of the
-    system's valuations keeps its mass, with every other symbol false,
-    and the other valuations have none."""
-    if system.a_p == a_p:
-        return witness
-    lifted = dict(witness)
-    for u in valuation_sets(a_p):
-        var = system.masses.get(u)
-        lifted[mass_var(a_p, u)] = Fraction(0) if var is None else witness[var]
-    return lifted
-
-
 def _search(target, conclusion):
     """Refute or satisfy ``target`` by one search: each DNF disjunct of
     ``target`` is case-split against its own sentence's distribution
@@ -357,12 +369,13 @@ def _search(target, conclusion):
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
     disjuncts = nnf_dnf_literals(target)
-    a_p = DecideSystem(target).a_p  # checks the symbol budget on B_phi(target)
+    base = DecideSystem(target).base  # checks the symbol budget on B_phi(target)
     sentences = []
     for lits in disjuncts:
         found = _refute(RcofSentence(tuple(lits[:-1]), lits[-1].complement()))
         if not isinstance(found, RcofSentence):
-            structure, rho, spec = structure_of_witness(target, _lift(*found, a_p))
+            witness, system = found
+            structure, rho, spec = structure_of_witness(base, system.masses, witness)
             verify(satisfies(structure, rho, target), "the model does not satisfy the target")
             return structure, rho, spec
         sentences.append(found)

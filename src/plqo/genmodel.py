@@ -29,18 +29,7 @@ from .hilbert import (
 )
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar, parse_rational
 from .syntax import Assignment
-from .translate import (
-    NumericVar,
-    PairVar,
-    b_phi,
-    constraints_hold,
-    eval_rcof,
-    mass_var,
-    p_symbols,
-    q_decide,
-    translate_formula,
-    valuation_sets,
-)
+from .translate import DecideSystem, NumericVar, PairVar, constraints_hold, eval_rcof, translate_formula
 
 
 @dataclass(frozen=True)
@@ -154,29 +143,26 @@ def spec_to_json(spec):
     }
 
 
-def structure_of_witness(phi, witness):
-    """The generic structure (plus assignment) over all of ``B_phi`` that a
-    feasible witness of the decider's system ``q_decide(phi)`` describes,
-    built without checks.  The witness carries masses over the symbols
-    under ``P`` only: each of their valuations keeps its mass, with every
-    other symbol false.
+def structure_of_witness(base, masses, witness):
+    """The generic structure (plus assignment) over the ascending ``base``
+    that a feasible witness of a decider's system describes, built without
+    checks.  ``masses`` is that system's :attr:`translate.DecideSystem.masses`,
+    over symbols of ``base``: each of its valuations keeps its mass, with
+    every other symbol false, and the other valuations of ``base`` have none.
 
     Returns (structure, assignment, spec).
     """
-    base = sorted(b_phi(phi))
-    a_p = p_symbols(phi)
     bit = {s: 1 << j for j, s in enumerate(base)}
-    masses = [Fraction(0)] * (1 << len(base))
-    for u in valuation_sets(a_p):
-        var = mass_var(a_p, u)
+    placed = [Fraction(0)] * (1 << len(base))
+    for u, var in masses.items():
         if var not in witness:
             raise WitnessIncomplete(f"witness missing mass variable {var}")
-        masses[sum(bit[s] for s in u)] = witness[var]
+        placed[sum(bit[s] for s in u)] = witness[var]
     nc = []
     for s1, s2 in combinations(base, 2):
         if witness.get(PairVar.of(s1, s2), Fraction(0)) > 0:
             nc.append((s1, s2))
-    spec = GenericModelSpec.make(base, nc, masses)
+    spec = GenericModelSpec.make(base, nc, placed)
     rho = Assignment(
         {v.k: val for v, val in witness.items() if isinstance(v, NumericVar)}
     )
@@ -185,10 +171,12 @@ def structure_of_witness(phi, witness):
 
 def model_from_witness(phi, witness):
     """``structure_of_witness`` for a witness from outside the decider: its
-    fit to ``q_decide(phi)`` and the satisfaction equivalence are verified."""
-    if not constraints_hold(q_decide(phi), witness):
+    fit to the decider's system for ``phi`` and the satisfaction
+    equivalence are verified."""
+    system = DecideSystem(phi)
+    if not constraints_hold([c for _, c in system.rows()], witness):
         raise SpecInvalid("witness does not satisfy the distribution system")
-    structure, rho, spec = structure_of_witness(phi, witness)
+    structure, rho, spec = structure_of_witness(system.base, system.masses, witness)
     verify(
         satisfies(structure, rho, phi) == eval_rcof(translate_formula(phi), witness),
         "witness-to-structure map broke the satisfaction equivalence",

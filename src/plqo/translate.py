@@ -5,7 +5,7 @@ variables pinned to zero), the paper's probability-distribution system
 the decider solves in its place, and per-literal constraint disjunctions
 consumed by the feasibility solver.
 
-The decider's system (:func:`q_decide`) is that of Fagin, Halpern and
+The decider's system (:class:`DecideSystem`) is that of Fagin, Halpern and
 Megiddo ("A logic for reasoning about probabilities", 1990): one mass per
 valuation of the symbols under ``P`` and each formula variable one sum of
 masses, with no marginal rows.  It is equisatisfiable with ``Q`` joined
@@ -337,20 +337,14 @@ def q_of(f):
     return q_adams(sorted(b_phi(f)), sx.prob_formulas_of(f))
 
 
-def p_symbols(f):
-    """``A_P``: the symbols of the classical formulas under ``P`` in ``f``,
-    ascending."""
-    return sorted(frozenset().union(*(a.symbols() for a in sx.prob_formulas_of(f))))
-
-
 class DecideSystem:
     """The system the decider solves for a formula ``f``: one mass in
-    [0,1] per valuation of ``A_P`` (see :func:`p_symbols`), the masses
-    summing to one, every pair variable over ``B_phi`` nonnegative, and
-    each formula variable equal to the sum of the masses whose valuation
-    satisfies it.  Its size is linear in 2^|A_P| and quadratic in
-    |B_phi|; the budget stays on |B_phi|, the symbols a countermodel is
-    built over.
+    [0,1] per valuation of ``A_P``, the symbols of the classical formulas
+    under ``P`` in ``f``, the masses summing to one, every pair variable
+    over ``B_phi`` nonnegative, and each formula variable equal to the
+    sum of the masses whose valuation satisfies it.  Its size is linear
+    in 2^|A_P| and quadratic in |B_phi|; the budget stays on |B_phi|, the
+    symbols a countermodel is built over.
 
     Each row has a name, which a refutation certificate cites and
     :meth:`row` rebuilds alone:
@@ -365,7 +359,7 @@ class DecideSystem:
     """
 
     def __init__(self, f):
-        # b_phi, prob_formulas_of and p_symbols from one walk of f
+        # B_phi, delta and A_P from one walk of f
         atoms = sx.atoms_of(f)
         self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
         _check_budget(self.base)
@@ -375,22 +369,27 @@ class DecideSystem:
 
     @property
     def masses(self):
-        """Each valuation of ``A_P``, as the set it makes true, to its mass."""
+        """Each valuation of ``A_P``, as the set it makes true, to its mass
+        variable.  A solution extends to ``B_phi`` through this map alone:
+        each valuation keeps its mass, with every other symbol false."""
         if self._masses is None:
             self._masses = {u: mass_var(self.a_p, u) for u in valuation_sets(self.a_p)}
         return self._masses
 
     def row(self, name):
         """The row called ``name``; VerificationFailed when no row of this
-        system has that name."""
-        kind = name[0]
-        if kind == "pair" and name[1] < name[2] and name[1] in self.base and name[2] in self.base:
+        system has that name, whatever its shape."""
+        kind, n = (name[0], len(name)) if type(name) is tuple and name else ("", 0)
+        if (
+            kind == "pair" and n == 3
+            and name[1] in self.base and name[2] in self.base and name[1] < name[2]
+        ):
             return constraint({PairVar.of(name[1], name[2]): 1}, ">=", 0)
-        if kind == "formula" and 0 <= name[1] < len(self.delta):
+        if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
             return _formula_row(self.delta[name[1]], self.masses)
-        if kind == "sum":
+        if kind == "sum" and n == 1:
             return constraint({m: 1 for m in self.masses.values()}, "=", 1)
-        if kind in ("mass>=0", "mass<=1") and name[1] in self.masses:
+        if kind in ("mass>=0", "mass<=1") and n == 2 and type(name[1]) is frozenset and name[1] in self.masses:
             # constraint({m: 1}, ">=", 0) and constraint({m: 1}, "<=", 1), built directly
             m = self.masses[name[1]]
             if kind == "mass>=0":

@@ -21,6 +21,7 @@ from plqo.decide import (
     Valid,
     check_entail,
     check_proof,
+    check_refutation,
     check_sat,
     check_valid,
     conservativeness_check,
@@ -47,7 +48,7 @@ from plqo.syntax import (
     prob_gt,
     prob_le,
 )
-from plqo.translate import DecideSystem
+from plqo.translate import DecideSystem, NumericVar, constraint
 
 from formgen import chain, gen_classical, gen_plqo, obs_ladder, prob_ladder
 from oracles import (
@@ -308,8 +309,8 @@ def test_search_rejects_a_structure_without_its_incompatible_pairs(monkeypatch):
     """The witness is right but the structure built from it lacks the
     incompatible pair the countermodel needs; satisfaction catches it."""
 
-    def without_nc(phi, witness):
-        _, rho, spec = genmodel.structure_of_witness(phi, witness)
+    def without_nc(base, masses, witness):
+        _, rho, spec = genmodel.structure_of_witness(base, masses, witness)
         spec = GenericModelSpec(spec.symbols, frozenset(), spec.masses)
         return build_generic(spec), rho, spec
 
@@ -318,6 +319,24 @@ def test_search_rejects_a_structure_without_its_incompatible_pairs(monkeypatch):
     monkeypatch.setattr(decide, "structure_of_witness", without_nc)
     with pytest.raises(VerificationFailed):
         check_valid(phi)
+
+
+def test_countermodel_lifted_from_a_smaller_a_p():
+    """The feasible sentence puts only B3 under P, the target B1, B2 and
+    B3: the witness's two masses are placed in the target's base with B1
+    and B2 false."""
+    phi = parse_plqo("P(B3) = 0 & P(B1 | B2) = 1/4")
+    (lits, _), target = nnf_dnf_literals(PNeg(phi)), DecideSystem(PNeg(phi))
+    sentence = RcofSentence(tuple(lits[:-1]), lits[-1].complement())
+    assert DecideSystem(sentence.formula()).a_p == [PropSymbol(3)]
+    assert target.a_p == [PropSymbol(i) for i in (1, 2, 3)]
+    verdict = check_valid(phi)
+    assert isinstance(verdict, Invalid)
+    assert verdict.spec.symbols == tuple(PropSymbol(i) for i in (1, 2, 3))
+    half = Fraction(1, 2)
+    assert verdict.spec.masses == (half, 0, 0, 0, half, 0, 0, 0)
+    assert verdict.spec.nc == frozenset()
+    assert not satisfies(verdict.structure, verdict.assignment, phi)
 
 
 # -- proofs and their checker -------------------------------------------------
@@ -433,6 +452,65 @@ def test_proof_checker_rejects_a_row_outside_the_system(name):
         check_proof(_with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),)))
 
 
+def _with_line(proof, position, **changes):
+    """The proof with its line at ``position`` changed by ``changes``."""
+    lines = list(proof.lines)
+    lines[position - 1] = replace(lines[position - 1], **changes)
+    return Proof(tuple(lines), proof.hypotheses)
+
+
+def _citing(name):
+    """Adds a row called ``name``, with multiplier zero, to the first
+    certificate."""
+    return lambda proof: _with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),))
+
+
+# prob-n3's proof is 1 RCOF, 2 RR 1, 3 TT, 4 MP 2,3
+_MALFORMED = {
+    "mp-cites-a-later-line": lambda p: _with_line(p, 4, refs=(2, 5)),
+    "mp-one-ref": lambda p: _with_line(p, 4, refs=(3,)),
+    "rr-two-refs": lambda p: _with_line(p, 2, refs=(1, 1)),
+    "rr-ref-past-the-end": lambda p: _with_line(p, 2, refs=(9,)),
+    # line 0 would be read as the last line, here the sentence itself
+    "rr-ref-zero": lambda p: Proof(
+        (replace(p.lines[1], number=1, refs=(0,)), replace(p.lines[0], number=2))
+    ),
+    "misnumbered": lambda p: _with_line(p, 4, number=5),
+    "tt-not-a-formula": lambda p: _with_line(p, 3, content=p.lines[0].content),
+    "empty-name": _citing(()),
+    "literal-one-index": _citing(("literal", 0)),
+    "pair-one-symbol": _citing(("pair", 1)),
+    "formula-text-index": _citing(("formula", "x")),
+    "mass-list-set": _citing(("mass>=0", [1])),
+    "text-multiplier": lambda p: _with_certificates(
+        p, _edit_entry("mass>=0", lambda e: [(e[0], "1")])
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_proof_checker_rejects_a_malformed_line(tamper):
+    """A malformed line raises VerificationFailed, never another error."""
+    with pytest.raises(VerificationFailed):
+        check_proof(tamper(_ladder_proof()))
+
+
+def test_proof_checker_rejects_inexact_multipliers():
+    """Float multipliers 1e17, 1 and 1e17 round the x term away, though
+    the three rows are satisfiable together."""
+    x, y = NumericVar(1), NumericVar(2)
+    rows = [
+        constraint({x: 1, y: -1}, "<=", 0),
+        constraint({x: 1}, "<=", -1),
+        constraint({y: 1, x: -1}, "<=", 0),
+    ]
+    assert lra.feasible(rows)
+    with pytest.raises(VerificationFailed, match="not an exact rational"):
+        check_refutation(zip(rows, (1e17, 1.0, 1e17)))
+    with pytest.raises(VerificationFailed, match="do not cancel"):
+        check_refutation(zip(rows, (10**17, 1, 10**17)))
+
+
 @pytest.mark.parametrize(
     "edit", [lambda cs: cs[:-1], lambda cs: cs + cs[-1:]], ids=["missing", "extra"]
 )
@@ -490,7 +568,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "15 passed" in done.stdout
+    assert "29 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -20,7 +20,9 @@ from plqo.parser import parse_plqo
 from plqo.prop import Neg, PropSymbol, VERUM, atom
 from plqo.scalars import C_ONE, RadicalScalar
 from plqo.syntax import NumVar, ProbAtom, fraction, prob_formulas_of
-from plqo.translate import NumericVar, PairVar, ProbVar, b_phi, translate_formula, eval_rcof
+from plqo.translate import (
+    DecideSystem, NumericVar, PairVar, ProbVar, b_phi, translate_formula, eval_rcof
+)
 
 from formgen import gen_plqo, random_feasible_point
 from oracles import build_observable, dagger, matrices_equal, matrix_is_zero
@@ -228,14 +230,28 @@ def test_structure_of_witness_builds_without_checking_the_system():
     phi = parse_plqo("O(B2 & B3) -> P(B1) = 1/3")
     w = {ProbVar.of(atom(1)): Fraction(1, 3), ProbVar.of(Neg(atom(1))): Fraction(2, 3)}
     w[PairVar(2, 3)] = Fraction(1)
-    structure, rho, spec = structure_of_witness(phi, w)
+    system = DecideSystem(phi)
+    structure, rho, spec = structure_of_witness(system.base, system.masses, w)
     checked = model_from_witness(phi, w)
     assert spec == checked[2] and rho == checked[1]
     assert structure.dim == checked[0].dim == 10
     w[PairVar(2, 3)] = Fraction(-1)  # outside the system, which bounds pairs below by 0
-    assert structure_of_witness(phi, w)[2].nc == frozenset()
+    assert structure_of_witness(system.base, system.masses, w)[2].nc == frozenset()
     with pytest.raises(SpecInvalid, match="distribution system"):
         model_from_witness(phi, w)
+
+
+def test_structure_of_witness_places_masses_in_a_larger_base():
+    """A system over A_P = {B3} placed in the base B1, B2, B3: its two
+    masses go to codes 0 and 4; a missing one is named."""
+    masses = DecideSystem(parse_plqo("P(B3) = 0")).masses
+    missing = masses[frozenset({B(3)})]
+    w = {masses[frozenset()]: Fraction(1, 2)}
+    with pytest.raises(WitnessIncomplete, match=re.escape(f"missing mass variable {missing}")):
+        structure_of_witness([B(1), B(2), B(3)], masses, w)
+    w[missing] = Fraction(1, 2)
+    _, _, spec = structure_of_witness([B(1), B(2), B(3)], masses, w)
+    assert spec.masses == (Fraction(1, 2), 0, 0, 0, Fraction(1, 2), 0, 0, 0)
 
 
 def test_witness_model_equivalence_corpus():

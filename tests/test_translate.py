@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from plqo.decide import check_refutation
 from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
@@ -45,7 +46,6 @@ from plqo.translate import (
     linearize_term,
     mass_var,
     negate_constraint,
-    p_symbols,
     q_adams,
     q_decide,
     q_obs,
@@ -63,7 +63,6 @@ from formgen import (
     prob_ladder,
     random_feasible_point,
 )
-from oracles import slack_row_feasible
 
 
 def syms(*idx):
@@ -135,7 +134,7 @@ def test_q_decide_agrees_with_the_papers_q():
     """Each branch the search solves, over the decider's system and over
     the paper's Q: a witness, extended to B_phi by model_from_witness,
     satisfies all of Q and the branch; a refuted branch is refuted on Q
-    too, by the slack-row reference."""
+    too, by a Farkas certificate that check_refutation verifies."""
     formulas = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
     formulas += [chain(n, valid) for n in range(3, 7) for valid in (True, False)]
     rng = random.Random(20261021)
@@ -156,7 +155,10 @@ def test_q_decide_agrees_with_the_papers_q():
                     assert constraints_hold(q_full + branch, point)
                     extended += 1
                 else:
-                    assert not slack_row_feasible(q_full + branch)
+                    rows = q_full + branch
+                    on_q = feasible(rows)
+                    assert not on_q
+                    check_refutation([(rows[i], m) for i, m in on_q.multipliers])
                     refuted += 1
     assert extended > 40 and refuted > 40
 
@@ -165,7 +167,7 @@ def test_q_decide_grows_with_the_symbols_under_p():
     """prob-n12 puts two of its twelve symbols under P: its system has
     2^2 masses, not 3^12 marginals."""
     phi = PNeg(prob_ladder(12))
-    a_p = p_symbols(phi)
+    a_p = DecideSystem(phi).a_p
     assert len(a_p) == 2 and len(b_phi(phi)) == 12
     q = q_decide(phi)
     assert len(q) <= len(prob_formulas_of(phi)) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
