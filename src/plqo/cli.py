@@ -51,36 +51,37 @@ def _classical(raw):
     return parse_classical(_read_formula_arg(raw))
 
 
-def _emit_countermodel(spec, rho, out_path, label):
+def _countermodel_text(spec, rho, out_path, label):
+    """The (counter)model as JSON, or, when ``out_path`` is given, the line
+    saying the file was written there; the file is written first."""
     doc = spec_to_json(spec)
     if rho.numeric:
         doc["assignment"] = {f"x{k}": str(v) for k, v in sorted(rho.numeric.items())}
     text = json.dumps(doc, indent=2)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"{label} written to {out_path}")
-    else:
-        print(text)
+    if not out_path:
+        return text
+    with open(out_path, "w") as fh:
+        fh.write(text + "\n")
+    return f"{label} written to {out_path}"
 
 
-def _emit_proof(proof, as_json):
-    if as_json:
-        print(json.dumps(proof.to_json(), indent=2))
-    else:
-        print(proof.render())
+def _proof_text(proof, as_json):
+    return json.dumps(proof.to_json(), indent=2) if as_json else proof.render()
 
 
 def _emit_verdict(verdict, args, yes_label, no_label):
     """Print a verdict's label and its artifact: the proof, or the
-    (counter)model as JSON.  Exit 0 for Valid or Satisfiable, 1 otherwise."""
+    (counter)model as JSON.  Exit 0 for Valid or Satisfiable, 1 otherwise.
+    The artifact is built, and its file written, before anything is
+    printed, so a command that fails prints nothing."""
     yes = isinstance(verdict, (Valid, Satisfiable))
-    print(yes_label if yes else no_label)
     if isinstance(verdict, (Invalid, Satisfiable)):
         label = "model" if yes else "countermodel"
-        _emit_countermodel(verdict.spec, verdict.assignment, args.output, label)
+        artifact = _countermodel_text(verdict.spec, verdict.assignment, args.output, label)
     else:
-        _emit_proof(verdict.proof, args.json)
+        artifact = _proof_text(verdict.proof, args.json)
+    print(yes_label if yes else no_label)
+    print(artifact)
     return EXIT_TRUE if yes else EXIT_FALSE
 
 
@@ -102,17 +103,16 @@ def _cmd_eval(args):
     tol = args.tol if args.tol is not None else DEFAULT_TOL if args.float else None
     structure = load_structure(args.model, tol)
     rho = load_assignment(args.assign) if args.assign else EMPTY_ASSIGNMENT
+    lines = []  # printed only once every argument is read
     if args.prob:
-        alpha = _classical(args.prob)
-        print(f"prob = {prob(structure, alpha)}")
-    if not args.formula:
-        return EXIT_TRUE
-    phi = _plqo(args.formula)
-    if satisfies(structure, rho, phi):
-        print("SATISFIED")
-        return EXIT_TRUE
-    print("NOT SATISFIED")
-    return EXIT_FALSE
+        lines.append(f"prob = {prob(structure, _classical(args.prob))}")
+    code = EXIT_TRUE
+    if args.formula:
+        code = EXIT_TRUE if satisfies(structure, rho, _plqo(args.formula)) else EXIT_FALSE
+        lines.append("SATISFIED" if code == EXIT_TRUE else "NOT SATISFIED")
+    for line in lines:
+        print(line)
+    return code
 
 
 def _cmd_genmodel(args):
@@ -124,17 +124,16 @@ def _cmd_genmodel(args):
             raise SpecInvalid(f"nc pair must be two comma-separated symbols: {pair!r}")
         nc.append([symbol_of(n.strip()) for n in names])
     spec = GenericModelSpec.make(symbols, nc, args.masses)
-    _emit_countermodel(spec, EMPTY_ASSIGNMENT, args.output, "model")
+    print(_countermodel_text(spec, EMPTY_ASSIGNMENT, args.output, "model"))
     return EXIT_TRUE
 
 
 def _cmd_translate(args):
     phi = _plqo(args.formula)
-    print("# distribution system")
-    print(render_constraints(q_of(phi)))
+    parts = ["# distribution system", render_constraints(q_of(phi))]
     for atom in atoms_of(phi):
-        print(f"# atom {atom}")
-        print(render_constraints(translate_atom(atom)))
+        parts += [f"# atom {atom}", render_constraints(translate_atom(atom))]
+    print("\n".join(parts))
     return EXIT_TRUE
 
 
@@ -157,7 +156,7 @@ def _cmd_prove(args):
         proof = derive_schema("fig1", _classical(args.alpha1), _classical(args.alpha2))
     else:
         proof = derive_schema(args.schema)
-    _emit_proof(proof, args.json)
+    print(_proof_text(proof, args.json))
     return EXIT_TRUE
 
 

@@ -42,9 +42,8 @@ from .syntax import (
     pconj_all,
     piff,
     prob_ge,
-    prob_formulas_of,
 )
-from .translate import DecideSystem, b_phi, q_decide, translate_literal
+from .translate import DecideSystem, translate_literal
 from . import lra
 from .genmodel import structure_of_witness
 from .hilbert import satisfies
@@ -83,21 +82,10 @@ class RcofSentence:
         conclusion's complement."""
         return self.premise_literals + (self.conclusion.complement(),)
 
-    def base(self):
-        return sorted(b_phi(self.formula()))
-
-    def delta(self):
-        return prob_formulas_of(self.formula())
-
-    def q_premise(self):
-        """The rows the certificates cite besides the literals': the
-        decider's system for the derived implication, equisatisfiable with
-        the ``Q[base;delta]`` it is printed as."""
-        return q_decide(self.formula())
-
     def __str__(self):
-        q = "Q[" + ",".join(str(s) for s in self.base()) + ";" + ",".join(
-            f"({a})" for a in self.delta()
+        system = DecideSystem(self.formula())
+        q = "Q[" + ",".join(str(s) for s in system.base) + ";" + ",".join(
+            f"({a})" for a in system.delta
         ) + "]"
         parts = [q] + [f"({l.formula()})^R" for l in self.premise_literals]
         concl = f"({self.conclusion.formula()})^R"
@@ -279,9 +267,16 @@ def check_proof(proof):
                 f"line {position} cites {line.refs!r}, not {wanted} earlier lines"
             )
         if line.kind == "RCOF":
-            verify(isinstance(line.content, RcofSentence), "RCOF line is not a sentence")
+            sent = line.content
+            verify(
+                isinstance(sent, RcofSentence)
+                and type(sent.premise_literals) is tuple
+                and all(isinstance(l, PlqoLiteral) for l in sent.premise_literals)
+                and isinstance(sent.conclusion, PlqoLiteral),
+                f"RCOF line {line.number} is not a sentence over literals",
+            )
             try:
-                _check_certificates(line.content)
+                _check_certificates(sent)
             except VerificationFailed as e:
                 raise VerificationFailed(f"side condition fails on line {line.number}: {e}") from None
         elif line.kind == "HYP":
@@ -290,9 +285,10 @@ def check_proof(proof):
             verify(is_tautological_formula(line.content), f"TT line {line.number} is not tautological")
         elif line.kind == "RR":
             (ref,) = line.refs
-            sent = proof.lines[ref - 1].content
-            verify(isinstance(sent, RcofSentence), "RR must cite an RCOF line")
-            verify(sent.formula() == line.content, "RR formula differs from its sentence")
+            cited = proof.lines[ref - 1]
+            # an earlier RCOF line was checked above, its sentence's shape included
+            verify(cited.kind == "RCOF", "RR must cite an RCOF line")
+            verify(cited.content.formula() == line.content, "RR formula differs from its sentence")
         elif line.kind == "MP":
             minor, major = line.refs
             impl = derived.get(major)  # an RCOF line derives nothing

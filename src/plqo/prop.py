@@ -125,24 +125,6 @@ def _collect_symbols(f, out):
             stack.append(node.right)
 
 
-def eval_formula(f, valuation):
-    """Truth value of ``f`` under ``valuation`` (a symbol -> {0,1} mapping)."""
-    if isinstance(f, Verum):
-        return 1
-    if isinstance(f, Atom):
-        try:
-            return 1 if valuation[f.symbol] else 0
-        except KeyError:
-            raise MissingSymbol(f"valuation does not cover {f.symbol}") from None
-    if isinstance(f, Neg):
-        return 1 - eval_formula(f.child, valuation)
-    if isinstance(f, Impl):
-        if eval_formula(f.left, valuation) == 0:
-            return 1
-        return eval_formula(f.right, valuation)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def all_valuations(symbols):
     """All valuations on ``symbols``, in lexicographic order by ascending index."""
     syms = sorted(symbols)

@@ -266,12 +266,6 @@ def atoms_of(f):
     return list(found)
 
 
-def prob_formulas_of(f):
-    """The classical formulas alpha with a probability atom on them in ``f``,
-    in first-occurrence order."""
-    return list(dict.fromkeys(a.alpha for a in atoms_of(f) if isinstance(a, ProbAtom)))
-
-
 def _join(candidates):
     """``candidates`` (literal lists) without repeated literals, keeping the
     first of each literal set and none with a complementary pair."""

@@ -322,19 +322,12 @@ def linearize_term(t):
 # -- literal and formula translation -----------------------------------------
 
 
-def b_phi(f):
-    """Union of the classical symbol sets of all atoms of ``f``."""
-    out = set()
-    for a in sx.atoms_of(f):
-        out |= a.alpha.symbols()
-    return frozenset(out)
-
-
 def q_of(f):
     """The paper's distribution system of a formula: ``Q`` over its symbols
     and the classical formulas of its probability atoms, as ``plqo
-    translate`` prints it.  The decider solves :func:`q_decide` instead."""
-    return q_adams(sorted(b_phi(f)), sx.prob_formulas_of(f))
+    translate`` prints it.  The decider solves :class:`DecideSystem` instead."""
+    system = DecideSystem(f)
+    return q_adams(system.base, system.delta)
 
 
 class DecideSystem:
@@ -410,11 +403,6 @@ class DecideSystem:
         return [(name, c) for c, name in kept.items() if c.terms or not c.holds({})]
 
 
-def q_decide(f):
-    """The rows of :class:`DecideSystem` for ``f``."""
-    return [c for _, c in DecideSystem(f).rows()]
-
-
 def _comparison_constraint(alpha, cmp, term):
     coeffs, const = linearize_term(term)
     lhs = {ProbVar.of(alpha): Fraction(1)}
@@ -428,8 +416,8 @@ def translate_atom(atom):
     ess = prop.essential_symbols(atom.alpha)
     out = q_obs(ess)
     if isinstance(atom, ProbAtom):
-        out = out + [_comparison_constraint(atom.alpha, atom.cmp, atom.term)]
-    return _dedupe(out)
+        out.append(_comparison_constraint(atom.alpha, atom.cmp, atom.term))
+    return out
 
 
 def translate_literal(lit):

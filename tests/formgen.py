@@ -110,7 +110,8 @@ def distribution_point(base, joint, delta):
     ``base`` (the set it makes true) to its mass."""
     from itertools import combinations
 
-    from plqo.prop import all_valuations, eval_formula
+    from oracles import eval_formula
+    from plqo.prop import all_valuations
     from plqo.translate import ProbVar, mass_var
 
     values = {}

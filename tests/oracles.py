@@ -35,6 +35,13 @@ two_pass_pivot is the simplex pivot as first written, one pass over the
 rows to move the basic values and a second to substitute the entering
 column, where plqo.lra._Tableau does both in one pass.
 
+eval_formula evaluates a classical formula by recursion on the tree,
+one valuation at a time, where plqo.prop computes the whole truth table
+in one walk of bitwise operations.
+
+decide_rows lists the rows of the decider's system for a formula, in
+the order plqo.decide solves them.
+
 rcof_holds_by_solving is the RCOF side-condition check as first written:
 it solves every case-split branch of the sentence again, where
 plqo.decide.check_proof checks the certificates the search left in the
@@ -72,19 +79,19 @@ from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecI
 from plqo.genmodel import build_generic
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.prop import (
-    MAX_VALUATION_SYMBOLS, AnfPoly, all_valuations, essential_symbols, eval_formula
+    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, all_valuations, essential_symbols
 )
 from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
     Add, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
 )
 from plqo.translate import (
+    DecideSystem,
     PairVar,
     _comparison_constraint,
     constraint,
     constraints_hold,
     negate_constraint,
-    q_decide,
     translate_atom,
     translate_literal,
 )
@@ -246,10 +253,33 @@ def two_pass_pivot(tableau, xi, xj, target):
                     del rk[j]
 
 
+def eval_formula(f, valuation):
+    """Truth value of ``f`` under ``valuation`` (a symbol -> {0,1} mapping)."""
+    if isinstance(f, Verum):
+        return 1
+    if isinstance(f, Atom):
+        try:
+            return 1 if valuation[f.symbol] else 0
+        except KeyError:
+            raise MissingSymbol(f"valuation does not cover {f.symbol}") from None
+    if isinstance(f, Neg):
+        return 1 - eval_formula(f.child, valuation)
+    if isinstance(f, Impl):
+        if eval_formula(f.left, valuation) == 0:
+            return 1
+        return eval_formula(f.right, valuation)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def decide_rows(f):
+    """The rows of the decider's system for ``f``."""
+    return [c for _, c in DecideSystem(f).rows()]
+
+
 def rcof_holds_by_solving(sent):
     """Whether every case-split branch of the sentence's literals is
     infeasible together with the decider's system for its formula."""
-    premise = q_decide(sent.formula())
+    premise = decide_rows(sent.formula())
     pools = [translate_literal(l) for l in sent.literals()]
     return not any(
         feasible(premise + [c for part in branch for c in part]) for branch in product(*pools)

@@ -29,20 +29,19 @@ from plqo.genmodel import (
 from plqo.hilbert import adams_check, prob, satisfies
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
-from plqo.prop import Neg, PropSymbol, atom, conj, eval_formula, is_tautology
+from plqo.prop import Neg, PropSymbol, atom, conj, is_tautology
 from plqo.syntax import (
     ONE,
     PNeg,
     ProbAtom,
     ZERO,
     fraction,
-    prob_formulas_of,
     prob_le,
 )
 from plqo.translate import (
+    DecideSystem,
     NumericVar,
     ProbVar,
-    b_phi,
     constraint,
     constraints_hold,
     eval_rcof,
@@ -51,7 +50,9 @@ from plqo.translate import (
 from plqo.prop import VERUM, all_valuations
 
 from formgen import gen_classical, gen_plqo, random_feasible_point
-from oracles import as_fraction, fourier_motzkin_feasible, is_rational, matrix_is_zero
+from oracles import (
+    as_fraction, decide_rows, eval_formula, fourier_motzkin_feasible, is_rational, matrix_is_zero
+)
 
 
 def report(number, label, ok):
@@ -83,7 +84,7 @@ def test_02_obs_verum_side_condition():
         ok = len(sentences) >= 1
         pin = constraint({ProbVar.of(VERUM): 1}, "=", 1)
         for sent in sentences:
-            premise = sent.q_premise()
+            premise = decide_rows(sent.formula())
             # the premise system contains x_T = 1 and nothing beyond its
             # consequences: the pinned point satisfies every constraint
             ok = ok and pin in premise
@@ -146,11 +147,12 @@ def test_05_witness_model_equivalence():
     n_true = n_false = 0
     while n_pairs < 100:
         phi = gen_plqo(rng, [1, 2, 3], rng.randint(0, 2), allow_vars=True)
-        base = sorted(b_phi(phi))
+        system = DecideSystem(phi)
+        base = system.base
         if len(base) > 3:
             continue
         witness = random_feasible_point(
-            rng, base, prob_formulas_of(phi), extra_pairs_positive=True
+            rng, base, system.delta, extra_pairs_positive=True
         )
         for k in (1, 2, 3):
             witness.setdefault(NumericVar(k), Fraction(rng.randint(0, 4), 4))

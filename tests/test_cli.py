@@ -432,6 +432,41 @@ def test_eval_with_assignment(capsys, tmp_path):
     assert code == 0 and "SATISFIED" in out
 
 
+def test_translate_over_budget_prints_nothing(capsys):
+    conj13 = " & ".join(f"B{i}" for i in range(1, 14))
+    code, out, err = invoke(capsys, "translate", f"O({conj13})")
+    assert code == 3 and out == ""
+    assert err == "error[budget]: distribution system over 13 symbols exceeds budget 12\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "O(B1 & B2) -> O(B1 & B2 & B3)"],
+        ["sat", "O(B1)"],
+        ["entail", "--premise", "O(B1 & B2)", "--conclusion", "O(B1 & B2 & B3)"],
+    ],
+    ids=["check", "sat", "entail"],
+)
+def test_unwritable_output_file_prints_nothing(capsys, tmp_path, argv):
+    code, out, err = invoke(capsys, *argv, "-o", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("error[io]:")
+
+
+def test_eval_parse_error_after_prob_prints_nothing(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    code, _, _ = invoke(capsys, "genmodel", "--symbols", "B1", "--masses", "1/2", "1/2", "-o", str(path))
+    assert code == 0
+    code, out, _ = invoke(capsys, "eval", "--model", str(path), "--prob", "B1")
+    assert code == 0 and out == "prob = 1/2\n"
+    code, out, err = invoke(
+        capsys, "eval", "--model", str(path), "--prob", "B1", "--formula", "O(B1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error[parse]:")
+
+
 def test_translate_output(capsys):
     code, out, _ = invoke(capsys, "translate", "P(B1) = 1/2")
     assert code == 0
@@ -462,6 +497,50 @@ def test_prove_schemas(capsys):
     assert lines[-1].endswith("[MP 1,3]")
     code, out, _ = invoke(capsys, "prove", "--schema", "obs_taut")
     assert code == 0 and len(out.strip().splitlines()) == 2
+    assert out == _lines(
+        "  1  forall ((Q[;]) -> (O(T))^R)  [RCOF]",
+        "  2  O(T)  [RR 1]",
+    )
+    code, out, _ = invoke(capsys, "prove", "--schema", "fig2")
+    assert code == 0 and out == _lines(
+        "  1  O(B1 & B2)  [HYP]",
+        "  2  forall ((Q[B1,B2;(B1 & B2)] & (O(B1 & B2))^R) -> (P(B1 & B2) >= 0)^R)  [RCOF]",
+        "  3  O(B1 & B2) -> P(B1 & B2) >= 0  [RR 2]",
+        "  4  P(B1 & B2) >= 0  [MP 1,3]",
+    )
+    code, out, _ = invoke(
+        capsys, "prove", "--schema", "fig1", "--alpha1", "B1 & B2", "--alpha2", "B2 & B1"
+    )
+    assert code == 0 and out == _lines(
+        "  1  forall ((Q[B1,B2;] & (O(B1 & B2))^R) -> (O(B2 & B1))^R)  [RCOF]",
+        "  2  O(B1 & B2) -> O(B2 & B1)  [RR 1]",
+        "  3  forall ((Q[B1,B2;] & (O(B2 & B1))^R) -> (O(B1 & B2))^R)  [RCOF]",
+        "  4  O(B2 & B1) -> O(B1 & B2)  [RR 3]",
+        "  5  (O(B1 & B2) -> O(B2 & B1)) -> (O(B2 & B1) -> O(B1 & B2))"
+        " -> (O(B1 & B2) <-> O(B2 & B1))  [TT]",
+        "  6  (O(B2 & B1) -> O(B1 & B2)) -> (O(B1 & B2) <-> O(B2 & B1))  [MP 2,5]",
+        "  7  O(B1 & B2) <-> O(B2 & B1)  [MP 4,6]",
+    )
+
+
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def test_each_sentence_prints_its_own_base(capsys):
+    """Each sentence prints Q over the symbols and P formulas of the
+    implication it derives, not over the whole formula's."""
+    code, out, _ = invoke(capsys, "check", "P(B1 & B2) >= 0 & O(B3 -> B3)")
+    assert code == 0 and out == _lines(
+        "VALID",
+        "  1  forall ((Q[B1,B2;(B1 & B2)]) -> (P(B1 & B2) >= 0)^R)  [RCOF]",
+        "  2  P(B1 & B2) >= 0  [RR 1]",
+        "  3  forall ((Q[B3;]) -> (O(B3 -> B3))^R)  [RCOF]",
+        "  4  O(B3 -> B3)  [RR 3]",
+        "  5  (P(B1 & B2) < 0) | (O(B3 -> B3) -> (P(B1 & B2) >= 0) & O(B3 -> B3))  [TT]",
+        "  6  O(B3 -> B3) -> (P(B1 & B2) >= 0) & O(B3 -> B3)  [MP 2,5]",
+        "  7  (P(B1 & B2) >= 0) & O(B3 -> B3)  [MP 4,6]",
+    )
 
 
 def test_prove_schema_precondition_failure(capsys):

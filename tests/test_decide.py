@@ -208,12 +208,10 @@ def test_valid_agrees_with_grid_search():
     """When the procedure says Valid, no grid-point generic structure
     satisfies the negation (an independent, model-side check)."""
     rng = random.Random(97)
-    from plqo.translate import b_phi
-
     checked_valid = 0
     for _ in range(25):
         phi = gen_plqo(rng, [1, 2], rng.randint(0, 2), atom_depth=2)
-        base = b_phi(phi)
+        base = DecideSystem(phi).base
         if len(base) > 2:
             continue
         verdict = check_valid(phi)
@@ -447,7 +445,8 @@ def test_proof_checker_rejects_a_row_outside_the_system(name):
     it was: only the name check can reject it."""
     proof = _ladder_proof()
     _, sent = _sentence_line(proof)
-    assert len(sent.delta()) == 2 and sent.base() == [PropSymbol(i) for i in (1, 2, 3)]
+    system = DecideSystem(sent.formula())
+    assert len(system.delta) == 2 and system.base == [PropSymbol(i) for i in (1, 2, 3)]
     with pytest.raises(VerificationFailed):
         check_proof(_with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),)))
 
@@ -457,6 +456,11 @@ def _with_line(proof, position, **changes):
     lines = list(proof.lines)
     lines[position - 1] = replace(lines[position - 1], **changes)
     return Proof(tuple(lines), proof.hypotheses)
+
+
+def _with_sentence(proof, **changes):
+    """The proof with the sentence on its first line changed by ``changes``."""
+    return _with_line(proof, 1, content=replace(proof.lines[0].content, **changes))
 
 
 def _citing(name):
@@ -484,6 +488,15 @@ _MALFORMED = {
     "mass-list-set": _citing(("mass>=0", [1])),
     "text-multiplier": lambda p: _with_certificates(
         p, _edit_entry("mass>=0", lambda e: [(e[0], "1")])
+    ),
+    "conclusion-a-formula": lambda p: _with_sentence(
+        p, conclusion=p.lines[0].content.conclusion.formula()
+    ),
+    "conclusion-none": lambda p: _with_sentence(p, conclusion=None),
+    "premise-not-a-literal": lambda p: _with_sentence(p, premise_literals=(1,)),
+    "premises-none": lambda p: _with_sentence(p, premise_literals=None),
+    "premises-a-list": lambda p: _with_sentence(
+        p, premise_literals=list(p.lines[0].content.premise_literals)
     ),
 }
 
@@ -568,7 +581,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "29 passed" in done.stdout
+    assert "34 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -19,9 +19,9 @@ from plqo.hilbert import compatible, prob, satisfies
 from plqo.parser import parse_plqo
 from plqo.prop import Neg, PropSymbol, VERUM, atom
 from plqo.scalars import C_ONE, RadicalScalar
-from plqo.syntax import NumVar, ProbAtom, fraction, prob_formulas_of
+from plqo.syntax import NumVar, ProbAtom, fraction
 from plqo.translate import (
-    DecideSystem, NumericVar, PairVar, ProbVar, b_phi, translate_formula, eval_rcof
+    DecideSystem, NumericVar, PairVar, ProbVar, translate_formula, eval_rcof
 )
 
 from formgen import gen_plqo, random_feasible_point
@@ -163,7 +163,7 @@ def test_json_roundtrip():
 
 def test_model_from_witness_obs_negative():
     phi = parse_plqo("!(O(B1 & B2))")
-    base = sorted(b_phi(phi))
+    base = DecideSystem(phi).base
     w = random_feasible_point(random.Random(3), base, [])
     w[PairVar(1, 2)] = Fraction(1)
     structure, rho, spec = model_from_witness(phi, w)
@@ -261,10 +261,11 @@ def test_witness_model_equivalence_corpus():
     n_true = n_false = 0
     for _ in range(120):
         phi = gen_plqo(rng, [1, 2, 3], rng.randint(0, 2), atom_depth=2, allow_vars=True)
-        base = sorted(b_phi(phi))
+        system = DecideSystem(phi)
+        base = system.base
         if len(base) > 3:
             continue
-        delta = prob_formulas_of(phi)
+        delta = system.delta
         w = random_feasible_point(rng, base, delta, extra_pairs_positive=True)
         for k in (1, 2, 3):
             w.setdefault(NumericVar(k), Fraction(rng.randint(0, 4), 4))

@@ -28,7 +28,6 @@ from plqo.prop import (
     atom,
     conj,
     disj,
-    eval_formula,
     iff,
     Neg,
 )
@@ -50,6 +49,7 @@ from oracles import (
     dense_prob,
     dense_projector_defect,
     dense_satisfies,
+    eval_formula,
     identity,
     inner,
     mat_sub,

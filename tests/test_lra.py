@@ -17,10 +17,11 @@ from plqo.lra import (
     feasible,
 )
 from plqo.syntax import PNeg, nnf_dnf_literals
-from plqo.translate import NumericVar, constraint, constraints_hold, q_decide, q_of, translate_literal
+from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
 
 from formgen import gen_plqo, obs_ladder, prob_ladder
 from oracles import (
+    decide_rows,
     every_row_concretize,
     fourier_motzkin_feasible,
     slack_row_feasible,
@@ -275,7 +276,7 @@ def test_concretize_matches_the_every_row_reference():
     systems = [_bounded_system(rng) for _ in range(300)]
     ladders = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
     systems += [cs for phi in ladders for cs in _query_systems(phi)]
-    systems += [cs for phi in ladders for cs in _query_systems(phi, q_decide)]
+    systems += [cs for phi in ladders for cs in _query_systems(phi, decide_rows)]
     solved = with_delta = capped = 0
     for cs in systems:
         rows = [c for c in cs if c.terms]

@@ -20,7 +20,6 @@ from plqo.prop import (
     conj_all,
     disj,
     essential_symbols,
-    eval_formula,
     iff,
     is_tautology,
     phi_A_U,
@@ -30,7 +29,7 @@ from plqo.prop import (
 )
 
 from formgen import gen_classical
-from oracles import anf_by_valuation, anf_evaluate, essential_symbols_bruteforce
+from oracles import anf_by_valuation, anf_evaluate, essential_symbols_bruteforce, eval_formula
 
 
 def test_eval_primitives():

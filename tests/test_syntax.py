@@ -9,8 +9,8 @@ from plqo.errors import BudgetExceeded, ParseError
 from plqo.hilbert import satisfies
 from plqo.genmodel import GenericModelSpec, build_generic
 from plqo.parser import MAX_DEPTH, MAX_UNFOLDED, parse_classical, parse_plqo, parse_term, print_plqo, print_term
-from plqo.translate import translate_formula
-from plqo.prop import VERUM, atom, canonical_text, conj, eval_formula, is_tautology, print_prop
+from plqo.translate import DecideSystem, translate_formula
+from plqo.prop import VERUM, atom, canonical_text, conj, is_tautology, print_prop
 from plqo.decide import Invalid, Valid, check_valid, letters_formula
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
@@ -33,7 +33,6 @@ from plqo.syntax import (
     pconj,
     pdisj,
     piff,
-    prob_formulas_of,
     prob_ge,
     prob_gt,
     prob_le,
@@ -195,7 +194,7 @@ def test_atoms_of_first_occurrence_order():
     assert len(atoms) == 2
     assert isinstance(atoms[0], ProbAtom)
     assert isinstance(atoms[1], ObsAtom)
-    assert prob_formulas_of(f) == [atom(1)]
+    assert DecideSystem(f).delta == [atom(1)]
 
 
 def _truth(f, lit_values):

@@ -17,7 +17,6 @@ from plqo.prop import (
     atom,
     canonical_text,
     conj,
-    eval_formula,
     phi_A_U,
 )
 from plqo.syntax import (
@@ -31,7 +30,6 @@ from plqo.syntax import (
     fraction,
     nnf_dnf_literals,
     numeral,
-    prob_formulas_of,
 )
 from plqo.translate import (
     DecideSystem,
@@ -39,7 +37,6 @@ from plqo.translate import (
     NumericVar,
     PairVar,
     ProbVar,
-    b_phi,
     constraint,
     constraints_hold,
     eval_rcof,
@@ -47,7 +44,6 @@ from plqo.translate import (
     mass_var,
     negate_constraint,
     q_adams,
-    q_decide,
     q_obs,
     translate_atom,
     translate_formula,
@@ -63,6 +59,7 @@ from formgen import (
     prob_ladder,
     random_feasible_point,
 )
+from oracles import decide_rows
 
 
 def syms(*idx):
@@ -142,9 +139,10 @@ def test_q_decide_agrees_with_the_papers_q():
     extended = refuted = 0
     for phi in formulas:
         target = PNeg(phi)
-        delta = prob_formulas_of(target)
-        q = q_decide(target)
-        q_full = q_adams(sorted(b_phi(target)), delta)
+        system = DecideSystem(target)
+        delta = system.delta
+        q = decide_rows(target)
+        q_full = q_adams(system.base, delta)
         for lits in nnf_dnf_literals(target):
             for parts in product(*[translate_literal(l) for l in lits]):
                 branch = [c for part in parts for c in part]
@@ -167,14 +165,15 @@ def test_q_decide_grows_with_the_symbols_under_p():
     """prob-n12 puts two of its twelve symbols under P: its system has
     2^2 masses, not 3^12 marginals."""
     phi = PNeg(prob_ladder(12))
-    a_p = DecideSystem(phi).a_p
-    assert len(a_p) == 2 and len(b_phi(phi)) == 12
-    q = q_decide(phi)
-    assert len(q) <= len(prob_formulas_of(phi)) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
+    system = DecideSystem(phi)
+    a_p = system.a_p
+    assert len(a_p) == 2 and len(system.base) == 12
+    q = decide_rows(phi)
+    assert len(q) <= len(system.delta) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
     masses = {mass_var(a_p, frozenset(u)) for r in range(3) for u in combinations(a_p, r)}
     assert len(masses) == 4
     prob_vars = {v for c in q for v, _ in c.terms if isinstance(v, ProbVar)}
-    assert prob_vars <= masses | {ProbVar.of(a) for a in prob_formulas_of(phi)}
+    assert prob_vars <= masses | {ProbVar.of(a) for a in system.delta}
     # the pair rows are Q's, over all of B_phi: the simplex never moves a
     # pair variable below zero, so no witness would show one missing
     base = syms(*range(1, 13))
@@ -185,7 +184,7 @@ def test_q_decide_grows_with_the_symbols_under_p():
 def test_q_decide_budget_is_on_b_phi():
     phi = parse_plqo(f"O({conj_text(13)}) -> P(B1) = 1")
     with pytest.raises(BudgetExceeded, match="over 13 symbols exceeds budget 12"):
-        q_decide(phi)
+        decide_rows(phi)
 
 
 def test_linearize():
@@ -252,7 +251,7 @@ def test_literal_exclusivity_via_solver():
     for _ in range(40):
         phi = gen_plqo(rng, [1, 2], 0)
         lit = PlqoLiteral(True, phi)
-        base = sorted(b_phi(phi))
+        base = DecideSystem(phi).base
         delta = [phi.alpha] if isinstance(phi, ProbAtom) else []
         premise = q_adams(base, delta)
         for pos in translate_literal(lit):
@@ -266,10 +265,9 @@ def test_eval_rcof_matches_pointwise():
     rng = random.Random(59)
     for _ in range(60):
         phi = gen_plqo(rng, [1, 2], rng.randint(0, 2))
-        base = sorted(b_phi(phi))
-        from plqo.syntax import prob_formulas_of
-
-        delta = prob_formulas_of(phi)
+        system = DecideSystem(phi)
+        base = system.base
+        delta = system.delta
         point = random_feasible_point(rng, base, delta, extra_pairs_positive=True)
         tree = translate_formula(phi)
         # sanity: evaluation is defined and boolean
