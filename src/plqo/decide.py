@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .errors import SchemaPreconditionFailed, VerificationFailed, verify
+from .errors import PlqoError, SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
 from .prop import Impl, Neg, atom as prop_atom, conj as prop_conj, is_tautology
 from .syntax import (
@@ -161,23 +161,16 @@ def _check_certificates(sent):
     )
     for branch, certificate in zip(branches, certificates):
         verify(type(certificate) is tuple, "a certificate is not a tuple")
+        literal_rows = _literal_rows(branch)
         cited = []
         for entry in certificate:
             if not (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is tuple):
                 raise VerificationFailed(f"{entry!r} is not a (row name, multiplier) pair")
             name, m = entry
-            if not name or name[0] != "literal":
-                cited.append((system.row(name), m))
-            elif (
-                len(name) == 3
-                and type(name[1]) is int
-                and type(name[2]) is int
-                and 0 <= name[1] < len(branch)
-                and 0 <= name[2] < len(branch[name[1]])
-            ):
-                cited.append((branch[name[1]][name[2]], m))
-            else:
-                raise VerificationFailed(f"no row of the branch is named {name}")
+            # a literal row is found under the name _refute gave it; any
+            # other name must name a row of the system
+            row = next((c for n, c in literal_rows if n == name), None)
+            cited.append((system.row(name) if row is None else row, m))
         check_refutation(cited)
 
 
@@ -252,9 +245,17 @@ def check_proof(proof):
     """Independent checker: TT lines by truth table over atom letters, MP
     by shape, RCOF lines by their certificates, RR against the sentence
     it cites, HYP against the declared hypotheses.  It runs no solver.
-    Raises VerificationFailed (an AssertionError) on any bad line."""
+    Raises VerificationFailed (an AssertionError) on any bad line, and on a
+    subclass of a proof, line, sentence, literal or atom, which could
+    override a method such as ``complement``."""
+    verify(
+        type(proof) is Proof and type(proof.lines) is tuple and type(proof.hypotheses) is tuple,
+        "not a Proof with tuples of lines and hypotheses",
+    )
     derived = {}
     for position, line in enumerate(proof.lines, 1):
+        if type(line) is not ProofLine:
+            raise VerificationFailed(f"line {position} is not a ProofLine")
         if type(line.number) is not int or line.number != position:
             raise VerificationFailed(f"line {position} is numbered {line.number!r}")
         wanted = 1 if line.kind == "RR" else 2 if line.kind == "MP" else 0
@@ -268,16 +269,18 @@ def check_proof(proof):
             )
         if line.kind == "RCOF":
             sent = line.content
-            verify(
-                isinstance(sent, RcofSentence)
+            if not (
+                type(sent) is RcofSentence
                 and type(sent.premise_literals) is tuple
-                and all(isinstance(l, PlqoLiteral) for l in sent.premise_literals)
-                and isinstance(sent.conclusion, PlqoLiteral),
-                f"RCOF line {line.number} is not a sentence over literals",
-            )
+                and all(
+                    type(l) is PlqoLiteral and type(l.atom) in (ObsAtom, ProbAtom)
+                    for l in sent.premise_literals + (sent.conclusion,)
+                )
+            ):
+                raise VerificationFailed(f"RCOF line {line.number} is not a sentence over literals")
             try:
                 _check_certificates(sent)
-            except VerificationFailed as e:
+            except (PlqoError, TypeError, AttributeError) as e:
                 raise VerificationFailed(f"side condition fails on line {line.number}: {e}") from None
         elif line.kind == "HYP":
             verify(line.content in proof.hypotheses, "undeclared hypothesis")

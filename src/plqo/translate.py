@@ -169,20 +169,6 @@ def render_constraints(cs):
     return "\n".join(str(c) for c in cs)
 
 
-def _dedupe(cs):
-    out = []
-    seen = set()
-    for c in cs:
-        if not c.terms:
-            # trivially decidable; identities drop out, contradictions kept
-            if c.holds({}):
-                continue
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    return out
-
-
 # -- the two constraint systems ----------------------------------------------
 
 
@@ -215,19 +201,21 @@ def _check_budget(base):
         )
 
 
-def _mass_rows(masses):
-    """Each mass in [0, 1], and the masses summing to one."""
-    out = []
-    for m in masses:
-        out.append(constraint({m: 1}, ">=", 0))
-        out.append(constraint({m: 1}, "<=", 1))
-    out.append(constraint({m: 1 for m in masses}, "=", 1))
-    return out
+def _mass_row(kind, m):
+    """The bound ``kind`` ("mass>=0" or "mass<=1") on the mass ``m``, built directly."""
+    if kind == "mass>=0":
+        return LinConstraint(((m, _MINUS_ONE),), "<=", _ZERO)
+    return LinConstraint(((m, _ONE),), "<=", _ONE)
 
 
-def _pair_rows(base):
-    """Each pair variable over ``base`` nonnegative."""
-    return [constraint({PairVar.of(s1, s2): 1}, ">=", 0) for s1, s2 in combinations(base, 2)]
+def _sum_row(masses):
+    """The masses summing to one."""
+    return constraint({m: 1 for m in masses}, "=", 1)
+
+
+def _pair_row(s1, s2):
+    """The pair variable of symbols ``s1`` and ``s2`` nonnegative."""
+    return constraint({PairVar.of(s1, s2): 1}, ">=", 0)
 
 
 def _formula_row(alpha, masses):
@@ -255,12 +243,18 @@ def q_adams(a_set, delta):
     """The paper's distribution system over ``a_set``: valuation masses in
     [0,1] summing to one, marginal consistency over every subset of
     ``a_set``, nonnegative pair variables, and each formula variable equal
-    to the mass of its satisfying valuations.  Trivial identities (e.g.
-    the marginal of ``a_set`` inside itself) are dropped.
+    to the mass of its satisfying valuations.  Repeated formulas of
+    ``delta`` give one row, and the identity 0 = 0 is dropped.
     """
     a_list = sorted(set(a_set))
     a_set = frozenset(a_list)
-    delta = list(delta)
+    # No row is hashed away, as none repeats: rows of different kinds
+    # differ in relation, right side or variables, and within a kind each
+    # row has its own variable (a mass's two bounds differ in sign), once
+    # repeated formulas are dropped: canonical texts round-trip, so they
+    # are injective.  The one constant row, 0 = 0, is a formula row whose
+    # variable is a mass or a marginal.
+    delta = list(dict.fromkeys(delta))
     for alpha in delta:
         if not alpha.symbols() <= a_set:
             raise ValueError(f"formula {alpha} mentions symbols outside the base set")
@@ -268,7 +262,8 @@ def q_adams(a_set, delta):
 
     subsets_a = [frozenset(c) for r in range(len(a_list) + 1) for c in combinations(a_list, r)]
     masses = {u: mass_var(a_set, u) for u in subsets_a}
-    out = _mass_rows(list(masses.values()))
+    out = [_mass_row(kind, m) for m in masses.values() for kind in ("mass>=0", "mass<=1")]
+    out.append(_sum_row(masses.values()))
     # marginals
     for a_sub in (s for s in subsets_a if s != a_set):
         sub_elems = sorted(a_sub)
@@ -281,11 +276,11 @@ def q_adams(a_set, delta):
                         v = masses[u]
                         coeffs[v] = coeffs.get(v, Fraction(0)) - 1
                 out.append(constraint(coeffs, "=", 0))
-    out += _pair_rows(a_list)
+    out += [_pair_row(s1, s2) for s1, s2 in combinations(a_list, 2)]
     for alpha in delta:
         b_alpha = sorted(alpha.symbols())
         out.append(_formula_row(alpha, {u: mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}))
-    return _dedupe(out)
+    return [c for c in out if c.terms]
 
 
 # -- term linearization ------------------------------------------------------
@@ -377,30 +372,27 @@ class DecideSystem:
             kind == "pair" and n == 3
             and name[1] in self.base and name[2] in self.base and name[1] < name[2]
         ):
-            return constraint({PairVar.of(name[1], name[2]): 1}, ">=", 0)
+            return _pair_row(name[1], name[2])
         if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
             return _formula_row(self.delta[name[1]], self.masses)
         if kind == "sum" and n == 1:
-            return constraint({m: 1 for m in self.masses.values()}, "=", 1)
+            return _sum_row(self.masses.values())
         if kind in ("mass>=0", "mass<=1") and n == 2 and type(name[1]) is frozenset and name[1] in self.masses:
-            # constraint({m: 1}, ">=", 0) and constraint({m: 1}, "<=", 1), built directly
-            m = self.masses[name[1]]
-            if kind == "mass>=0":
-                return LinConstraint(((m, _MINUS_ONE),), "<=", _ZERO)
-            return LinConstraint(((m, _ONE),), "<=", _ONE)
+            return _mass_row(kind, self.masses[name[1]])
         raise VerificationFailed(f"no row of the system is named {name}")
 
     def rows(self):
-        """(name, row) for every row, in order, without trivial identities;
-        a row that repeats an earlier one keeps the earlier name only."""
+        """(name, row) for every row, in order, without the identity 0 = 0."""
+        # No row is hashed away, as none repeats: rows of different kinds
+        # differ in relation, right side or variables, and within a kind
+        # each row has its own variable (a mass's two bounds differ in
+        # sign; delta has no repeats).  The one constant row, 0 = 0, is a
+        # formula row whose variable is itself a mass.
         names = [(kind, u) for u in self.masses for kind in ("mass>=0", "mass<=1")]
         names.append(("sum",))
         names += [("pair", s1, s2) for s1, s2 in combinations(self.base, 2)]
         names += [("formula", k) for k in range(len(self.delta))]
-        kept = {}
-        for name in names:
-            kept.setdefault(self.row(name), name)
-        return [(name, c) for c, name in kept.items() if c.terms or not c.holds({})]
+        return [(name, c) for name in names if (c := self.row(name)).terms]
 
 
 def _comparison_constraint(alpha, cmp, term):

@@ -1,7 +1,10 @@
 """Seeded random generators for classical and observation-logic
 formulas, shared across test modules."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from plqo.parser import parse_plqo
 from plqo.prop import Atom, Impl, Neg, PropSymbol, VERUM, conj, disj
@@ -134,3 +137,19 @@ def distribution_point(base, joint, delta):
                 acc += values[mass_var(b_alpha, u)]
         values[ProbVar.of(alpha)] = acc
     return values
+
+
+def perfbench_workloads():
+    """``perfbench/workloads.py`` as a module, imported without writing
+    bytecode into ``perfbench/``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+        del sys.modules[spec.name]
+    return module

@@ -473,6 +473,39 @@ def test_translate_output(capsys):
     assert "x[!B1] + x[B1] = 1" in out
     assert "# atom P(B1) = 1/2" in out
     assert "x[B1] = 1/2" in out
+    # every formula of this system names a mass or a marginal: its three
+    # formula rows are 0 = 0 and dropped
+    code, out, _ = invoke(
+        capsys, "translate", "P(B1 & !B2) = 1/3 & P(B1) = 1/2 & P(T) = 1 -> O(B1 & B2)"
+    )
+    assert code == 0
+    assert out == (
+        "# distribution system\n"
+        "-x[!B1&!B2] <= 0\n"
+        "x[!B1&!B2] <= 1\n"
+        "-x[B1&!B2] <= 0\n"
+        "x[B1&!B2] <= 1\n"
+        "-x[!B1&B2] <= 0\n"
+        "x[!B1&B2] <= 1\n"
+        "-x[B1&B2] <= 0\n"
+        "x[B1&B2] <= 1\n"
+        "x[!B1&!B2] + x[!B1&B2] + x[B1&!B2] + x[B1&B2] = 1\n"
+        "-x[!B1&!B2] - x[!B1&B2] - x[B1&!B2] - x[B1&B2] + x[T] = 0\n"
+        "x[!B1] - x[!B1&!B2] - x[!B1&B2] = 0\n"
+        "x[B1] - x[B1&!B2] - x[B1&B2] = 0\n"
+        "-x[!B1&!B2] + x[!B2] - x[B1&!B2] = 0\n"
+        "-x[!B1&B2] - x[B1&B2] + x[B2] = 0\n"
+        "-xp[B1,B2] <= 0\n"
+        "# atom P(B1 & !B2) = 1/3\n"
+        "xp[B1,B2] = 0\n"
+        "x[B1&!B2] = 1/3\n"
+        "# atom P(B1) = 1/2\n"
+        "x[B1] = 1/2\n"
+        "# atom P(T) = 1\n"
+        "x[T] = 1\n"
+        "# atom O(B1 & B2)\n"
+        "xp[B1,B2] = 0\n"
+    )
 
 
 def test_essential_and_anf(capsys):

@@ -41,6 +41,7 @@ from plqo.syntax import (
     ObsAtom,
     PImpl,
     PNeg,
+    PlqoLiteral,
     ProbAtom,
     fraction,
     nnf_dnf_literals,
@@ -498,6 +499,15 @@ _MALFORMED = {
     "premises-a-list": lambda p: _with_sentence(
         p, premise_literals=list(p.lines[0].content.premise_literals)
     ),
+    # fig2's HYP line looks its formula up among the hypotheses
+    "hypotheses-none": lambda p: replace(derive_schema("fig2"), hypotheses=None),
+    "line-a-string": lambda p: Proof(p.lines[:1] + ("x",) + p.lines[2:]),
+    "nonlinear-premise": lambda p: _with_sentence(
+        p,
+        premise_literals=p.lines[0].content.premise_literals
+        + (PlqoLiteral(True, parse_plqo("P(B1) < x1 * x2")),),
+    ),
+    "obs-atom-of-an-int": lambda p: _with_sentence(p, conclusion=PlqoLiteral(True, ObsAtom(3))),
 }
 
 
@@ -506,6 +516,27 @@ def test_proof_checker_rejects_a_malformed_line(tamper):
     """A malformed line raises VerificationFailed, never another error."""
     with pytest.raises(VerificationFailed):
         check_proof(tamper(_ladder_proof()))
+
+
+def test_proof_checker_rejects_a_literal_subclass():
+    """A literal whose complement() lies: the refuted literal -O(T) has no
+    branch, so zero certificates would pass, and the RR line restates the
+    invalid O(B1 & B2)."""
+
+    class Lying(PlqoLiteral):
+        def complement(self):
+            return PlqoLiteral(False, ObsAtom(VERUM))
+
+    b12 = parse_plqo("O(B1 & B2)")
+    assert isinstance(check_valid(b12), Invalid)
+    proof = Proof(
+        (
+            ProofLine(1, RcofSentence((), Lying(True, b12)), "RCOF"),
+            ProofLine(2, b12, "RR", (1,)),
+        )
+    )
+    with pytest.raises(VerificationFailed):
+        check_proof(proof)
 
 
 def test_proof_checker_rejects_inexact_multipliers():
@@ -581,7 +612,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "34 passed" in done.stdout
+    assert "39 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from plqo.decide import check_refutation
+from plqo.decide import RcofSentence, check_refutation
 from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
@@ -24,12 +24,14 @@ from plqo.syntax import (
     Mul,
     NumVar,
     ObsAtom,
+    PImpl,
     PNeg,
     PlqoLiteral,
     ProbAtom,
     fraction,
     nnf_dnf_literals,
     numeral,
+    pconj_all,
 )
 from plqo.translate import (
     DecideSystem,
@@ -56,6 +58,7 @@ from formgen import (
     distribution_point,
     gen_plqo,
     obs_ladder,
+    perfbench_workloads,
     prob_ladder,
     random_feasible_point,
 )
@@ -185,6 +188,55 @@ def test_q_decide_budget_is_on_b_phi():
     phi = parse_plqo(f"O({conj_text(13)}) -> P(B1) = 1")
     with pytest.raises(BudgetExceeded, match="over 13 symbols exceeds budget 12"):
         decide_rows(phi)
+
+
+def _search_system_formulas(phi):
+    """The formula of each system the search builds for check_valid(phi)
+    and check_sat(phi): the target's, and each disjunct sentence's."""
+    out = []
+    for target in (PNeg(phi), phi):
+        out.append(target)
+        for lits in nnf_dnf_literals(target):
+            out.append(RcofSentence(tuple(lits[:-1]), lits[-1].complement()).formula())
+    return out
+
+
+def test_no_system_row_repeats_or_is_constant():
+    """Neither system hashes its rows, because none repeats: over every
+    system the search builds for the workloads and a seeded corpus with T,
+    F and mass-named P formulas, no two rows are equal, no row is constant,
+    DecideSystem drops only formula rows 0 = 0, and q_adams ignores
+    repeated delta entries."""
+    workloads = perfbench_workloads()
+    formulas = []
+    for seed in (1, 2):
+        for name in workloads.WORKLOADS:
+            for q in workloads.build(name, seed):
+                fs = [parse_plqo(t) for t in q.texts]
+                formulas.append(PImpl(pconj_all(fs[:-1]), fs[-1]) if q.api == "entail" else fs[0])
+    rng = random.Random(20261019)
+    formulas += [gen_plqo(rng, [1, 2, 3], 3, allow_vars=True) for _ in range(60)]
+    formulas += [
+        parse_plqo(t)
+        for t in (
+            "P(T) = 1 & P(F) = 0 -> P(B1 & !B2) < 1/3",
+            "(P(!B1 & (B2 & !B3)) = 1/4 & P(B1) = 1/2) -> (P(B2 & B1) < 1 | O(B3))",
+            "P(B1 & !B2) = 1/3 & P(B1) = 1/2 & P(T) = 1 -> O(B1 & B2)",
+            "P(!B2) = 1/2 & P(!B1 & !B2) = x1 & P(F) < x2",
+        )
+    ]
+    systems = dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi))
+    for f in systems:
+        system = DecideSystem(f)
+        named = system.rows()
+        rows = [c for _, c in named]
+        assert len(set(rows)) == len(rows) and all(c.terms for c in rows), f
+        dropped = {("formula", k) for k in range(len(system.delta))} - {n for n, _ in named}
+        assert all(system.row(name) == constraint({}, "=", 0) for name in dropped), f
+        q = q_adams(system.base, system.delta)
+        assert len(set(q)) == len(q) and all(c.terms for c in q), f
+        assert q_adams(system.base, system.delta + system.delta[::-1]) == q, f
+    assert len(systems) > 1000
 
 
 def test_linearize():

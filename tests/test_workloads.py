@@ -4,13 +4,10 @@ every query text per workload and seed.  ``perfbench/workloads.py`` is
 imported, never written."""
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+from formgen import perfbench_workloads
 
 # sha256 over "id<TAB>api<TAB>text...<LF>" per query, in workload order.
 PINNED = {
@@ -25,16 +22,7 @@ PINNED = {
 
 @pytest.fixture(scope="module")
 def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes
-        del sys.modules[spec.name]
-    return module
+    return perfbench_workloads()
 
 
 @pytest.mark.parametrize("seed, name", list(PINNED), ids=[f"{n}-seed{s}" for s, n in PINNED])
