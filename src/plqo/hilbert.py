@@ -28,10 +28,10 @@ from .errors import (
 )
 from .prop import (
     PropSymbol,
-    all_valuations,
     essential_symbols,
     is_tautology,
     satisfying_sets,
+    valuation_sets,
     conj,
     disj,
     Neg,
@@ -215,15 +215,15 @@ def is_observable(structure, alpha):
     return _compatible_family(structure, sorted(essential_symbols(alpha)))
 
 
-def _projected_mass(structure, symbols, valuation, psi):
+def _projected_mass(structure, symbols, u, psi):
     """<psi| Q_k ... Q_1 |psi> with Q_j the projector P (or I - P, applied
-    as v - P v) for the j-th symbol in ascending index order, Q_1 applied
-    first; psi is the state as an {index: amplitude} map."""
+    as v - P v) for the j-th symbol in ascending index order, P if it is in
+    ``u``, Q_1 applied first; psi is the state as an {index: amplitude} map."""
     zero = czero(structure.tol is None)
     vec = psi
     for s in symbols:
         pv = structure.pqv(s).projector.apply(vec, zero)
-        vec = pv if valuation[s] else _sub(vec, pv)
+        vec = pv if s in u else _sub(vec, pv)
     return sum((psi[k].conjugate() * y for k, y in vec.items() if k in psi), zero)
 
 
@@ -250,9 +250,10 @@ def prob(structure, alpha):
     satisfying = satisfying_sets(alpha, alpha.symbols())
     total = czero(structure.tol is None)
     psi = {i: x for i, x in enumerate(structure.state.amps) if x}
-    for v in all_valuations(syms):
-        if frozenset(s for s in syms if v[s]) in satisfying:
-            total = total + _projected_mass(structure, syms, v, psi)
+    # the codes of syms[::-1] run in lexicographic order, which float sums see
+    for u in valuation_sets(syms[::-1]):
+        if u in satisfying:
+            total = total + _projected_mass(structure, syms, u, psi)
     return _as_real(total, structure.tol)
 
 

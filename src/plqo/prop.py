@@ -8,7 +8,6 @@ the other connectives are builders that expand into those primitives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import BudgetExceeded, MissingSymbol, UNotSubset
 
@@ -125,11 +124,12 @@ def _collect_symbols(f, out):
             stack.append(node.right)
 
 
-def all_valuations(symbols):
-    """All valuations on ``symbols``, in lexicographic order by ascending index."""
-    syms = sorted(symbols)
-    for bits in product((0, 1), repeat=len(syms)):
-        yield dict(zip(syms, bits))
+def valuation_sets(symbols):
+    """The valuations of ``symbols`` as the sets they make true, indexed
+    by code: bit j of the code is the value of the j-th listed symbol.
+    Truth tables number valuations of ascending symbols by this one code."""
+    n = len(symbols)
+    return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
 
 
 def _check_budget(symbols, what):
@@ -141,15 +141,15 @@ def _check_budget(symbols, what):
 
 def _column(n, i):
     """The truth table column of the i-th of n symbols: bit k is set iff
-    the symbol is true in the k-th valuation, whose bit n-1-i it is."""
-    width = 1 << (n - 1 - i)
+    the symbol is true in the valuation of code k, whose bit i it is."""
+    width = 1 << i
     block = ((1 << width) - 1) << width
     return (1 << (1 << n)) // ((1 << 2 * width) - 1) * block
 
 
 def truth_table(f, syms):
     """The truth table of ``f`` over ``syms`` as one int: bit k is the
-    value of ``f`` under the k-th valuation of ``all_valuations(syms)``.
+    value of ``f`` under the k-th valuation of ``valuation_sets(sorted(syms))``.
     One walk of the tree, each node one bitwise operation on the columns;
     the caller bounds ``syms``."""
     syms = sorted(syms)
@@ -179,7 +179,7 @@ def _true_sets(table, syms):
     n = len(syms)
     bits = format(table, f"0{1 << n}b")[::-1]
     return frozenset(
-        frozenset(s for i, s in enumerate(syms) if k >> (n - 1 - i) & 1)
+        frozenset(s for i, s in enumerate(syms) if k >> i & 1)
         for k, bit in enumerate(bits) if bit == "1"
     )
 
@@ -235,7 +235,7 @@ def anf(f):
     n = len(syms)
     full = (1 << (1 << n)) - 1
     for i in range(n):
-        coeffs ^= (coeffs & (full ^ _column(n, i))) << (1 << (n - 1 - i))
+        coeffs ^= (coeffs & (full ^ _column(n, i))) << (1 << i)
     return AnfPoly(_true_sets(coeffs, syms))
 
 
@@ -245,10 +245,10 @@ def essential_symbols(f):
     syms, table = _anf_table(f)
     n = len(syms)
     full = (1 << (1 << n)) - 1
-    # the entry where s is true sits 2^(n-1-i) bits above the one where it is false
+    # the entry where s is true sits 2^i bits above the one where it is false
     return frozenset(
         s for i, s in enumerate(syms)
-        if ((table >> (1 << (n - 1 - i))) ^ table) & (full ^ _column(n, i))
+        if ((table >> (1 << i)) ^ table) & (full ^ _column(n, i))
     )
 
 

@@ -218,25 +218,16 @@ def _pair_row(s1, s2):
     return constraint({PairVar.of(s1, s2): 1}, ">=", 0)
 
 
-def _formula_row(alpha, masses):
+def _formula_row(alpha, symbols, masses):
     """The formula variable of ``alpha`` equal to the sum of the masses
-    whose valuation satisfies it; ``masses`` maps each valuation of a
-    superset of alpha's symbols, as the set it makes true, to its mass."""
-    b_alpha = alpha.symbols()
-    satisfying = prop.satisfying_sets(alpha, b_alpha)
-    coeffs = {ProbVar.of(alpha): Fraction(1)}
-    for u, m in masses.items():
-        if u & b_alpha in satisfying:
-            coeffs[m] = coeffs.get(m, Fraction(0)) - 1
+    whose valuation satisfies it: ``masses`` lists, in code order, the mass
+    of each valuation of the ascending ``symbols``, a superset of alpha's."""
+    table = prop.truth_table(alpha, symbols)
+    coeffs = {ProbVar.of(alpha): _ONE}
+    for m, bit in zip(masses, format(table, f"0{1 << len(symbols)}b")[::-1]):
+        if bit == "1":
+            coeffs[m] = coeffs.get(m, 0) - 1
     return constraint(coeffs, "=", 0)
-
-
-def valuation_sets(symbols):
-    """The valuations of the ascending ``symbols`` as the sets they make
-    true, indexed by code: bit j of the code is the value of the j-th
-    symbol."""
-    n = len(symbols)
-    return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
 
 
 def q_adams(a_set, delta):
@@ -279,7 +270,8 @@ def q_adams(a_set, delta):
     out += [_pair_row(s1, s2) for s1, s2 in combinations(a_list, 2)]
     for alpha in delta:
         b_alpha = sorted(alpha.symbols())
-        out.append(_formula_row(alpha, {u: mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}))
+        masses_alpha = [mass_var(b_alpha, u) for u in prop.valuation_sets(b_alpha)]
+        out.append(_formula_row(alpha, b_alpha, masses_alpha))
     return [c for c in out if c.terms]
 
 
@@ -326,19 +318,19 @@ def q_of(f):
 
 
 class DecideSystem:
-    """The system the decider solves for a formula ``f``: one mass in
-    [0,1] per valuation of ``A_P``, the symbols of the classical formulas
-    under ``P`` in ``f``, the masses summing to one, every pair variable
-    over ``B_phi`` nonnegative, and each formula variable equal to the
-    sum of the masses whose valuation satisfies it.  Its size is linear
-    in 2^|A_P| and quadratic in |B_phi|; the budget stays on |B_phi|, the
-    symbols a countermodel is built over.
+    """The system the decider solves for a formula ``f``: one mass >= 0 per
+    valuation of ``A_P``, the symbols of the classical formulas under ``P``
+    in ``f``, the masses summing to one (so each is at most one), every
+    pair variable over ``B_phi`` nonnegative, and each formula variable
+    equal to the sum of the masses whose valuation satisfies it.  Its size
+    is linear in 2^|A_P| and quadratic in |B_phi|; the budget stays on
+    |B_phi|, the symbols a countermodel is built over.
 
     Each row has a name, which a refutation certificate cites and
     :meth:`row` rebuilds alone:
 
-    - ``("mass>=0", u)`` and ``("mass<=1", u)``: the bounds on the mass of
-      the valuation of ``A_P`` that makes exactly the set ``u`` true;
+    - ``("mass>=0", u)``: the mass of the valuation of ``A_P`` that makes
+      exactly the set ``u`` true nonnegative;
     - ``("sum",)``: the masses summing to one;
     - ``("pair", s1, s2)``: the pair variable of symbols s1 < s2 of
       ``B_phi`` nonnegative;
@@ -358,10 +350,10 @@ class DecideSystem:
     @property
     def masses(self):
         """Each valuation of ``A_P``, as the set it makes true, to its mass
-        variable.  A solution extends to ``B_phi`` through this map alone:
-        each valuation keeps its mass, with every other symbol false."""
+        variable, in code order.  A solution extends to ``B_phi`` through this
+        map alone: each valuation keeps its mass, with every other symbol false."""
         if self._masses is None:
-            self._masses = {u: mass_var(self.a_p, u) for u in valuation_sets(self.a_p)}
+            self._masses = {u: mass_var(self.a_p, u) for u in prop.valuation_sets(self.a_p)}
         return self._masses
 
     def row(self, name):
@@ -374,10 +366,11 @@ class DecideSystem:
         ):
             return _pair_row(name[1], name[2])
         if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
-            return _formula_row(self.delta[name[1]], self.masses)
+            # the masses are in code order over A_P, as the truth table reads them
+            return _formula_row(self.delta[name[1]], self.a_p, self.masses.values())
         if kind == "sum" and n == 1:
             return _sum_row(self.masses.values())
-        if kind in ("mass>=0", "mass<=1") and n == 2 and type(name[1]) is frozenset and name[1] in self.masses:
+        if kind == "mass>=0" and n == 2 and type(name[1]) is frozenset and name[1] in self.masses:
             return _mass_row(kind, self.masses[name[1]])
         raise VerificationFailed(f"no row of the system is named {name}")
 
@@ -385,10 +378,9 @@ class DecideSystem:
         """(name, row) for every row, in order, without the identity 0 = 0."""
         # No row is hashed away, as none repeats: rows of different kinds
         # differ in relation, right side or variables, and within a kind
-        # each row has its own variable (a mass's two bounds differ in
-        # sign; delta has no repeats).  The one constant row, 0 = 0, is a
-        # formula row whose variable is itself a mass.
-        names = [(kind, u) for u in self.masses for kind in ("mass>=0", "mass<=1")]
+        # each row has its own variable (delta has no repeats).  The one
+        # constant row, 0 = 0, is a formula row whose variable is a mass.
+        names = [("mass>=0", u) for u in self.masses]
         names.append(("sum",))
         names += [("pair", s1, s2) for s1, s2 in combinations(self.base, 2)]
         names += [("formula", k) for k in range(len(self.delta))]

@@ -86,18 +86,15 @@ def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
     every marginal, formula and pair variable from it."""
     from itertools import combinations
 
+    from plqo.prop import valuation_sets
     from plqo.translate import PairVar
 
     base = sorted(base)
-    n = len(base)
-    weights = [Fraction(rng.randint(0, 5)) for _ in range(1 << n)]
+    weights = [Fraction(rng.randint(0, 5)) for _ in range(1 << len(base))]
     if sum(weights) == 0:
         weights[0] = Fraction(1)
     total = sum(weights)
-    joint = {}
-    for code in range(1 << n):
-        u = frozenset(base[j] for j in range(n) if (code >> j) & 1)
-        joint[u] = weights[code] / total
+    joint = {u: w / total for u, w in zip(valuation_sets(base), weights)}
     values = distribution_point(base, joint, delta)
     for s1, s2 in combinations(base, 2):
         if extra_pairs_positive and rng.random() < 0.5:
@@ -113,8 +110,7 @@ def distribution_point(base, joint, delta):
     ``base`` (the set it makes true) to its mass."""
     from itertools import combinations
 
-    from oracles import eval_formula
-    from plqo.prop import all_valuations
+    from oracles import all_valuations, eval_formula
     from plqo.translate import ProbVar, mass_var
 
     values = {}

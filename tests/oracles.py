@@ -37,7 +37,14 @@ column, where plqo.lra._Tableau does both in one pass.
 
 eval_formula evaluates a classical formula by recursion on the tree,
 one valuation at a time, where plqo.prop computes the whole truth table
-in one walk of bitwise operations.
+in one walk of bitwise operations.  all_valuations lists valuations as
+dicts in lexicographic order, where plqo numbers them by code
+(plqo.prop.valuation_sets).
+
+set_formula_row is the formula row as first written: it keeps a mass when
+its valuation, cut down to the formula's symbols, is among the formula's
+satisfying sets, one frozenset intersection and hash per mass, where
+plqo.translate reads the set bits of one truth table.
 
 decide_rows lists the rows of the decider's system for a formula, in
 the order plqo.decide solves them.
@@ -79,7 +86,7 @@ from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecI
 from plqo.genmodel import build_generic
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.prop import (
-    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, all_valuations, essential_symbols
+    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, essential_symbols, satisfying_sets
 )
 from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
@@ -88,6 +95,7 @@ from plqo.syntax import (
 from plqo.translate import (
     DecideSystem,
     PairVar,
+    ProbVar,
     _comparison_constraint,
     constraint,
     constraints_hold,
@@ -269,6 +277,26 @@ def eval_formula(f, valuation):
             return 1
         return eval_formula(f.right, valuation)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def all_valuations(symbols):
+    """All valuations on ``symbols``, in lexicographic order by ascending index."""
+    syms = sorted(symbols)
+    for bits in product((0, 1), repeat=len(syms)):
+        yield dict(zip(syms, bits))
+
+
+def set_formula_row(alpha, masses):
+    """The formula variable of ``alpha`` equal to the sum of the masses
+    whose valuation satisfies it; ``masses`` maps each valuation of a
+    superset of alpha's symbols, as the set it makes true, to its mass."""
+    b_alpha = alpha.symbols()
+    satisfying = satisfying_sets(alpha, b_alpha)
+    coeffs = {ProbVar.of(alpha): Fraction(1)}
+    for u, m in masses.items():
+        if u & b_alpha in satisfying:
+            coeffs[m] = coeffs.get(m, Fraction(0)) - 1
+    return constraint(coeffs, "=", 0)
 
 
 def decide_rows(f):

@@ -47,11 +47,11 @@ from plqo.translate import (
     eval_rcof,
     translate_formula,
 )
-from plqo.prop import VERUM, all_valuations
+from plqo.prop import VERUM
 
 from formgen import gen_classical, gen_plqo, random_feasible_point
 from oracles import (
-    as_fraction, decide_rows, eval_formula, fourier_motzkin_feasible, is_rational, matrix_is_zero
+    all_valuations, as_fraction, decide_rows, eval_formula, fourier_motzkin_feasible, is_rational, matrix_is_zero
 )
 
 

@@ -24,7 +24,6 @@ from plqo.hilbert import (
 from plqo.prop import (
     PropSymbol,
     VERUM,
-    all_valuations,
     atom,
     conj,
     disj,
@@ -44,6 +43,7 @@ from plqo.syntax import (
 
 from formgen import gen_classical, gen_plqo
 from oracles import (
+    all_valuations,
     dense_compatible,
     dense_is_observable,
     dense_prob,

@@ -13,7 +13,6 @@ from plqo.prop import (
     Neg,
     PropSymbol,
     VERUM,
-    all_valuations,
     anf,
     atom,
     conj,
@@ -26,10 +25,13 @@ from plqo.prop import (
     print_prop,
     satisfying_sets,
     truth_table,
+    valuation_sets,
 )
 
 from formgen import gen_classical
-from oracles import anf_by_valuation, anf_evaluate, essential_symbols_bruteforce, eval_formula
+from oracles import (
+    all_valuations, anf_by_valuation, anf_evaluate, essential_symbols_bruteforce, eval_formula
+)
 
 
 def test_eval_primitives():
@@ -67,6 +69,13 @@ def test_all_valuations_order():
     assert vals[0] == {PropSymbol(1): 0, PropSymbol(2): 0}
     assert vals[1] == {PropSymbol(1): 0, PropSymbol(2): 1}
     assert vals[2] == {PropSymbol(1): 1, PropSymbol(2): 0}
+
+
+def test_valuation_sets_bit_j_is_the_jth_listed_symbol():
+    b1, b2, b3 = PropSymbol(1), PropSymbol(2), PropSymbol(3)
+    assert valuation_sets([]) == [frozenset()]
+    assert valuation_sets([b2, b1]) == [frozenset(), {b2}, {b1}, {b1, b2}]
+    assert valuation_sets([b1, b2, b3])[0b101] == {b1, b3}
 
 
 def test_essential_matches_bruteforce_random():
@@ -151,9 +160,10 @@ def test_truth_table_bit_k_is_the_kth_valuation():
         table = truth_table(f, syms)
         assert table >> (1 << len(syms)) == 0
         satisfying = satisfying_sets(f, syms)
-        for k, v in enumerate(all_valuations(syms)):
+        for k, u in enumerate(valuation_sets(syms)):
+            v = {s: int(s in u) for s in syms}
             assert table >> k & 1 == eval_formula(f, v)
-            assert (frozenset(s for s in syms if v[s]) in satisfying) == eval_formula(f, v)
+            assert (u in satisfying) == eval_formula(f, v)
         assert len(satisfying) == bin(table).count("1")
 
 
@@ -161,7 +171,7 @@ def test_truth_table_without_symbols():
     assert truth_table(VERUM, []) == 1
     assert truth_table(FALSUM, []) == 0
     assert truth_table(VERUM, [PropSymbol(3)]) == 0b11
-    assert truth_table(atom(3), [PropSymbol(7), PropSymbol(3)]) == 0b1100
+    assert truth_table(atom(3), [PropSymbol(7), PropSymbol(3)]) == 0b1010
     with pytest.raises(MissingSymbol):
         truth_table(atom(7), [PropSymbol(3)])
 

@@ -6,18 +6,18 @@ from math import comb
 import pytest
 
 from plqo.decide import RcofSentence, check_refutation
-from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
+from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear, VerificationFailed
 from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
 from plqo.prop import (
     PropSymbol,
     VERUM,
-    all_valuations,
     atom,
     canonical_text,
     conj,
     phi_A_U,
+    valuation_sets,
 )
 from plqo.syntax import (
     ONE,
@@ -62,7 +62,7 @@ from formgen import (
     prob_ladder,
     random_feasible_point,
 )
-from oracles import decide_rows
+from oracles import all_valuations, decide_rows, set_formula_row
 
 
 def syms(*idx):
@@ -239,6 +239,42 @@ def test_no_system_row_repeats_or_is_constant():
     assert len(systems) > 1000
 
 
+def test_formula_rows_equal_the_set_based_reference():
+    """A formula row read off one truth table, in code order, equals the
+    set-based row over the same masses: in the decider's system over A_P
+    of up to six symbols, and in q_adams over the formula's own symbols.
+    The corpus has T, F and mass-named P formulas, whose row is 0 = 0."""
+    rng = random.Random(20261019)
+    formulas = [
+        parse_plqo(t)
+        for t in (
+            "P(T) = 1 & P(F) = 0 -> P(B1 & !B2) < 1/3",
+            "P(B1) = 1/2 -> P(F) < 1",
+            "P(B1 & !B2) = 1/3 & P(B1) = 1/2 & P(T) = 1 -> O(B1 & B2)",
+            "P(!B1 & (B2 & !B3)) = 1/4 -> P(B6 & B1) < 1",
+        )
+    ]
+    for _ in range(150):
+        symbols = sorted(rng.sample(range(1, 10), rng.randint(1, 6)))
+        formulas.append(gen_plqo(rng, symbols, rng.randint(1, 3), atom_depth=3, allow_vars=True))
+    widths, constant = set(), 0
+    for f in formulas:
+        system = DecideSystem(f)
+        widths.add(len(system.a_p))
+        for k, alpha in enumerate(system.delta):
+            row, expected = system.row(("formula", k)), set_formula_row(alpha, system.masses)
+            assert row == expected and str(row) == str(expected), (f, alpha)
+            b_alpha = sorted(alpha.symbols())
+            masses = {u: mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}
+            expected = set_formula_row(alpha, masses)
+            if expected.terms:
+                assert q_adams(b_alpha, [alpha])[-1] == expected, alpha
+            else:
+                assert ProbVar.of(alpha) in masses.values(), alpha
+                constant += 1
+    assert {0, 6} <= widths and constant >= 3
+
+
 def test_linearize():
     t = fraction(1, 2) + NumVar(1) * numeral(3)
     coeffs, const = linearize_term(t)
@@ -365,12 +401,20 @@ def test_mass_var_texts():
     ids=["radical-n4", "chain-n4"],
 )
 def test_mass_rows_equal_the_normalized_constraints(phi):
+    """The decider's masses are bounded below only, one row each, as they
+    sum to one; the paper's Q bounds each of its masses in [0,1]."""
     system = DecideSystem(PNeg(phi))
     assert len(system.masses) == 16
+    names = [name for name, _ in system.rows() if name[0].startswith("mass")]
+    assert names == [("mass>=0", u) for u in system.masses]
     for u, m in system.masses.items():
-        for kind, expected in [
-            ("mass>=0", constraint({m: 1}, ">=", 0)),
-            ("mass<=1", constraint({m: 1}, "<=", 1)),
-        ]:
-            row = system.row((kind, u))
-            assert row == expected and hash(row) == hash(expected) and str(row) == str(expected)
+        row, expected = system.row(("mass>=0", u)), constraint({m: 1}, ">=", 0)
+        assert row == expected and hash(row) == hash(expected) and str(row) == str(expected)
+        with pytest.raises(VerificationFailed):
+            system.row(("mass<=1", u))
+    q = q_adams(system.base, system.delta)
+    for u in valuation_sets(system.base):
+        m = mass_var(system.base, u)
+        for expected in (constraint({m: 1}, ">=", 0), constraint({m: 1}, "<=", 1)):
+            (row,) = [c for c in q if c == expected]
+            assert hash(row) == hash(expected) and str(row) == str(expected)
