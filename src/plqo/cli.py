@@ -16,7 +16,7 @@ import sys
 from .errors import BudgetExceeded, ParseError, PlqoError, SpecInvalid, UnsupportedNonlinear
 from . import prop
 from .parser import parse_classical, parse_plqo
-from .translate import q_of, render_constraints, translate_atom
+from .translate import q_of, translate_atom
 from .syntax import EMPTY_ASSIGNMENT, atoms_of
 from .hilbert import DEFAULT_TOL, load_assignment, load_structure, prob, satisfies, symbol_of
 from .genmodel import GenericModelSpec, spec_to_json
@@ -130,9 +130,9 @@ def _cmd_genmodel(args):
 
 def _cmd_translate(args):
     phi = _plqo(args.formula)
-    parts = ["# distribution system", render_constraints(q_of(phi))]
+    parts = ["# distribution system", "\n".join(map(str, q_of(phi)))]
     for atom in atoms_of(phi):
-        parts += [f"# atom {atom}", render_constraints(translate_atom(atom))]
+        parts += [f"# atom {atom}", "\n".join(map(str, translate_atom(atom)))]
     print("\n".join(parts))
     return EXIT_TRUE
 

@@ -29,6 +29,7 @@ from itertools import product
 from .errors import PlqoError, SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
 from .prop import Impl, Neg, atom as prop_atom, conj as prop_conj, is_tautology
+from . import syntax as sx
 from .syntax import (
     ObsAtom,
     PImpl,
@@ -84,10 +85,8 @@ class RcofSentence:
 
     def __str__(self):
         system = DecideSystem(self.formula())
-        q = "Q[" + ",".join(str(s) for s in system.base) + ";" + ",".join(
-            f"({a})" for a in system.delta
-        ) + "]"
-        parts = [q] + [f"({l.formula()})^R" for l in self.premise_literals]
+        base, delta = ",".join(map(str, system.base)), ",".join(f"({a})" for a in system.delta)
+        parts = [f"Q[{base};{delta}]"] + [f"({l.formula()})^R" for l in self.premise_literals]
         concl = f"({self.conclusion.formula()})^R"
         return f"forall (({' & '.join(parts)}) -> {concl})"
 
@@ -237,8 +236,26 @@ def letters_formula(f):
     return conv(f)
 
 
-def is_tautological_formula(f):
-    return is_tautology(letters_formula(f))
+_NODE_FIELDS = {c: tuple(c.__dataclass_fields__) for c in (
+    PlqoLiteral, ObsAtom, ProbAtom, PNeg, PImpl, prop.Verum, prop.Atom, Neg, Impl,
+    prop.PropSymbol, sx.Const, sx.NumVar, sx.TNeg, sx.Add, sx.Mul,
+)} | {bool: (), str: (), int: (), Fraction: ()}
+
+
+def _exact_nodes(f, seen):
+    """Whether each node of ``f`` has exactly one of the classes literals
+    and formulas are built from (a subclass could override __eq__ and match
+    any formula); ``seen`` holds the ids of nodes found so, and grows."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            fields = _NODE_FIELDS.get(type(node))
+            if fields is None:
+                return False
+            seen.add(id(node))
+            stack += [getattr(node, name) for name in fields]
+    return True
 
 
 def check_proof(proof):
@@ -246,13 +263,14 @@ def check_proof(proof):
     by shape, RCOF lines by their certificates, RR against the sentence
     it cites, HYP against the declared hypotheses.  It runs no solver.
     Raises VerificationFailed (an AssertionError) on any bad line, and on a
-    subclass of a proof, line, sentence, literal or atom, which could
-    override a method such as ``complement``."""
+    subclass of a proof, line, sentence, literal or formula node, which
+    could override a method such as ``complement`` or ``__eq__``."""
+    derived, seen = {}, set()  # the proof holds each node in seen, so their ids stay unique
     verify(
-        type(proof) is Proof and type(proof.lines) is tuple and type(proof.hypotheses) is tuple,
-        "not a Proof with tuples of lines and hypotheses",
+        type(proof) is Proof and type(proof.lines) is tuple and type(proof.hypotheses) is tuple
+        and all(_exact_nodes(h, seen) for h in proof.hypotheses),
+        "not a Proof with a tuple of lines and a tuple of exact hypotheses",
     )
-    derived = {}
     for position, line in enumerate(proof.lines, 1):
         if type(line) is not ProofLine:
             raise VerificationFailed(f"line {position} is not a ProofLine")
@@ -274,7 +292,7 @@ def check_proof(proof):
                 and type(sent.premise_literals) is tuple
                 and all(
                     type(l) is PlqoLiteral and type(l.atom) in (ObsAtom, ProbAtom)
-                    for l in sent.premise_literals + (sent.conclusion,)
+                    and _exact_nodes(l, seen) for l in sent.premise_literals + (sent.conclusion,)
                 )
             ):
                 raise VerificationFailed(f"RCOF line {line.number} is not a sentence over literals")
@@ -282,10 +300,12 @@ def check_proof(proof):
                 _check_certificates(sent)
             except (PlqoError, TypeError, AttributeError) as e:
                 raise VerificationFailed(f"side condition fails on line {line.number}: {e}") from None
+        elif not _exact_nodes(line.content, seen):
+            raise VerificationFailed(f"line {position} is not a formula of the exact node classes")
         elif line.kind == "HYP":
             verify(line.content in proof.hypotheses, "undeclared hypothesis")
         elif line.kind == "TT":
-            verify(is_tautological_formula(line.content), f"TT line {line.number} is not tautological")
+            verify(is_tautology(letters_formula(line.content)), f"TT line {position} is no tautology")
         elif line.kind == "RR":
             (ref,) = line.refs
             cited = proof.lines[ref - 1]

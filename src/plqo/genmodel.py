@@ -62,7 +62,7 @@ class GenericModelSpec:
 
     @staticmethod
     def make(symbols, nc, masses):
-        """Normalize the fields; each mass may be a rational or its text."""
+        """Normalize the masses, each a rational or its text; the symbols keep their order."""
         fractions = []
         for m in masses:
             try:
@@ -70,7 +70,7 @@ class GenericModelSpec:
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
                 raise SpecInvalid(f"bad mass {m!r}") from None
         return GenericModelSpec(
-            tuple(sorted(symbols)),
+            tuple(symbols),
             frozenset(frozenset(p) for p in nc),
             tuple(fractions),
         )

@@ -30,7 +30,7 @@ from .prop import (
     PropSymbol,
     essential_symbols,
     is_tautology,
-    satisfying_sets,
+    truth_table,
     valuation_sets,
     conj,
     disj,
@@ -243,16 +243,15 @@ def prob(structure, alpha):
     alpha is not observable."""
     syms = sorted(essential_symbols(alpha))
     if not _compatible_family(structure, syms):
-        raise IncompatibleFamily(
-            f"symbol family {[str(s) for s in syms]} is not pairwise compatible"
-        )
+        raise IncompatibleFamily(f"symbol family {[str(s) for s in syms]} is not pairwise compatible")
     # inessential symbols cannot change the truth value; read them as false
-    satisfying = satisfying_sets(alpha, alpha.symbols())
+    b_alpha = sorted(alpha.symbols())
+    table, bit = truth_table(alpha, b_alpha), {s: 1 << j for j, s in enumerate(b_alpha)}
     total = czero(structure.tol is None)
     psi = {i: x for i, x in enumerate(structure.state.amps) if x}
     # the codes of syms[::-1] run in lexicographic order, which float sums see
     for u in valuation_sets(syms[::-1]):
-        if u in satisfying:
+        if table >> sum(bit[s] for s in u) & 1:
             total = total + _projected_mass(structure, syms, u, psi)
     return _as_real(total, structure.tol)
 

@@ -125,9 +125,8 @@ def _collect_symbols(f, out):
 
 
 def valuation_sets(symbols):
-    """The valuations of ``symbols`` as the sets they make true, indexed
-    by code: bit j of the code is the value of the j-th listed symbol.
-    Truth tables number valuations of ascending symbols by this one code."""
+    """The valuations of ``symbols`` as the sets they make true, indexed by
+    code: bit j of the code is the value of the j-th listed symbol."""
     n = len(symbols)
     return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
 
@@ -182,13 +181,6 @@ def _true_sets(table, syms):
         frozenset(s for i, s in enumerate(syms) if k >> i & 1)
         for k, bit in enumerate(bits) if bit == "1"
     )
-
-
-def satisfying_sets(f, syms):
-    """The valuations of ``syms`` that satisfy ``f``, each as the set of
-    symbols it makes true."""
-    syms = sorted(syms)
-    return _true_sets(truth_table(f, syms), syms)
 
 
 def is_tautology(f):

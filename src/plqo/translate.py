@@ -164,11 +164,6 @@ def constraints_hold(cs, values):
     return all(c.holds(values) for c in cs)
 
 
-def render_constraints(cs):
-    """Stable text form, one constraint per line."""
-    return "\n".join(str(c) for c in cs)
-
-
 # -- the two constraint systems ----------------------------------------------
 
 

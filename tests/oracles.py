@@ -39,7 +39,8 @@ eval_formula evaluates a classical formula by recursion on the tree,
 one valuation at a time, where plqo.prop computes the whole truth table
 in one walk of bitwise operations.  all_valuations lists valuations as
 dicts in lexicographic order, where plqo numbers them by code
-(plqo.prop.valuation_sets).
+(plqo.prop.valuation_sets); satisfying_sets lists the valuations that
+satisfy a formula, as sets, where plqo reads the bits of its truth table.
 
 set_formula_row is the formula row as first written: it keeps a mass when
 its valuation, cut down to the formula's symbols, is among the formula's
@@ -86,7 +87,7 @@ from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecI
 from plqo.genmodel import build_generic
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.prop import (
-    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, essential_symbols, satisfying_sets
+    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, essential_symbols
 )
 from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
@@ -284,6 +285,14 @@ def all_valuations(symbols):
     syms = sorted(symbols)
     for bits in product((0, 1), repeat=len(syms)):
         yield dict(zip(syms, bits))
+
+
+def satisfying_sets(f, syms):
+    """The valuations of ``syms`` that satisfy ``f``, each as the set of
+    symbols it makes true, one valuation at a time."""
+    return frozenset(
+        frozenset(s for s in v if v[s]) for v in all_valuations(syms) if eval_formula(f, v)
+    )
 
 
 def set_formula_row(alpha, masses):

@@ -51,7 +51,13 @@ from plqo.prop import VERUM
 
 from formgen import gen_classical, gen_plqo, random_feasible_point
 from oracles import (
-    all_valuations, as_fraction, decide_rows, eval_formula, fourier_motzkin_feasible, is_rational, matrix_is_zero
+    all_valuations,
+    as_fraction,
+    decide_rows,
+    eval_formula,
+    fourier_motzkin_feasible,
+    is_rational,
+    matrix_is_zero,
 )
 
 

@@ -150,8 +150,10 @@ def test_huge_numeral_is_a_budget_error(capsys):
         (["BB1"], ["1/2", "1/2"]),
         (["B1"], ["1/2", "x"]),
         (["B2", "B02"], ["1/4", "3/4"]),
+        # the masses are indexed by code over the symbols as given
+        (["B2", "B1"], ["0", "1", "0", "0"]),
     ],
-    ids=["X1", "BB1", "bad-mass", "B2-B02"],
+    ids=["X1", "BB1", "bad-mass", "B2-B02", "descending"],
 )
 def test_genmodel_rejects_malformed_spec(capsys, symbols, masses):
     code, out, err = invoke(capsys, "genmodel", "--symbols", *symbols, "--masses", *masses)

@@ -470,6 +470,22 @@ def _citing(name):
     return lambda proof: _with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),))
 
 
+class _EqualsAnything(ObsAtom):
+    """An observability atom that claims to equal every formula."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = ObsAtom.__hash__
+
+
+def _forged_rr():
+    """obs_taut's RCOF line for O(T), then an RR line restating the
+    invalid O(B1 & B2) through an atom whose __eq__ lies."""
+    rcof = derive_schema("obs_taut").lines[0]
+    return Proof((rcof, ProofLine(2, _EqualsAnything(conj(atom(1), atom(2))), "RR", (1,))))
+
+
 # prob-n3's proof is 1 RCOF, 2 RR 1, 3 TT, 4 MP 2,3
 _MALFORMED = {
     "mp-cites-a-later-line": lambda p: _with_line(p, 4, refs=(2, 5)),
@@ -508,6 +524,7 @@ _MALFORMED = {
         + (PlqoLiteral(True, parse_plqo("P(B1) < x1 * x2")),),
     ),
     "obs-atom-of-an-int": lambda p: _with_sentence(p, conclusion=PlqoLiteral(True, ObsAtom(3))),
+    "rr-formula-equals-anything": lambda p: _forged_rr(),
 }
 
 
@@ -516,6 +533,27 @@ def test_proof_checker_rejects_a_malformed_line(tamper):
     """A malformed line raises VerificationFailed, never another error."""
     with pytest.raises(VerificationFailed):
         check_proof(tamper(_ladder_proof()))
+
+
+def test_check_proof_requires_exact_node_classes():
+    """A node whose __eq__ lies, in a hypothesis or deep in an RCOF
+    sentence's literal, would let a line match a formula it is not."""
+
+    class TrueAnything(VERUM.__class__):
+        def __eq__(self, other):
+            return True
+
+        __hash__ = VERUM.__class__.__hash__
+
+    fig2 = derive_schema("fig2")
+    assert check_proof(fig2)
+    with pytest.raises(VerificationFailed):
+        check_proof(replace(fig2, hypotheses=(_EqualsAnything(atom(1)),)))
+    b12 = parse_plqo("O(B1 & B2)")
+    sent = decide._refuted((), PlqoLiteral(True, ObsAtom(TrueAnything())))
+    forged = Proof((ProofLine(1, sent, "RCOF"), ProofLine(2, b12, "RR", (1,))))
+    with pytest.raises(VerificationFailed):
+        check_proof(forged)
 
 
 def test_proof_checker_rejects_a_literal_subclass():
@@ -612,7 +650,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "39 passed" in done.stdout
+    assert "40 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -62,6 +62,17 @@ def test_spec_names_a_repeated_symbol():
     assert spec_from_json(dict(doc, symbols=["B01"])).symbols == (B(1),)
 
 
+def test_spec_symbols_must_ascend():
+    """Masses are indexed by code over the symbols as given, so a spec
+    that lists them out of order is rejected, not re-sorted under them."""
+    doc = {"symbols": ["B2", "B1"], "nc": [], "masses": ["0", "1", "0", "0"]}
+    with pytest.raises(SpecInvalid, match="symbols must ascend"):
+        spec_from_json(doc)
+    with pytest.raises(SpecInvalid, match="symbols must ascend"):
+        GenericModelSpec.make([B(2), B(1)], [], uniform_masses(2))
+    assert spec_from_json(dict(doc, symbols=["B1", "B2"])).symbols == (B(1), B(2))
+
+
 def test_spec_masses_are_not_booleans():
     for masses in ([True, False], [False, True], ["1", False]):
         with pytest.raises(SpecInvalid, match="bad mass"):

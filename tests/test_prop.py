@@ -23,14 +23,18 @@ from plqo.prop import (
     is_tautology,
     phi_A_U,
     print_prop,
-    satisfying_sets,
     truth_table,
     valuation_sets,
 )
 
 from formgen import gen_classical
 from oracles import (
-    all_valuations, anf_by_valuation, anf_evaluate, essential_symbols_bruteforce, eval_formula
+    all_valuations,
+    anf_by_valuation,
+    anf_evaluate,
+    essential_symbols_bruteforce,
+    eval_formula,
+    satisfying_sets,
 )
 
 
