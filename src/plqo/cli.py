@@ -37,9 +37,12 @@ EXIT_BUDGET = 3
 
 
 def _read_formula_arg(raw):
+    """The formula text, or the file named after ``@`` as written, line
+    ends included; a byte that is not UTF-8 reads as U+FFFD, which the
+    parser rejects at its line:column."""
     if raw.startswith("@"):
-        with open(raw[1:]) as fh:
-            return fh.read().strip()
+        with open(raw[1:], encoding="utf-8", errors="replace", newline="") as fh:
+            return fh.read()
     return raw
 
 

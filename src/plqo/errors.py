@@ -10,11 +10,10 @@ class PlqoError(Exception):
 class ParseError(PlqoError):
     code = "parse"
 
-    def __init__(self, message, line, column, expected=()):
+    def __init__(self, message, line, column):
         super().__init__(f"{line}:{column}: {message}")
         self.line = line
         self.column = column
-        self.expected = tuple(expected)
 
 
 class MissingSymbol(PlqoError):

@@ -187,6 +187,10 @@ class QuantumStructure:
         for s, p in self.pqvs.items():
             if p.dim != self.dim:
                 raise DimMismatch(f"projector for {s} has wrong dimension")
+        # float parts may differ in tolerance, but exact and float never mix
+        parts = (self.state, *self.pqvs.values())
+        if any((part.tol is None) != (self.tol is None) for part in parts):
+            raise SpecInvalid("state and projectors must all be exact or all in tolerance mode")
 
     def pqv(self, symbol):
         try:

@@ -79,8 +79,8 @@ class Infeasible:
 
 
 class _Tableau:
-    """Simplex state: bounded columns, one slack row per multi-term
-    constraint, Bland pivoting.
+    """Simplex state: bounded columns, one slack row per constraint that is
+    not one-term, Bland pivoting.
 
     Columns are numbered in ascending order of the number of constraints
     they occur in, ties kept in order of first appearance: a marginal or
@@ -88,7 +88,9 @@ class _Tableau:
     masses its rows share, so Bland's rule pivots it out of its own row
     instead of filling every row that holds a mass.  A one-term constraint
     is no row but a bound on its column, the tightest one kept; bounds that
-    cross make the system infeasible before any pivot.  A nonbasic column
+    cross make the system infeasible before any pivot.  A constraint with
+    no terms is a slack fixed at 0 with no column to move, so a false one
+    is refuted by its own row alone.  A nonbasic column
     sits at its lower bound, else its upper bound, else 0.  Each bound
     keeps its source: the index of the constraint that gave it and that
     constraint's coefficient on the column (1 for a slack).
@@ -287,17 +289,12 @@ def feasible(constraints):
     carry a rational witness, re-verified by exact substitution, and
     Infeasible ones a Farkas certificate."""
     constraints = list(constraints)
-    for i, c in enumerate(constraints):
-        if not c.terms and not c.holds({}):
-            return Infeasible(((i, Fraction(-1 if c.rel == "=" and c.rhs > 0 else 1)),))
-    kept = [i for i, c in enumerate(constraints) if c.terms]
-    rows = [constraints[i] for i in kept]
-    tableau = _Tableau(rows)
+    tableau = _Tableau(constraints)
     conflict = tableau.check()
     if conflict is not None:
-        return Infeasible(tuple(sorted((kept[i], m) for i, m in conflict.items())))
-    witness = _concretize(tableau.values(), rows)
-    verify(constraints_hold(rows, witness), "witness failed re-verification")
+        return Infeasible(tuple(sorted(conflict.items())))
+    witness = _concretize(tableau.values(), constraints)
+    verify(constraints_hold(constraints, witness), "witness failed re-verification")
     return Feasible(witness)
 
 

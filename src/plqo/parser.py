@@ -30,8 +30,9 @@ _TOKEN_RE = re.compile(
   | (?P<var>x[0-9]+)
   | (?P<int>[0-9]+)
   | (?P<op><->|->|<=|>=|[TFOP()!&|=<>+\-*/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
@@ -49,47 +50,41 @@ MAX_DEPTH = 64
 MAX_UNFOLDED = 1 << 16
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "column")
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int  # offset in the text; _where turns it into a line:column
 
-    def __init__(self, kind, text, line, column):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.column = column
+
+def _where(text, pos):
+    """The 1-based (line, column) of offset ``pos`` in ``text``."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
 def _tokenize(text):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "ws":
+            continue
         chunk = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", *_where(text, m.start()))
         if kind in ("sym", "var", "int"):
             digits = len(chunk) - (kind != "int")
             if digits > MAX_DIGITS:
+                line, col = _where(text, m.start())
                 raise BudgetExceeded(
                     f"{line}:{col}: numeral of {digits} digits exceeds budget {MAX_DIGITS}"
                 )
-        if kind != "ws":
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+        tokens.append(_Token(kind, chunk, m.start()))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.open = 0
@@ -100,8 +95,7 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, text):
-        tok = self.peek()
-        return tok.kind != "eof" and tok.text == text
+        return self.peek().text == text
 
     def accept(self, text):
         if self.at(text):
@@ -111,24 +105,22 @@ class _Parser:
 
     def expect(self, text):
         tok = self.peek()
-        if tok.kind == "eof" or tok.text != text:
+        if tok.text != text:
             got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise ParseError(
-                f"expected {text!r}, got {got}", tok.line, tok.column, expected=(text,)
-            )
+            self.fail(f"expected {text!r}, got {got}")
         self.pos += 1
         return tok
 
-    def fail(self, message, expected=()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column, expected=expected)
+    def fail(self, message):
+        raise ParseError(message, *_where(self.text, self.peek().pos))
+
+    def over_budget(self, message):
+        line, col = _where(self.text, self.peek().pos)
+        raise BudgetExceeded(f"{line}:{col}: {message}")
 
     def within_depth(self, depth):
         if depth > MAX_DEPTH:
-            tok = self.peek()
-            raise BudgetExceeded(
-                f"{tok.line}:{tok.column}: nesting depth {depth} exceeds budget {MAX_DEPTH}"
-            )
+            self.over_budget(f"nesting depth {depth} exceeds budget {MAX_DEPTH}")
         return depth
 
     def nested(self, parse, *args):
@@ -145,10 +137,7 @@ class _Parser:
         node = make(*parts)
         size = self.unfolded(node)
         if size > MAX_UNFOLDED:
-            tok = self.peek()
-            raise BudgetExceeded(
-                f"{tok.line}:{tok.column}: formula unfolds to {size} nodes, budget {MAX_UNFOLDED}"
-            )
+            self.over_budget(f"formula unfolds to {size} nodes, budget {MAX_UNFOLDED}")
         self.built[id(node)] = (depth, size, node)
         return node
 
@@ -176,9 +165,7 @@ class _Parser:
     def expect_eof(self):
         tok = self.peek()
         if tok.kind != "eof":
-            raise ParseError(
-                f"trailing input starting at {tok.text!r}", tok.line, tok.column
-            )
+            self.fail(f"trailing input starting at {tok.text!r}")
 
     # -- formulas of either sort -------------------------------------------
 
@@ -223,10 +210,7 @@ class _Parser:
             f = self.nested(self.formula, CLASSICAL)
             self.expect(")")
             return f
-        self.fail(
-            "expected a classical formula",
-            expected=("B<j>", "T", "F", "!", "("),
-        )
+        self.fail("expected a classical formula")
 
     def p_primary(self):
         head = self.peek().text
@@ -240,13 +224,13 @@ class _Parser:
             f = self.nested(self.formula, PLQO)
             self.expect(")")
             return f
-        self.fail("expected a formula", expected=("O(", "P(", "!", "("))
+        self.fail("expected a formula")
 
     def p_comparison(self, alpha):
         for cmp_text, make in _COMPARISONS:
             if self.accept(cmp_text):
                 return self.build(make, alpha, self.nested(self.term))
-        self.fail("expected a comparison", expected=("=", "<", "<=", ">", ">="))
+        self.fail("expected a comparison")
 
 
     # -- terms ---------------------------------------------------------------
@@ -281,11 +265,11 @@ class _Parser:
             if self.accept("/"):
                 den = self.peek()
                 if den.kind != "int":
-                    self.fail("expected a denominator", expected=("<int>",))
-                self.pos += 1
+                    self.fail("expected a denominator")
                 m = int(den.text)
                 if m == 0:
-                    raise ParseError("zero denominator", den.line, den.column)
+                    self.fail("zero denominator")
+                self.pos += 1
             return fraction(int(tok.text), m)
         if tok.kind == "var":
             self.pos += 1
@@ -294,7 +278,7 @@ class _Parser:
             t = self.nested(self.term)
             self.expect(")")
             return t
-        self.fail("expected a term", expected=("<int>", "n/m", "x<k>", "-", "("))
+        self.fail("expected a term")
 
 _COMPARISONS = (
     ("<=", sx.prob_le),

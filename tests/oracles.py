@@ -59,6 +59,10 @@ per_pair_translate_literal is the literal translation as first written,
 one disjunct per essential pair of a negative literal, where
 plqo.translate asserts the sum of the pair variables positive.
 
+token_positions counts the line and column token by token, as the
+tokenizer first did, where plqo.parser keeps each token's offset and
+computes a line:column (parser._where) only for the error it raises.
+
 tree_dnf_literals expands the DNF once per path through the formula and
 cleans up at the end, where plqo.syntax expands each shared subformula
 once and cleans up at every join.
@@ -86,6 +90,7 @@ from math import gcd, isqrt
 from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, verify
 from plqo.genmodel import build_generic
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
+from plqo.parser import _TOKEN_RE
 from plqo.prop import (
     MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, essential_symbols
 )
@@ -338,6 +343,27 @@ def per_pair_translate_literal(lit):
         cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
         disjuncts = disjuncts + negate_constraint(cmp_c)
     return disjuncts
+
+
+def token_positions(text):
+    """{offset: (line, column)} of each chunk of ``text`` the tokenizer
+    reads, whitespace runs included, and of its end: the line and column
+    carried along chunk by chunk, a chunk with newlines restarting the
+    column after its last one."""
+    positions = {}
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        positions[pos] = (line, col)
+        chunk = _TOKEN_RE.match(text, pos).group()
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos += len(chunk)
+    positions[pos] = (line, col)
+    return positions
 
 
 def tree_dnf_literals(f):

@@ -111,6 +111,20 @@ def test_at_file_formula(capsys, tmp_path):
     assert code == 0 and out.startswith("VALID")
 
 
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"\n\n  O(B1) &\n", "error[parse]: 4:1: expected a formula\n"),
+        (b"O(B1)\n& O(\xff)", "error[parse]: 2:5: unexpected character '\ufffd'\n"),
+    ],
+    ids=["positions-count-from-the-file-start", "not-utf-8"],
+)
+def test_at_file_formula_is_parsed_as_written(capsys, tmp_path, content, error):
+    f = tmp_path / "phi.txt"
+    f.write_bytes(content)
+    assert invoke(capsys, "check", f"@{f}") == (2, "", error)
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = invoke(capsys, "check", "O(B1")
     assert code == 2

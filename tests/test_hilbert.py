@@ -90,6 +90,22 @@ def test_pqv_must_be_projector():
     assert ok.dim == 2
 
 
+def test_structure_mixes_no_arithmetic():
+    """Exact and float parts never meet in one structure; float parts of
+    another tolerance still do."""
+    exact_state, float_state = StateVector(1, (C_ONE,)), StateVector(1, (1 + 0j,), 1e-9)
+    exact_pqv, float_pqv = Pqv(((C_ONE,),)), Pqv(((1 + 0j,),), 1e-9)
+    for state, pqv, tol in [
+        (exact_state, float_pqv, None),
+        (exact_state, exact_pqv, 1e-9),
+        (float_state, exact_pqv, 1e-9),
+    ]:
+        with pytest.raises(SpecInvalid, match="exact or all in tolerance mode"):
+            QuantumStructure(1, state, {PropSymbol(1): pqv}, tol)
+    loose = QuantumStructure(1, float_state, {PropSymbol(1): Pqv(((1 + 0j,),), 1e-6)}, 1e-9)
+    assert abs(prob(loose, atom(1)) - 1) < 1e-9
+
+
 def test_compatible_trivia():
     p = UNIFORM2.pqv(PropSymbol(1))
     q = UNIFORM2.pqv(PropSymbol(2))

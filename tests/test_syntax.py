@@ -8,7 +8,17 @@ from plqo.cli import run
 from plqo.errors import BudgetExceeded, ParseError
 from plqo.hilbert import satisfies
 from plqo.genmodel import GenericModelSpec, build_generic
-from plqo.parser import MAX_DEPTH, MAX_UNFOLDED, parse_classical, parse_plqo, parse_term, print_plqo, print_term
+from plqo.parser import (
+    MAX_DEPTH,
+    MAX_DIGITS,
+    MAX_UNFOLDED,
+    _where,
+    parse_classical,
+    parse_plqo,
+    parse_term,
+    print_plqo,
+    print_term,
+)
 from plqo.translate import DecideSystem, translate_formula
 from plqo.prop import VERUM, atom, canonical_text, conj, is_tautology, print_prop
 from plqo.decide import Invalid, Valid, check_valid, letters_formula
@@ -40,7 +50,7 @@ from plqo.syntax import (
 )
 
 from formgen import gen_plqo, gen_term
-from oracles import closed, tree_dnf_literals
+from oracles import closed, token_positions, tree_dnf_literals
 
 
 def test_numeral_roundtrip():
@@ -186,6 +196,51 @@ def test_parse_error_position():
         parse_plqo("O(B1) &")
     assert exc.value.line == 1
     assert exc.value.column >= 8
+
+
+def test_where_matches_the_per_token_count():
+    """An error's line:column, computed from its token's offset, is the
+    one counted token by token, at every token of a seeded corpus."""
+    pieces = ["O(B1)", "P(", "B12", "x3", "1/2", "->", "<->", "&", "(", ")", "=", " ", "  ",
+              "\n", "\r\n", "\n\n ", "\t", "\u00a0", "\u0661", "\u00e9", "#"]
+    rng = random.Random(53)
+    offsets = 0
+    for _ in range(1500):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+        for pos, line_column in token_positions(text).items():
+            assert _where(text, pos) == line_column, (text, pos)
+            offsets += 1
+    assert offsets > 15000
+
+
+def _at(text, offset):
+    """The ``line:column: `` prefix of an error at ``offset`` of ``text``."""
+    line, column = token_positions(text)[offset]
+    return f"{line}:{column}: "
+
+
+def test_budget_errors_point_at_their_token():
+    """On a text of several lines, each parser budget names the line:column
+    of the token it stopped at: the long numeral, the first parenthesis past
+    the nesting cap, and the ``<->`` read after the link that unfolds too
+    far."""
+    head = "O(B1)\n\t& P(B2) = 1/2\r\n  & "
+    numeral = head + "P(B3) <\n  " + "9" * (MAX_DIGITS + 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        parse_plqo(numeral)
+    assert str(exc.value).startswith(_at(numeral, numeral.index("9")) + "numeral of")
+    nested = head + "\n" + "(" * (MAX_DEPTH + 5) + "O(B1)" + ")" * (MAX_DEPTH + 5)
+    with pytest.raises(BudgetExceeded) as exc:
+        parse_plqo(nested)
+    # the parenthesis after the one that opens level MAX_DEPTH + 1
+    opened = nested.index("(" * (MAX_DEPTH + 5)) + MAX_DEPTH + 1
+    assert str(exc.value).startswith(_at(nested, opened) + "nesting depth")
+    chain = "\r\n<->\t".join(["O(B1)"] * 15)
+    with pytest.raises(BudgetExceeded) as exc:
+        parse_plqo(chain)
+    # 14 operands unfold too far (test_iff_chain_past_the_unfolded_budget_is_a_budget_error)
+    after = [i for i in range(len(chain)) if chain.startswith("<->", i)][13]
+    assert str(exc.value).startswith(_at(chain, after) + "formula unfolds to")
 
 
 def test_atoms_of_first_occurrence_order():
