@@ -127,7 +127,7 @@ def check_refutation(cited):
     Fraction: float rounding could cancel a term that does not cancel.
     Raises VerificationFailed otherwise."""
     total = {}
-    rhs = Fraction(0)
+    rhs = 0
     strict = False
     for c, m in cited:
         if type(m) is not int and type(m) is not Fraction:

@@ -18,6 +18,11 @@ constraint.  An infeasible system comes with a Farkas
 certificate over its input constraints: the conflict explanation of the
 same paper, each bound the conflict uses traced back to the constraint
 that gave it.
+
+Every number is an exact rational, an ``int`` when it is integral and a
+``Fraction`` otherwise, never a float: only a ``Fraction`` divides, a pivot
+on 1 or -1 multiplies, and an entry a pivot leaves integral is stored
+back as an ``int``.
 """
 
 from __future__ import annotations
@@ -28,15 +33,15 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import verify
-from .translate import constraints_hold, negate_constraint
+from .translate import constraints_hold, exact, negate_constraint
 
 
 class DeltaRational(NamedTuple):
     """a + b*delta for an infinitesimal delta > 0; ordered lexicographically,
     as the tuple (std, inf)."""
 
-    std: Fraction
-    inf: Fraction = Fraction(0)
+    std: int | Fraction
+    inf: int | Fraction = 0
 
     def __add__(self, other):
         return DeltaRational(self.std + other.std, self.inf + other.inf)
@@ -48,11 +53,11 @@ class DeltaRational(NamedTuple):
         return DeltaRational(self.std * c, self.inf * c)
 
 
-_ONE = Fraction(1)
+_ONE = 1
 # the delta part of a bound: none, or one delta inside a strict bound
-_NO_DELTA = Fraction(0)
-_BELOW = Fraction(-1)
-_ABOVE = Fraction(1)
+_NO_DELTA = 0
+_BELOW = -1
+_ABOVE = 1
 _ZERO = DeltaRational(_NO_DELTA)
 
 
@@ -154,7 +159,7 @@ class _Tableau:
         k * x_j REL rhs; a strict bound is one delta inside, on the side
         the sign of k says."""
         inf = (_BELOW if k > 0 else _ABOVE) if c.rel == "<" else _NO_DELTA
-        std = c.rhs if k == 1 else -c.rhs if k == -1 else c.rhs / k
+        std = c.rhs if k == 1 else -c.rhs if k == -1 else exact(c.rhs / Fraction(k))
         bound = DeltaRational(std, inf)
         if c.rel == "=" or k > 0:
             if self.upper[j] is None or bound < self.upper[j]:
@@ -190,12 +195,13 @@ class _Tableau:
 
     def _pivot_and_update(self, xi, xj, target):
         row = self.rows.pop(xi)
-        inverse = _ONE / row.pop(xj)
+        a_ij = row.pop(xj)
+        inverse = a_ij if a_ij == 1 or a_ij == -1 else exact(_ONE / Fraction(a_ij))
         theta = (target - self.beta[xi]).scale(inverse)
         self.beta[xi] = target
         self.beta[xj] = self.beta[xj] + theta
         # express xj by xi's row; one pass moves and rewrites each row holding xj
-        new_row = {j: -a * inverse for j, a in row.items()}
+        new_row = {j: exact(-a * inverse) for j, a in row.items()}
         new_row[xi] = inverse
         for xk, rk in self.rows.items():
             c = rk.pop(xj, None)
@@ -205,7 +211,7 @@ class _Tableau:
                     # c and a are nonzero, so an entry rk lacked stays nonzero
                     v = rk[j] + c * a if j in rk else c * a
                     if v:
-                        rk[j] = v
+                        rk[j] = v if type(v) is int else exact(v)
                     else:
                         del rk[j]
         self.rows[xj] = new_row
@@ -219,7 +225,7 @@ class _Tableau:
         multipliers = {}
         for v, g in combination:
             i, k = (self.upper_src if g > 0 else self.lower_src)[v]
-            multipliers[i] = multipliers.get(i, Fraction(0)) + g / k
+            multipliers[i] = multipliers.get(i, 0) + (g * k if k in (1, -1) else g / Fraction(k))
         return multipliers
 
     def check(self):
@@ -260,12 +266,12 @@ def _concretize(delta_values, constraints):
     touched = {v for v, dv in delta_values.items() if dv.inf}
     if not touched:
         return {v: dv.std for v, dv in delta_values.items()}
-    delta_cap = Fraction(1)
+    delta_cap = 1
     for c in constraints:
         if not any(v in touched for v, _ in c.terms):
             continue
-        a = Fraction(0)
-        b = Fraction(0)
+        a = 0
+        b = 0
         for v, k in c.terms:
             dv = delta_values[v]
             a += k * dv.std
@@ -279,8 +285,8 @@ def _concretize(delta_values, constraints):
             "delta-solution violates an inequality",
         )
         if b > 0 and slack > 0:
-            delta_cap = min(delta_cap, slack / b)
-    delta = delta_cap / 2
+            delta_cap = min(delta_cap, slack / Fraction(b))
+    delta = delta_cap / Fraction(2)
     return {v: dv.std + dv.inf * delta for v, dv in delta_values.items()}
 
 
@@ -294,6 +300,8 @@ def feasible(constraints):
     if conflict is not None:
         return Infeasible(tuple(sorted(conflict.items())))
     witness = _concretize(tableau.values(), constraints)
+    exact_values = all(type(q) is int or type(q) is Fraction for q in witness.values())
+    verify(exact_values, "witness value is not an exact rational")
     verify(constraints_hold(constraints, witness), "witness failed re-verification")
     return Feasible(witness)
 

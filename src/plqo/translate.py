@@ -28,10 +28,12 @@ from . import syntax as sx
 from .syntax import PNeg, PImpl, ProbAtom
 
 MAX_ADAMS_SYMBOLS = 12
+# terms in the paper's Q, about 4^n over n symbols: 9 symbols fit, 10 do not
+MAX_Q_TERMS = 1 << 19
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_ZERO = 0
+_ONE = 1
+_MINUS_ONE = -1
 
 
 # -- variables ---------------------------------------------------------------
@@ -95,11 +97,13 @@ def _var_key(v):
 @dataclass(frozen=True)
 class LinConstraint:
     """Normalized linear constraint: sum of coeff*var REL rhs with REL in
-    {=, <=, <}.  Built via :func:`constraint`, which flips > and >=."""
+    {=, <=, <}.  Built via :func:`constraint`, which flips > and >=.  Each
+    coefficient and the right side is an exact rational: an ``int`` when it
+    is integral, else a ``Fraction``."""
 
     terms: tuple
     rel: str
-    rhs: Fraction
+    rhs: int | Fraction
 
     def coeffs(self):
         return dict(self.terms)
@@ -133,10 +137,18 @@ class LinConstraint:
         return f"{' '.join(parts)} {self.rel} {self.rhs}"
 
 
+def exact(q):
+    """The rational ``q`` as an ``int`` when it is integral, else as a
+    ``Fraction``: the one form of every number on the decider's path."""
+    if type(q) is not int and type(q) is not Fraction:
+        q = Fraction(q)
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 def constraint(coeffs, rel, rhs=0):
     """Build a normalized constraint from a var -> coefficient mapping."""
-    rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
-    coeffs = {v: c if type(c) is Fraction else Fraction(c) for v, c in coeffs.items() if c != 0}
+    rhs = exact(rhs)
+    coeffs = {v: exact(c) for v, c in coeffs.items() if c != 0}
     if rel in (">", ">="):
         coeffs = {v: -c for v, c in coeffs.items()}
         rhs = -rhs
@@ -189,13 +201,6 @@ def mass_var(a_set, u_set):
     return ProbVar("&(".join(lits[:-1]) + "&" + lits[-1] + ")" * (len(lits) - 2))
 
 
-def _check_budget(base):
-    if len(base) > MAX_ADAMS_SYMBOLS:
-        raise BudgetExceeded(
-            f"distribution system over {len(base)} symbols exceeds budget {MAX_ADAMS_SYMBOLS}"
-        )
-
-
 def _mass_row(kind, m):
     """The bound ``kind`` ("mass>=0" or "mass<=1") on the mass ``m``, built directly."""
     if kind == "mass>=0":
@@ -244,7 +249,15 @@ def q_adams(a_set, delta):
     for alpha in delta:
         if not alpha.symbols() <= a_set:
             raise ValueError(f"formula {alpha} mentions symbols outside the base set")
-    _check_budget(a_list)
+    # counted before any row is built: 2^(n+1) mass bounds, the sum, a marginal
+    # row of 2^(n-k) + 1 terms per valuation of each k-subset (k < n), the
+    # pairs, and each formula row at its widest
+    n = len(a_list)
+    rows = 3**n + 2**n + 1 + n * (n - 1) // 2 + len(delta)
+    terms = 4**n + 3**n + 2**n + n * (n - 1) // 2 + sum(1 + (1 << len(a.symbols())) for a in delta)
+    if terms > MAX_Q_TERMS:
+        raise BudgetExceeded(f"distribution system over {n} symbols has {rows} rows of"
+                             f" {terms} terms, past budget {MAX_Q_TERMS} terms")
 
     subsets_a = [frozenset(c) for r in range(len(a_list) + 1) for c in combinations(a_list, r)]
     masses = {u: mass_var(a_set, u) for u in subsets_a}
@@ -256,11 +269,11 @@ def q_adams(a_set, delta):
         for r in range(len(sub_elems) + 1):
             for u_sub in combinations(sub_elems, r):
                 u_sub = frozenset(u_sub)
-                coeffs = {mass_var(a_sub, u_sub): Fraction(1)}
+                coeffs = {mass_var(a_sub, u_sub): 1}
                 for u in subsets_a:
                     if u & a_sub == u_sub:
                         v = masses[u]
-                        coeffs[v] = coeffs.get(v, Fraction(0)) - 1
+                        coeffs[v] = coeffs.get(v, 0) - 1
                 out.append(constraint(coeffs, "=", 0))
     out += [_pair_row(s1, s2) for s1, s2 in combinations(a_list, 2)]
     for alpha in delta:
@@ -337,7 +350,9 @@ class DecideSystem:
         # B_phi, delta and A_P from one walk of f
         atoms = sx.atoms_of(f)
         self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
-        _check_budget(self.base)
+        if len(self.base) > MAX_ADAMS_SYMBOLS:
+            raise BudgetExceeded(f"distribution system over {len(self.base)} symbols"
+                                 f" exceeds budget {MAX_ADAMS_SYMBOLS}")
         self.delta = list(dict.fromkeys(a.alpha for a in atoms if isinstance(a, ProbAtom)))
         self.a_p = sorted(frozenset().union(*(alpha.symbols() for alpha in self.delta)))
         self._masses = None
@@ -384,9 +399,9 @@ class DecideSystem:
 
 def _comparison_constraint(alpha, cmp, term):
     coeffs, const = linearize_term(term)
-    lhs = {ProbVar.of(alpha): Fraction(1)}
+    lhs = {ProbVar.of(alpha): 1}
     for v, c in coeffs.items():
-        lhs[v] = lhs.get(v, Fraction(0)) - c
+        lhs[v] = lhs.get(v, 0) - c
     return constraint(lhs, cmp, const)
 
 

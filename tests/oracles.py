@@ -254,7 +254,7 @@ def two_pass_pivot(tableau, xi, xj, target):
     for xk, rk in tableau.rows.items():
         if xk != xi and xj in rk:
             tableau.beta[xk] = tableau.beta[xk] + theta.scale(rk[xj])
-    new_row = {j: -a / a_ij for j, a in row.items() if j != xj}
+    new_row = {j: Fraction(-a) / a_ij for j, a in row.items() if j != xj}
     new_row[xi] = Fraction(1) / a_ij
     del tableau.rows[xi]
     tableau.rows[xj] = new_row

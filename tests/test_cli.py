@@ -449,10 +449,17 @@ def test_eval_with_assignment(capsys, tmp_path):
 
 
 def test_translate_over_budget_prints_nothing(capsys):
-    conj13 = " & ".join(f"B{i}" for i in range(1, 14))
-    code, out, err = invoke(capsys, "translate", f"O({conj13})")
-    assert code == 3 and out == ""
-    assert err == "error[budget]: distribution system over 13 symbols exceeds budget 12\n"
+    """Past the budget on the terms of the paper's Q (10 symbols) or on
+    its symbols (13), translate fails before printing a row."""
+    for n, message in [
+        (10, "distribution system over 10 symbols has 60119 rows of 1108694 terms,"
+             " past budget 524288 terms"),
+        (13, "distribution system over 13 symbols exceeds budget 12"),
+    ]:
+        conj = " & ".join(f"B{i}" for i in range(1, n + 1))
+        code, out, err = invoke(capsys, "translate", f"O({conj})")
+        assert code == 3 and out == ""
+        assert err == f"error[budget]: {message}\n"
 
 
 @pytest.mark.parametrize(

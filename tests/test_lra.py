@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
-from plqo import check_valid
+from plqo import check_valid, lra
 from plqo.decide import check_refutation
+from plqo.errors import VerificationFailed
 from plqo.lra import (
     _ZERO,
     DeltaRational,
@@ -17,7 +18,14 @@ from plqo.lra import (
     feasible,
 )
 from plqo.syntax import PNeg, nnf_dnf_literals
-from plqo.translate import NumericVar, constraint, constraints_hold, q_of, translate_literal
+from plqo.translate import (
+    LinConstraint,
+    NumericVar,
+    constraint,
+    constraints_hold,
+    q_of,
+    translate_literal,
+)
 
 from formgen import gen_plqo, obs_ladder, prob_ladder
 from oracles import (
@@ -182,6 +190,71 @@ def test_pivots_match_the_two_pass_reference(monkeypatch):
     reference = run(two_pass_pivot)
     assert len(ours[0]) > 100
     assert ours == reference
+
+
+def _non_unit_system(rng):
+    """A random system with coefficients of magnitude 1, 2, 3 and 5, and
+    integral and fractional right sides."""
+    n_vars = rng.randint(1, 5)
+    cs = []
+    for _ in range(rng.randint(1, 10)):
+        support = rng.sample(range(1, n_vars + 1), rng.randint(1, n_vars))
+        coeffs = {x(k): rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]) for k in support}
+        rhs = rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(2, 3))])
+        cs.append(constraint(coeffs, rng.choice(["=", "<=", "<", ">=", ">"]), rhs))
+    return cs
+
+
+def _exact(q):
+    return type(q) is int or type(q) is Fraction
+
+
+def test_no_float_enters_the_solver():
+    """Rows, bounds, values, witnesses and certificates hold ints and
+    Fractions only, an entry a pivot leaves integral is an int, and the
+    results equal those of the same system with every number a Fraction."""
+    rng = random.Random(20261021)
+    outcomes = []
+    for _ in range(200):
+        cs = _non_unit_system(rng)
+        tableau = _Tableau(cs)
+        tableau.check()
+        for bound in tableau.lower + tableau.upper + tableau.beta:
+            assert bound is None or (_exact(bound.std) and _exact(bound.inf))
+        for row in tableau.rows.values():
+            assert all(type(a) is int or (type(a) is Fraction and a.denominator != 1)
+                       for a in row.values())
+        ours = feasible(cs)
+        wrapped = feasible([
+            LinConstraint(tuple((v, Fraction(k)) for v, k in c.terms), c.rel, Fraction(c.rhs))
+            for c in cs
+        ])
+        if ours:
+            assert all(map(_exact, ours.witness.values()))
+            assert ours.witness == wrapped.witness
+        else:
+            assert all(_exact(m) for _, m in ours.multipliers)
+            assert ours.multipliers == wrapped.multipliers
+        outcomes.append(bool(ours))
+    assert 20 < sum(outcomes) < 180
+
+
+def test_a_float_witness_value_is_refused(monkeypatch):
+    """A witness value that is a float fails feasible's own check, a
+    VerificationFailed from verify and not an assert, even when the
+    float is exact enough to satisfy every constraint."""
+    cs = [constraint({x(1): 2}, ">=", 1), constraint({x(1): 1, x(2): 1}, "<=", 1)]
+    concretize = lra._concretize
+
+    def floated(delta_values, constraints):
+        witness = concretize(delta_values, constraints)
+        witness[x(1)] = float(witness[x(1)])
+        return witness
+
+    assert constraints_hold(cs, floated(_Tableau(cs).values(), cs))
+    monkeypatch.setattr(lra, "_concretize", floated)
+    with pytest.raises(VerificationFailed, match="not an exact rational"):
+        feasible(cs)
 
 
 def test_vertex_spot_check():

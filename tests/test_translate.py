@@ -110,6 +110,15 @@ def test_q_adams_budget():
         q_adams(syms(*range(1, 14)), [])
 
 
+def test_q_adams_counts_its_terms_before_building():
+    """The paper's Q has about 4^n terms over n symbols: 8 symbols are
+    built, and 10 are refused at once, naming the rows and terms they
+    would hold."""
+    assert sum(len(c.terms) for c in q_adams(syms(*range(1, 9)), [])) == 72381
+    with pytest.raises(BudgetExceeded, match="10 symbols has 60119 rows of 1108694 terms"):
+        q_adams(syms(*range(1, 11)), [])
+
+
 def test_q_adams_rejects_outside_symbols():
     with pytest.raises(ValueError):
         q_adams(syms(1), [atom(2)])
