@@ -18,6 +18,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import (
@@ -263,9 +264,14 @@ def prob(structure, alpha):
 def _prob_compare(structure, p_value, cmp, q):
     if structure.tol is None:
         return p_value.compares(cmp, q)
+    tol = structure.tol
+    try:
+        q = float(q)
+    except OverflowError:  # q lies beyond float range, so compare exactly
+        p_value, tol = Fraction(p_value), Fraction(tol)
     if cmp == "=":
-        return abs(p_value - float(q)) <= structure.tol
-    return p_value < float(q) - structure.tol
+        return abs(p_value - q) <= tol
+    return p_value < q - tol
 
 
 def satisfies(structure, rho, phi):
@@ -344,18 +350,25 @@ def expect_type(value, kind, what):
 
 
 def _parse_scalar(raw, exact):
-    """One scalar from JSON: rational/radical string or a number."""
+    """One scalar from JSON: rational/radical string or a number; in
+    tolerance mode, one beyond float range is a SpecInvalid."""
     if isinstance(raw, str):
         try:
             value = parse_radical(raw)
         except (ValueError, ZeroDivisionError):
             raise SpecInvalid(f"bad scalar {raw!r}") from None
-        return ComplexScalar.real(value) if exact else float(value)
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if exact:
+            return ComplexScalar.real(value)
+    elif isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        value = raw
         if exact and isinstance(raw, int):
             return ComplexScalar.real(raw)
-        return float(raw)
-    raise SpecInvalid(f"not a scalar: {raw!r}")
+    else:
+        raise SpecInvalid(f"not a scalar: {raw!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SpecInvalid(f"scalar {raw!r} is beyond float range") from None
 
 
 def _parse_entry(raw, exact):

@@ -8,16 +8,15 @@ held as a NamedTuple and ordered as a tuple), pivoting exactly with
 Bland's rule; strict bounds carry a delta component of -1 above and +1
 below.  A one-term constraint bounds its column, with no division when
 its coefficient is 1 or -1, and every other constraint is a slack row;
-columns are numbered by how many constraints they occur in, fewest
-first, and the basics left to re-test after a pivot wait in a heap.  A
-feasible delta-solution is turned into a purely rational witness by
-substituting a concrete delta small enough for every constraint; only
-the constraints over a column with a nonzero delta part can bound it, so
-only those are read, and the witness is then checked on every
-constraint.  An infeasible system comes with a Farkas
-certificate over its input constraints: the conflict explanation of the
-same paper, each bound the conflict uses traced back to the constraint
-that gave it.
+the columns no one-term constraint bounds are numbered first, and the
+basic to fix is found by an ascending scan.  A feasible delta-solution
+is turned into a purely rational witness by substituting a concrete
+delta small enough for every constraint; only the constraints over a
+column with a nonzero delta part can bound it, so only those are read,
+and the witness is then checked on every constraint.  An infeasible
+system comes with a Farkas certificate over its input constraints: the
+conflict explanation of the same paper, each bound the conflict uses
+traced back to the constraint that gave it.
 
 Every number is an exact rational, an ``int`` when it is integral and a
 ``Fraction`` otherwise, never a float: only a ``Fraction`` divides, a pivot
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import verify
@@ -87,32 +85,25 @@ class _Tableau:
     """Simplex state: bounded columns, one slack row per constraint that is
     not one-term, Bland pivoting.
 
-    Columns are numbered in ascending order of the number of constraints
-    they occur in, ties kept in order of first appearance: a marginal or
-    formula variable of ``Q``, private to one or two rows, comes before the
-    masses its rows share, so Bland's rule pivots it out of its own row
-    instead of filling every row that holds a mass.  A one-term constraint
-    is no row but a bound on its column, the tightest one kept; bounds that
-    cross make the system infeasible before any pivot.  A constraint with
-    no terms is a slack fixed at 0 with no column to move, so a false one
-    is refuted by its own row alone.  A nonbasic column
-    sits at its lower bound, else its upper bound, else 0.  Each bound
-    keeps its source: the index of the constraint that gave it and that
-    constraint's coefficient on the column (1 for a slack).
-
-    The basics that may lie outside their bounds wait in a min-heap: at
-    first every basic, then after each pivot the rewritten rows and the
-    entering column, the only basics whose value moved.  An entry is
-    re-tested when popped, so the first violated one is the smallest
-    violated basic, as Bland's rule needs.
+    Columns with no one-term constraint come first, then the bounded ones,
+    each group in order of first appearance.  A column with no bound can
+    always move, so Bland's rule makes it basic in the row that defines it,
+    and it stays there; the decider's masses, all bounded, keep their code
+    order.  A one-term constraint is no row but a bound on its column, the
+    tightest one kept; bounds that cross make the system infeasible before
+    any pivot.  A constraint with no terms is a slack fixed at 0 with no
+    column to move, so a false one is refuted by its own row alone.  A
+    nonbasic column sits at its lower bound, else its upper bound, else 0.
+    Each bound keeps its source: the index of the constraint that gave it
+    and that constraint's coefficient on the column (1 for a slack).  The
+    basics are scanned in ascending order, so the first violated one is
+    the smallest, as Bland's rule needs.
     """
 
     def __init__(self, constraints):
-        occurrences = {}
-        for c in constraints:
-            for v, _ in c.terms:
-                occurrences[v] = occurrences.get(v, 0) + 1
-        self.columns = sorted(occurrences, key=occurrences.__getitem__)
+        bounded = {c.terms[0][0] for c in constraints if len(c.terms) == 1}
+        columns = dict.fromkeys(v for c in constraints for v, _ in c.terms)
+        self.columns = [v for v in columns if v not in bounded] + [v for v in columns if v in bounded]
         self.var_index = {v: j for j, v in enumerate(self.columns)}
         self.n_orig = len(self.columns)
         self.lower = [None] * self.n_orig
@@ -151,8 +142,6 @@ class _Tableau:
             for side in (self.lower, self.upper, self.lower_src, self.upper_src):
                 side.append(None)
             self._bound(s, _ONE, c, i)
-        self.queue = list(self.rows)  # ascending, so already a heap
-        self.queued = set(self.queue)
 
     def _bound(self, j, k, c, i):
         """Tighten column j's bounds by constraint i, ``c``, which reads
@@ -171,11 +160,7 @@ class _Tableau:
                 self.lower_src[j] = (i, k)
 
     def _out_of_bounds(self):
-        while self.queue:
-            x = heappop(self.queue)
-            self.queued.discard(x)
-            if x not in self.rows:
-                continue
+        for x in sorted(self.rows):
             if self.lower[x] is not None and self.beta[x] < self.lower[x]:
                 return x, "low"
             if self.upper[x] is not None and self.beta[x] > self.upper[x]:
@@ -247,12 +232,7 @@ class _Tableau:
                 sign = 1 if direction == "high" else -1
                 return self._explain([(xi, sign)] + [(j, -sign * a) for j, a in row.items()])
             target = self.lower[xi] if direction == "low" else self.upper[xi]
-            moved = [xk for xk, rk in self.rows.items() if xj in rk and xk != xi]
             self._pivot_and_update(xi, xj, target)
-            for x in moved + [xj]:
-                if x not in self.queued:
-                    self.queued.add(x)
-                    heappush(self.queue, x)
 
     def values(self):
         return {v: self.beta[j] for v, j in self.var_index.items()}

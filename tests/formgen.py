@@ -80,6 +80,14 @@ def chain(n, valid):
     return parse_plqo(f"({' & '.join(['P(B1) = 1'] + links)}) -> {concl}")
 
 
+def iff_chain(n, valid):
+    """P(B1) = 1/2 and P(Bi <-> Bi+1) = 1 along the chain, then P(Bn) = 1/2
+    (valid) or P(Bn) = 1/3 (invalid)."""
+    links = [f"P(B{i} <-> B{i + 1}) = 1" for i in range(1, n)]
+    concl = "1/2" if valid else "1/3"
+    return parse_plqo(f"({' & '.join(['P(B1) = 1/2'] + links)}) -> P(B{n}) = {concl}")
+
+
 def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
     """A feasible point of q_adams(base, delta), built independently of
     the solver: draw a random joint distribution over the base and derive

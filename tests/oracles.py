@@ -21,9 +21,10 @@ every candidate root, where plqo.scalars.square_split divides out primes.
 SlackRowTableau is the simplex tableau as first written: columns numbered
 by first appearance, one slack row per constraint, one-term ones
 included, and a sorted scan of every basic for the smallest violated one
-(sorted_scan_out_of_bounds), where plqo.lra._Tableau orders columns by
-occurrence, turns one-term constraints into column bounds and keeps the
-basics to re-test in a heap.  slack_row_feasible decides a system on it.
+(sorted_scan_out_of_bounds), where plqo.lra._Tableau numbers the
+columns no one-term constraint bounds first and turns one-term
+constraints into column bounds.  slack_row_feasible decides a system on
+it.
 
 every_row_concretize is the concretization of a delta-solution as first
 written: it reads every constraint for the cap on delta and checks each

@@ -199,11 +199,14 @@ _STRUCTURE = {"dim": 2, "state": ["1", "0"], "pqvs": {"B1": [["1", "0"], ["0", "
         (_STRUCTURE, {"x\u00b2": "1/2"}),
         (_STRUCTURE, {"x1": "y"}),
         (_STRUCTURE, ["x1", "1/2"]),
+        (dict(_STRUCTURE, state=[0.6, "1e400"]), None),
+        (dict(_STRUCTURE, state=[0.6, 10**400]), None),
     ],
     ids=[
         "state-abc", "state-unclosed-sqrt", "state-zero-denominator", "dim-string",
         "projector-string", "document-list", "state-string", "assign-superscript-key",
-        "assign-bad-value", "assign-list",
+        "assign-bad-value", "assign-list", "float-state-text-past-float-range",
+        "float-state-integer-past-float-range",
     ],
 )
 def test_malformed_files_are_spec_invalid(capsys, tmp_path, structure, assignment):
@@ -361,6 +364,22 @@ def test_eval_tol_must_be_finite_and_nonnegative(capsys, tmp_path, tol, doc):
     assert (code, out) == (2, "")
     assert err.startswith("error[spec-invalid]: tolerance must be a finite number >= 0")
     assert err.rstrip().endswith(f"not {float(tol)!r}")
+
+
+@pytest.mark.parametrize(
+    "formula, code",
+    [("P(B1) < 1{zeros}", 0), ("P(B1) = 1{zeros}", 1), ("P(B1) < -1{zeros}", 1),
+     ("P(B1) = -1{zeros}", 1), ("P(B1) < 1", 0), ("P(B1) = 9/25", 0)],
+    ids=["less", "equal", "less-negative", "equal-negative", "less-1", "equal-9/25"],
+)
+def test_eval_tolerance_mode_decides_constants_past_float_range(capsys, tmp_path, formula, code):
+    # P(B1) = 0.36 in tolerance mode
+    model = tmp_path / "m.json"
+    doc = {"dim": 2, "state": [0.6, 0.8], "pqvs": {"B1": [[1.0, 0.0], [0.0, 0.0]]}}
+    model.write_text(json.dumps(doc))
+    formula = formula.format(zeros="0" * 400)
+    got, out, err = invoke(capsys, "eval", "--model", str(model), "--formula", formula)
+    assert (got, out, err) == (code, "SATISFIED\n" if code == 0 else "NOT SATISFIED\n", "")
 
 
 def test_eval_tol_zero_is_a_tolerance(capsys, tmp_path):

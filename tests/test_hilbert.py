@@ -39,6 +39,7 @@ from plqo.syntax import (
     ProbAtom,
     fraction,
     numeral,
+    term_of_fraction,
 )
 
 from formgen import gen_classical, gen_plqo
@@ -300,6 +301,41 @@ def test_structure_json_float_mode():
     assert s.tol is not None
     assert abs(prob(s, atom(1)) - 0.5) < 1e-9
     assert satisfies(s, EMPTY_ASSIGNMENT, ProbAtom(atom(1), "=", fraction(1, 2)))
+
+
+_FLOAT_B1 = {"dim": 2, "state": [0.6, 0.8], "pqvs": {"B1": [[1.0, 0.0], [0.0, 0.0]]}}
+
+
+def test_tolerance_mode_decides_constants_beyond_float_range():
+    """P(B1) = 0.36: a constant past float range is no error, P(B1) lies
+    below the positive one and equals neither."""
+    s = structure_from_json(_FLOAT_B1)
+    huge = 10**400
+    for q, less in [(huge, True), (-huge, False), (Fraction(huge, 3), True), (-huge - 1, False)]:
+        term = term_of_fraction(q)
+        assert satisfies(s, EMPTY_ASSIGNMENT, ProbAtom(atom(1), "<", term)) is less
+        assert satisfies(s, EMPTY_ASSIGNMENT, ProbAtom(atom(1), "=", term)) is False
+    # in range, the comparison still rounds as floats do: 0.6 ** 2 is 0.36 within 1e-9
+    assert satisfies(s, EMPTY_ASSIGNMENT, ProbAtom(atom(1), "=", fraction(9, 25)))
+    assert not satisfies(s, EMPTY_ASSIGNMENT, ProbAtom(atom(1), "<", fraction(9, 25)))
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        ("1e400", "'1e400'"),
+        (10**400, "1" + "0" * 400),
+        (["0", "-1e400*sqrt(2)"], "'-1e400*sqrt(2)'"),
+    ],
+    ids=["text", "integer", "imaginary-radical"],
+)
+def test_tolerance_mode_entry_beyond_float_range_is_spec_invalid(entry, named):
+    with pytest.raises(SpecInvalid, match="beyond float range") as e:
+        structure_from_json(dict(_FLOAT_B1, state=[0.6, entry]))
+    assert f"scalar {named} is" in str(e.value)
+    # in an exact structure the same entry is a number like any other
+    with pytest.raises(SpecInvalid, match="not a unit vector"):
+        structure_from_json({"dim": 2, "state": ["3/5", entry], "pqvs": {}})
 
 
 def test_structure_json_generic_shorthand(tmp_path):
