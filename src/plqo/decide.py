@@ -264,7 +264,15 @@ def check_proof(proof):
     it cites, HYP against the declared hypotheses.  It runs no solver.
     Raises VerificationFailed (an AssertionError) on any bad line, and on a
     subclass of a proof, line, sentence, literal or formula node, which
-    could override a method such as ``complement`` or ``__eq__``."""
+    could override a method such as ``complement`` or ``__eq__``.
+
+    It trusts the facts a formula node keeps in its private slots, filled
+    from its own fields when first asked (``prop.PropFormula``): its hash,
+    and for a classical formula its symbols, canonical text and essential
+    symbols, which the search has mostly filled already.  The constructor
+    and ``dataclasses.replace`` start a node with none filled, and a
+    subclass is rejected; only ``object.__setattr__`` can forge a slot,
+    as it can rewrite a frozen field after this check returns."""
     derived, seen = {}, set()  # the proof holds each node in seen, so their ids stay unique
     verify(
         type(proof) is Proof and type(proof.lines) is tuple and type(proof.hypotheses) is tuple

@@ -147,7 +147,7 @@ class _Parser:
         known = self.built.get(id(node))
         if known is not None:
             return known[1]
-        parts = (getattr(node, k) for k in node.__slots__)
+        parts = (getattr(node, k) for k in node.__dataclass_fields__)
         nodes = (prop.PropFormula, sx.PlqoFormula, sx.RcofTerm)
         return 1 + sum(self.unfolded(p) for p in parts if isinstance(p, nodes))
 

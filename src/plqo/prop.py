@@ -28,14 +28,42 @@ class PropSymbol:
 
 
 class PropFormula:
-    """Base class for formula nodes.  Subclasses are frozen dataclasses."""
+    """Base class for formula nodes.  Subclasses are frozen dataclasses.
 
-    __slots__ = ()
+    A node keeps four facts about itself in private slots, each computed
+    from its own fields the first time it is asked and then read back: its
+    hash, :meth:`symbols`, :func:`canonical_text` and
+    :func:`essential_symbols`.  The slots are no dataclass fields, so
+    ``==``, ``repr`` and ``dataclasses.replace`` ignore them, and a node
+    made by its constructor or by ``replace`` starts with none filled.
+    ``decide.check_proof`` trusts what they hold."""
+
+    __slots__ = ("_hash", "_symbols", "_text", "_essential")
+
+    def __hash__(self):
+        """The hash a frozen dataclass gives the node's fields, computed
+        once; the children's hashes are their own cached ones."""
+        h = getattr(self, "_hash", None)
+        if h is None:
+            if isinstance(self, Impl):
+                h = hash((self.left, self.right))
+            elif isinstance(self, Neg):
+                h = hash((self.child,))
+            elif isinstance(self, Atom):
+                h = hash((self.symbol,))
+            else:  # Verum
+                h = hash(())
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def symbols(self):
-        out = set()
-        _collect_symbols(self, out)
-        return frozenset(out)
+        out = getattr(self, "_symbols", None)
+        if out is None:
+            out = set()
+            _collect_symbols(self, out)
+            out = frozenset(out)
+            object.__setattr__(self, "_symbols", out)
+        return out
 
     def __and__(self, other):
         return conj(self, other)
@@ -59,23 +87,27 @@ class PropFormula:
 @dataclass(frozen=True, repr=False)
 class Verum(PropFormula):
     __slots__ = ()
+    __hash__ = PropFormula.__hash__
 
 
 @dataclass(frozen=True, repr=False)
 class Atom(PropFormula):
     __slots__ = ("symbol",)
+    __hash__ = PropFormula.__hash__
     symbol: PropSymbol
 
 
 @dataclass(frozen=True, repr=False)
 class Neg(PropFormula):
     __slots__ = ("child",)
+    __hash__ = PropFormula.__hash__
     child: PropFormula
 
 
 @dataclass(frozen=True, repr=False)
 class Impl(PropFormula):
     __slots__ = ("left", "right")
+    __hash__ = PropFormula.__hash__
     left: PropFormula
     right: PropFormula
 
@@ -233,15 +265,19 @@ def anf(f):
 
 def essential_symbols(f):
     """Essential symbols of ``f``, the variables of its ANF: those whose
-    two cofactors differ in the truth table."""
-    syms, table = _anf_table(f)
-    n = len(syms)
-    full = (1 << (1 << n)) - 1
-    # the entry where s is true sits 2^i bits above the one where it is false
-    return frozenset(
-        s for i, s in enumerate(syms)
-        if ((table >> (1 << i)) ^ table) & (full ^ _column(n, i))
-    )
+    two cofactors differ in the truth table.  Computed once per node."""
+    ess = getattr(f, "_essential", None)
+    if ess is None:
+        syms, table = _anf_table(f)
+        n = len(syms)
+        full = (1 << (1 << n)) - 1
+        # the entry where s is true sits 2^i bits above the one where it is false
+        ess = frozenset(
+            s for i, s in enumerate(syms)
+            if ((table >> (1 << i)) ^ table) & (full ^ _column(n, i))
+        )
+        object.__setattr__(f, "_essential", ess)
+    return ess
 
 
 def phi_A_U(a_set, u_set):
@@ -319,5 +355,9 @@ def print_prop(f, spaced=True):
 
 def canonical_text(f):
     """Compact, whitespace-free rendering; used as the identity of
-    probability variables indexed by formulas."""
-    return print_prop(f, spaced=False)
+    probability variables indexed by formulas.  Computed once per node."""
+    text = getattr(f, "_text", None)
+    if text is None:
+        text = print_prop(f, spaced=False)
+        object.__setattr__(f, "_text", text)
+    return text

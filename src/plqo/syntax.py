@@ -136,7 +136,28 @@ def eval_term(t, rho=EMPTY_ASSIGNMENT):
 
 
 class PlqoFormula:
-    __slots__ = ()
+    """Base class for formula nodes.  Subclasses are frozen dataclasses.
+
+    A node keeps its hash in a private slot, computed from its own fields
+    the first time it is asked, as ``prop.PropFormula`` keeps its facts."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        """The hash a frozen dataclass gives the node's fields, computed
+        once; the children's hashes are their own cached ones."""
+        h = getattr(self, "_hash", None)
+        if h is None:
+            if isinstance(self, PImpl):
+                h = hash((self.left, self.right))
+            elif isinstance(self, PNeg):
+                h = hash((self.child,))
+            elif isinstance(self, ProbAtom):
+                h = hash((self.alpha, self.cmp, self.term))
+            else:  # ObsAtom
+                h = hash((self.alpha,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __str__(self):
         from .parser import print_plqo
@@ -150,6 +171,7 @@ class PlqoFormula:
 @dataclass(frozen=True, repr=False)
 class ObsAtom(PlqoFormula):
     __slots__ = ("alpha",)
+    __hash__ = PlqoFormula.__hash__
     alpha: PropFormula
 
 
@@ -159,6 +181,7 @@ class ProbAtom(PlqoFormula):
     via ``cmp``, one of "=" or "<"."""
 
     __slots__ = ("alpha", "cmp", "term")
+    __hash__ = PlqoFormula.__hash__
     alpha: PropFormula
     cmp: str
     term: RcofTerm
@@ -171,12 +194,14 @@ class ProbAtom(PlqoFormula):
 @dataclass(frozen=True, repr=False)
 class PNeg(PlqoFormula):
     __slots__ = ("child",)
+    __hash__ = PlqoFormula.__hash__
     child: PlqoFormula
 
 
 @dataclass(frozen=True, repr=False)
 class PImpl(PlqoFormula):
     __slots__ = ("left", "right")
+    __hash__ = PlqoFormula.__hash__
     left: PlqoFormula
     right: PlqoFormula
 

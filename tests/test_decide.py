@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -32,7 +32,9 @@ from plqo.errors import SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import prob, satisfies
 from plqo.parser import parse_plqo
-from plqo.prop import Neg, PropSymbol, VERUM, atom, conj, disj, essential_symbols, is_tautology
+from plqo.prop import (
+    Atom, Impl, Neg, PropSymbol, VERUM, Verum, atom, conj, disj, essential_symbols, is_tautology
+)
 from plqo.scalars import RadicalScalar
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
@@ -533,6 +535,18 @@ def test_proof_checker_rejects_a_malformed_line(tamper):
     """A malformed line raises VerificationFailed, never another error."""
     with pytest.raises(VerificationFailed):
         check_proof(tamper(_ladder_proof()))
+
+
+def test_check_proof_walks_node_fields_not_fact_slots():
+    """The checker's walk of a formula lists each node's dataclass fields;
+    the slots a node keeps its facts in are none of them."""
+    expected = {
+        Verum: (), Atom: ("symbol",), Neg: ("child",), Impl: ("left", "right"),
+        ObsAtom: ("alpha",), ProbAtom: ("alpha", "cmp", "term"), PNeg: ("child",),
+        PImpl: ("left", "right"),
+    }
+    assert {c: tuple(f.name for f in fields(c)) for c in expected} == expected
+    assert {c: decide._NODE_FIELDS[c] for c in expected} == expected
 
 
 def test_check_proof_requires_exact_node_classes():

@@ -1,20 +1,25 @@
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from plqo.errors import BudgetExceeded, MissingSymbol, UNotSubset
-from plqo.parser import parse_classical
+from plqo.parser import parse_classical, parse_plqo, print_plqo
 from plqo.prop import (
     Atom,
     FALSUM,
     Impl,
     MAX_VALUATION_SYMBOLS,
     Neg,
+    PropFormula,
     PropSymbol,
     VERUM,
     anf,
     atom,
+    canonical_text,
     conj,
     conj_all,
     disj,
@@ -26,8 +31,9 @@ from plqo.prop import (
     truth_table,
     valuation_sets,
 )
+from plqo.syntax import ONE, ObsAtom, PImpl, PNeg, ProbAtom, fraction
 
-from formgen import gen_classical
+from formgen import gen_classical, perfbench_workloads
 from oracles import (
     all_valuations,
     anf_by_valuation,
@@ -224,3 +230,129 @@ def test_anf_matches_the_reference_hypothesis(depth, seed):
     f = gen_classical(rng, [1, 4, 5, 11], depth)
     assert anf(f) == anf_by_valuation(f)
     assert essential_symbols(f) == essential_symbols_bruteforce(f)
+
+
+# -- the facts a node keeps ---------------------------------------------------
+
+_PARTS = {Neg: ("child",), Impl: ("left", "right"), ObsAtom: ("alpha",),
+          ProbAtom: ("alpha",), PNeg: ("child",), PImpl: ("left", "right")}
+
+
+def _nodes(f, out=None, seen=None):
+    """The formula nodes of ``f``, each once, every child before its parents."""
+    out, seen = ([], set()) if out is None else (out, seen)
+    if id(f) not in seen:
+        seen.add(id(f))
+        for name in _PARTS.get(type(f), ()):
+            _nodes(getattr(f, name), out, seen)
+        out.append(f)
+    return out
+
+
+def _facts(node):
+    """What ``node`` answers when asked each of its facts."""
+    if isinstance(node, PropFormula):
+        return [hash(node), node.symbols(), canonical_text(node), essential_symbols(node)]
+    return [hash(node)]
+
+
+def _walk_symbols(f):
+    """The symbols of ``f`` by a walk that keeps nothing."""
+    if isinstance(f, Atom):
+        return {f.symbol}
+    return set().union(*(_walk_symbols(getattr(f, k)) for k in _PARTS.get(type(f), ())))
+
+
+def _reference(node):
+    """``node``'s facts read off a copy parsed from its printed text:
+    the copy's hash must be that of its fields, as a frozen dataclass
+    hashes them."""
+    if isinstance(node, PropFormula):
+        fresh = parse_classical(print_prop(node))
+        expected = [_walk_symbols(fresh), print_prop(fresh, spaced=False),
+                    essential_symbols_bruteforce(fresh)]
+    else:
+        fresh = parse_plqo(print_plqo(node))
+        expected = []
+    assert fresh == node
+    assert hash(fresh) == hash(tuple(getattr(fresh, f.name) for f in fields(fresh)))
+    return [hash(fresh)] + expected
+
+
+def _fact_corpus():
+    """(parse, text) pairs: seeded classical formulas with T, F and <->,
+    whose operands the parser shares, and every benchmark query."""
+    rng = random.Random(23)
+    syms = [1, 2, 5, 9]
+    out = [(parse_classical, t) for t in ("T", "F", "!F -> T", "B1 <-> B1", "(B1 & F) <-> T")]
+    for _ in range(40):
+        a, b = (print_prop(gen_classical(rng, syms, rng.randint(0, 3))) for _ in range(2))
+        out += [(parse_classical, f"({a}) <-> ({b})"), (parse_classical, f"({a}) | F -> T & ({b})")]
+    workloads = perfbench_workloads()
+    for name in workloads.WORKLOADS:
+        out += [(parse_plqo, t) for q in workloads.build(name, 1) for t in q.texts]
+    return out
+
+
+@pytest.mark.parametrize("root_first", [True, False], ids=["root-first", "leaves-first"])
+def test_each_node_keeps_the_facts_of_its_fields(root_first):
+    """Every fact of every node, asked root first or leaves first, equals a
+    reference computed afresh: a fact filled on the wrong node shows."""
+    for parse, text in _fact_corpus():
+        nodes = _nodes(parse(text))
+        for node in nodes[::-1] if root_first else nodes:
+            _facts(node)
+        for node in nodes:
+            assert _facts(node) == _reference(node), (text, str(node))
+
+
+def _example_id(x):
+    return "-".join(x) if isinstance(x, dict) else type(x).__name__
+
+
+def _examples():
+    b1b2 = conj(atom(1), atom(2))
+    return [
+        (Impl(atom(1), atom(2)), {"right": atom(3)}),
+        (Neg(b1b2), {"child": atom(4)}),
+        (Atom(PropSymbol(1)), {"symbol": PropSymbol(2)}),
+        (ObsAtom(b1b2), {"alpha": atom(3)}),
+        (ProbAtom(b1b2, "=", ONE), {"cmp": "<"}),
+        (PNeg(ObsAtom(b1b2)), {"child": ObsAtom(atom(1))}),
+        (PImpl(ObsAtom(b1b2), ObsAtom(VERUM)), {"left": ProbAtom(atom(1), "<", fraction(1, 2))}),
+    ]
+
+
+@pytest.mark.parametrize("node, changes", _examples(), ids=_example_id)
+def test_replace_gives_the_facts_of_the_new_fields(node, changes):
+    _facts(node)
+    new = replace(node, **changes)
+    assert new != node
+    assert _facts(new) == _reference(new)
+
+
+@pytest.mark.parametrize("node, changes", _examples(), ids=_example_id)
+def test_eq_repr_and_str_ignore_the_fact_slots(node, changes):
+    """A node asked its facts, and one whose slots are forged, compare,
+    show and print as a fresh equal node does."""
+    fresh = type(node)(*(getattr(node, f.name) for f in fields(node)))
+    asked, forged = replace(node), replace(node)
+    _facts(asked)
+    slots = ("_hash", "_symbols", "_text", "_essential") if isinstance(node, PropFormula) else ("_hash",)
+    for name in slots:
+        object.__setattr__(forged, name, "forged")
+    for other in (asked, forged):
+        assert other == fresh and fresh == other
+        assert (repr(other), str(other)) == (repr(fresh), str(fresh))
+
+
+@pytest.mark.parametrize("node, changes", _examples(), ids=_example_id)
+def test_nodes_refuse_copy_and_pickle(node, changes):
+    """No route but ``object.__setattr__`` writes a node's slots: copying
+    or unpickling one raises, whether its facts were asked or not."""
+    for asked in (False, True):
+        if asked:
+            _facts(node)
+        for dup in (copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))):
+            with pytest.raises(FrozenInstanceError):
+                dup(node)
