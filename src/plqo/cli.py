@@ -13,12 +13,15 @@ import functools
 import json
 import sys
 
-from .errors import BudgetExceeded, ParseError, PlqoError, SpecInvalid, UnsupportedNonlinear
+from .errors import BudgetExceeded, PlqoError, SpecInvalid, UnsupportedNonlinear
 from . import prop
 from .parser import parse_classical, parse_plqo
 from .translate import q_of, translate_atom
 from .syntax import EMPTY_ASSIGNMENT, atoms_of
-from .hilbert import DEFAULT_TOL, load_assignment, load_structure, prob, satisfies, symbol_of
+from .hilbert import (
+    DEFAULT_TOL, assignment_from_json, load_assignment, prob, read_json, satisfies,
+    structure_from_json, symbol_of,
+)
 from .genmodel import GenericModelSpec, spec_to_json
 from .decide import (
     Invalid,
@@ -104,8 +107,11 @@ def _cmd_entail(args):
 
 def _cmd_eval(args):
     tol = args.tol if args.tol is not None else DEFAULT_TOL if args.float else None
-    structure = load_structure(args.model, tol)
-    rho = load_assignment(args.assign) if args.assign else EMPTY_ASSIGNMENT
+    doc = read_json(args.model)
+    structure = structure_from_json(doc, tol)
+    # without --assign, the assignment check -o wrote beside its countermodel
+    rho = (load_assignment(args.assign) if args.assign
+           else assignment_from_json(doc.get("assignment", {})))
     lines = []  # printed only once every argument is read
     if args.prob:
         lines.append(f"prob = {prob(structure, _classical(args.prob))}")
@@ -155,7 +161,7 @@ def _cmd_anf(args):
 def _cmd_prove(args):
     if args.schema == "fig1":
         if not (args.alpha1 and args.alpha2):
-            raise ParseError("fig1 needs --alpha1 and --alpha2", 0, 0)
+            args.usage_error("--schema fig1 needs --alpha1 and --alpha2")
         proof = derive_schema("fig1", _classical(args.alpha1), _classical(args.alpha2))
     else:
         proof = derive_schema(args.schema)
@@ -228,19 +234,17 @@ def build_parser():
     p.add_argument("--alpha1")
     p.add_argument("--alpha2")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_prove)
+    p.set_defaults(fn=_cmd_prove, usage_error=p.error)
 
     return top
 
 
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:  # argparse's --help, or its usage error
+        return EXIT_USAGE if e.code not in (0, None) else 0
     except (BudgetExceeded, UnsupportedNonlinear) as e:
         print(f"error[{e.code}]: {e}", file=sys.stderr)
         return EXIT_BUDGET

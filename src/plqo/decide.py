@@ -270,9 +270,12 @@ def check_proof(proof):
     from its own fields when first asked (``prop.PropFormula``): its hash,
     and for a classical formula its symbols, canonical text and essential
     symbols, which the search has mostly filled already.  The constructor
-    and ``dataclasses.replace`` start a node with none filled, and a
-    subclass is rejected; only ``object.__setattr__`` can forge a slot,
-    as it can rewrite a frozen field after this check returns."""
+    and ``dataclasses.replace`` start a node with none filled, and so do
+    copying and unpickling, which rebuild a node from its fields; a
+    subclass is rejected.  Only ``object.__setattr__`` can forge a slot,
+    as it can rewrite a frozen field after this check returns.  Unpickling
+    untrusted bytes is never safe, whatever this check then says, so proof
+    files stay JSON."""
     derived, seen = {}, set()  # the proof holds each node in seen, so their ids stay unique
     verify(
         type(proof) is Proof and type(proof.lines) is tuple and type(proof.hypotheses) is tuple

@@ -438,7 +438,7 @@ def structure_from_json(doc, tol=None):
     return QuantumStructure(dim, state, pqvs, tol)
 
 
-def _read_json(path):
+def read_json(path):
     with open(path) as fh:
         try:
             return json.load(fh)
@@ -447,12 +447,13 @@ def _read_json(path):
 
 
 def load_structure(path, tol=None):
-    return structure_from_json(_read_json(path), tol)
+    return structure_from_json(read_json(path), tol)
 
 
-def load_assignment(path):
-    """Rational values of the variables ``x<k>`` from a JSON object."""
-    doc = expect_type(_read_json(path), dict, "an assignment document")
+def assignment_from_json(doc):
+    """Rational values of the variables ``x<k>`` from a JSON object: an
+    assignment file, or the ``assignment`` member of a model file."""
+    expect_type(doc, dict, "an assignment document")
     numeric = {}
     for key, raw in doc.items():
         if not re.fullmatch(rf"x[0-9]{{1,{MAX_DIGITS}}}", key):
@@ -465,3 +466,7 @@ def load_assignment(path):
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise SpecInvalid(f"bad value of {key}: {raw!r}") from None
     return Assignment(numeric)
+
+
+def load_assignment(path):
+    return assignment_from_json(read_json(path))

@@ -27,34 +27,41 @@ class PropSymbol:
         return f"B{self.index}"
 
 
+def node(cls):
+    """Declare a formula node: a frozen, slotted dataclass without repr,
+    whose ``__hash__`` computes the dataclass's hash of its fields, kept as
+    ``_field_hash``, once into the ``_hash`` slot of the node's base.
+    Copying or unpickling rebuilds a node from its fields alone, so no fact
+    slot is carried over.  Unpickling untrusted bytes is never safe, so
+    proof files stay JSON."""
+    cls = dataclass(frozen=True, repr=False, slots=True)(cls)
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _kept_hash
+    return cls
+
+
+def _kept_hash(self):
+    """The hash of the node's fields, computed once per node."""
+    h = getattr(self, "_hash", None)
+    if h is None:
+        h = self._field_hash()
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
 class PropFormula:
-    """Base class for formula nodes.  Subclasses are frozen dataclasses.
+    """Base class for formula nodes, each declared with :func:`node`.
 
     A node keeps four facts about itself in private slots, each computed
     from its own fields the first time it is asked and then read back: its
     hash, :meth:`symbols`, :func:`canonical_text` and
     :func:`essential_symbols`.  The slots are no dataclass fields, so
     ``==``, ``repr`` and ``dataclasses.replace`` ignore them, and a node
-    made by its constructor or by ``replace`` starts with none filled.
-    ``decide.check_proof`` trusts what they hold."""
+    made by its constructor or by ``replace``, or copied or unpickled,
+    starts with none filled.  ``decide.check_proof`` trusts what they
+    hold."""
 
     __slots__ = ("_hash", "_symbols", "_text", "_essential")
-
-    def __hash__(self):
-        """The hash a frozen dataclass gives the node's fields, computed
-        once; the children's hashes are their own cached ones."""
-        h = getattr(self, "_hash", None)
-        if h is None:
-            if isinstance(self, Impl):
-                h = hash((self.left, self.right))
-            elif isinstance(self, Neg):
-                h = hash((self.child,))
-            elif isinstance(self, Atom):
-                h = hash((self.symbol,))
-            else:  # Verum
-                h = hash(())
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def symbols(self):
         out = getattr(self, "_symbols", None)
@@ -84,30 +91,23 @@ class PropFormula:
         return f"<PropFormula {print_prop(self)}>"
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Verum(PropFormula):
-    __slots__ = ()
-    __hash__ = PropFormula.__hash__
+    pass
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Atom(PropFormula):
-    __slots__ = ("symbol",)
-    __hash__ = PropFormula.__hash__
     symbol: PropSymbol
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Neg(PropFormula):
-    __slots__ = ("child",)
-    __hash__ = PropFormula.__hash__
     child: PropFormula
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class Impl(PropFormula):
-    __slots__ = ("left", "right")
-    __hash__ = PropFormula.__hash__
     left: PropFormula
     right: PropFormula
 

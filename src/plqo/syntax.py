@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .prop import PropFormula
+from .prop import PropFormula, node
 
 MAX_DNF_ATOMS = 16
 
@@ -37,12 +37,11 @@ class RcofTerm:
         return f"<RcofTerm {self}>"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Const(RcofTerm):
     """A nonnegative rational constant as one node, held by value so that
     its size is its digits, not its magnitude."""
 
-    __slots__ = ("q",)
     q: Fraction
 
     def __post_init__(self):
@@ -51,28 +50,24 @@ class Const(RcofTerm):
             raise ValueError("constants are nonnegative; wrap in TNeg for negatives")
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class NumVar(RcofTerm):
-    __slots__ = ("k",)
     k: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class TNeg(RcofTerm):
-    __slots__ = ("child",)
     child: RcofTerm
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Add(RcofTerm):
-    __slots__ = ("left", "right")
     left: RcofTerm
     right: RcofTerm
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Mul(RcofTerm):
-    __slots__ = ("left", "right")
     left: RcofTerm
     right: RcofTerm
 
@@ -136,28 +131,13 @@ def eval_term(t, rho=EMPTY_ASSIGNMENT):
 
 
 class PlqoFormula:
-    """Base class for formula nodes.  Subclasses are frozen dataclasses.
+    """Base class for formula nodes, each declared with ``prop.node``.
 
     A node keeps its hash in a private slot, computed from its own fields
-    the first time it is asked, as ``prop.PropFormula`` keeps its facts."""
+    the first time it is asked, as ``prop.PropFormula`` keeps its facts; a
+    copied or unpickled node starts with it unset."""
 
     __slots__ = ("_hash",)
-
-    def __hash__(self):
-        """The hash a frozen dataclass gives the node's fields, computed
-        once; the children's hashes are their own cached ones."""
-        h = getattr(self, "_hash", None)
-        if h is None:
-            if isinstance(self, PImpl):
-                h = hash((self.left, self.right))
-            elif isinstance(self, PNeg):
-                h = hash((self.child,))
-            elif isinstance(self, ProbAtom):
-                h = hash((self.alpha, self.cmp, self.term))
-            else:  # ObsAtom
-                h = hash((self.alpha,))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def __str__(self):
         from .parser import print_plqo
@@ -168,20 +148,16 @@ class PlqoFormula:
         return f"<PlqoFormula {self}>"
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class ObsAtom(PlqoFormula):
-    __slots__ = ("alpha",)
-    __hash__ = PlqoFormula.__hash__
     alpha: PropFormula
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class ProbAtom(PlqoFormula):
     """The atom asserting the probability of ``alpha`` compares to ``term``
     via ``cmp``, one of "=" or "<"."""
 
-    __slots__ = ("alpha", "cmp", "term")
-    __hash__ = PlqoFormula.__hash__
     alpha: PropFormula
     cmp: str
     term: RcofTerm
@@ -191,17 +167,13 @@ class ProbAtom(PlqoFormula):
             raise ValueError(f"primitive comparison must be = or <, got {self.cmp}")
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class PNeg(PlqoFormula):
-    __slots__ = ("child",)
-    __hash__ = PlqoFormula.__hash__
     child: PlqoFormula
 
 
-@dataclass(frozen=True, repr=False)
+@node
 class PImpl(PlqoFormula):
-    __slots__ = ("left", "right")
-    __hash__ = PlqoFormula.__hash__
     left: PlqoFormula
     right: PlqoFormula
 

@@ -467,6 +467,33 @@ def test_eval_with_assignment(capsys, tmp_path):
     assert code == 0 and "SATISFIED" in out
 
 
+def test_eval_reads_the_assignment_check_wrote(capsys, tmp_path):
+    """A countermodel with a numeric variable, read back without --assign,
+    is evaluated under the assignment its file holds; an --assign file
+    still wins."""
+    formula = "P(B1) = x1 -> P(B1) = 0"
+    model = tmp_path / "cm.json"
+    code, _, _ = invoke(capsys, "check", "-o", str(model), formula)
+    assert code == 1
+    assert json.loads(model.read_text())["assignment"] == {"x1": "1/2"}
+    argv = ["eval", "--model", str(model), "--formula", f"!({formula})"]
+    assert invoke(capsys, *argv) == (0, "SATISFIED\n", "")
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps({"x1": "0"}))
+    assert invoke(capsys, *argv, "--assign", str(assign)) == (1, "NOT SATISFIED\n", "")
+
+
+@pytest.mark.parametrize("member", [5, {"x1": "1/0"}])
+def test_eval_refuses_a_bad_assignment_member(capsys, tmp_path, member):
+    model = tmp_path / "m.json"
+    invoke(capsys, "genmodel", "--symbols", "B1", "--masses", "1/2", "1/2", "-o", str(model))
+    doc = json.loads(model.read_text())
+    model.write_text(json.dumps(dict(doc, assignment=member)))
+    code, out, err = invoke(capsys, "eval", "--model", str(model), "--formula", "O(B1)")
+    assert code == 2 and out == ""
+    assert err.startswith("error[spec-invalid]:")
+
+
 def test_translate_over_budget_prints_nothing(capsys):
     """Past the budget on the terms of the paper's Q (10 symbols) or on
     its symbols (13), translate fails before printing a row."""
@@ -624,6 +651,16 @@ def test_prove_schema_precondition_failure(capsys):
     )
     assert code == 2
     assert err.startswith("error[schema-precondition]:")
+
+
+@pytest.mark.parametrize(
+    "alphas", [[], ["--alpha1", "B1"], ["--alpha2", "B1"]], ids=["neither", "alpha1", "alpha2"]
+)
+def test_prove_fig1_without_both_alphas_is_a_usage_error(capsys, alphas):
+    code, out, err = invoke(capsys, "prove", "--schema", "fig1", *alphas)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: plqo prove")
+    assert "error: --schema fig1 needs --alpha1 and --alpha2" in err and "0:0" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
 import ast
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -53,7 +55,7 @@ from plqo.syntax import (
 )
 from plqo.translate import DecideSystem, NumericVar, constraint
 
-from formgen import chain, gen_classical, gen_plqo, obs_ladder, prob_ladder
+from formgen import chain, gen_classical, gen_plqo, obs_ladder, perfbench_workloads, prob_ladder
 from oracles import (
     as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal, rcof_holds_by_solving
 )
@@ -568,6 +570,23 @@ def test_check_proof_requires_exact_node_classes():
     forged = Proof((ProofLine(1, sent, "RCOF"), ProofLine(2, b12, "RR", (1,))))
     with pytest.raises(VerificationFailed):
         check_proof(forged)
+
+
+def test_copied_and_pickled_proofs_are_checked_afresh():
+    """Copying or unpickling a proof rebuilds each node from its fields:
+    the valid ladder's proofs and the three schemas pass the checker so,
+    and a copy holding a node subclass is rejected as the original is."""
+    queries = perfbench_workloads().build("valid-ladder", 1)
+    proofs = [check_valid(parse_plqo(q.texts[0])).proof for q in queries]
+    proofs += [derive_schema("fig1", conj(atom(1), atom(2)), conj(atom(2), atom(1)))]
+    proofs += [derive_schema("fig2"), derive_schema("obs_taut")]
+    for proof in proofs:
+        assert check_proof(pickle.loads(pickle.dumps(proof)))
+    for dup in (copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        forged = dup(_forged_rr())
+        assert type(forged.lines[1].content) is _EqualsAnything
+        with pytest.raises(VerificationFailed):
+            check_proof(forged)
 
 
 def test_proof_checker_rejects_a_literal_subclass():

@@ -1,7 +1,7 @@
 import copy
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -249,6 +249,11 @@ def _nodes(f, out=None, seen=None):
     return out
 
 
+def _fact_slots(node):
+    """The private slots ``node`` keeps its facts in."""
+    return ("_hash", "_symbols", "_text", "_essential") if isinstance(node, PropFormula) else ("_hash",)
+
+
 def _facts(node):
     """What ``node`` answers when asked each of its facts."""
     if isinstance(node, PropFormula):
@@ -338,8 +343,7 @@ def test_eq_repr_and_str_ignore_the_fact_slots(node, changes):
     fresh = type(node)(*(getattr(node, f.name) for f in fields(node)))
     asked, forged = replace(node), replace(node)
     _facts(asked)
-    slots = ("_hash", "_symbols", "_text", "_essential") if isinstance(node, PropFormula) else ("_hash",)
-    for name in slots:
+    for name in _fact_slots(node):
         object.__setattr__(forged, name, "forged")
     for other in (asked, forged):
         assert other == fresh and fresh == other
@@ -347,12 +351,17 @@ def test_eq_repr_and_str_ignore_the_fact_slots(node, changes):
 
 
 @pytest.mark.parametrize("node, changes", _examples(), ids=_example_id)
-def test_nodes_refuse_copy_and_pickle(node, changes):
-    """No route but ``object.__setattr__`` writes a node's slots: copying
-    or unpickling one raises, whether its facts were asked or not."""
-    for asked in (False, True):
-        if asked:
-            _facts(node)
+def test_copies_rebuild_a_node_from_its_fields(node, changes):
+    """Copying or unpickling a node, fresh, asked its facts or with forged
+    slots, gives an equal node of the same class with no fact slot set;
+    asked afresh, the copy's facts are those of its fields."""
+    fresh, asked, forged = replace(node), replace(node), replace(node)
+    _facts(asked)
+    for name in _fact_slots(node):
+        object.__setattr__(forged, name, "forged")
+    for original in (fresh, asked, forged):
         for dup in (copy.copy, copy.deepcopy, lambda n: pickle.loads(pickle.dumps(n))):
-            with pytest.raises(FrozenInstanceError):
-                dup(node)
+            twin = dup(original)
+            assert type(twin) is type(node) and twin == node
+            assert not any(hasattr(twin, name) for name in _fact_slots(node))
+            assert _facts(twin) == _reference(twin)
