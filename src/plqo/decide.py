@@ -245,13 +245,19 @@ _NODE_FIELDS = {c: tuple(c.__dataclass_fields__) for c in (
 def _exact_nodes(f, seen):
     """Whether each node of ``f`` has exactly one of the classes literals
     and formulas are built from (a subclass could override __eq__ and match
-    any formula); ``seen`` holds the ids of nodes found so, and grows."""
+    any formula), and the field values their constructors enforce; ``seen``
+    holds the ids of nodes found so, and grows."""
     stack = [f]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            fields = _NODE_FIELDS.get(type(node))
-            if fields is None:
+            kind = type(node)
+            fields = _NODE_FIELDS.get(kind)
+            if (
+                fields is None
+                or kind is ProbAtom and not (type(node.cmp) is str and node.cmp in ("=", "<"))
+                or kind is sx.Const and not (type(node.q) is Fraction and node.q >= 0)
+            ):
                 return False
             seen.add(id(node))
             stack += [getattr(node, name) for name in fields]

@@ -51,7 +51,6 @@ class DeltaRational(NamedTuple):
         return DeltaRational(self.std * c, self.inf * c)
 
 
-_ONE = 1
 # the delta part of a bound: none, or one delta inside a strict bound
 _NO_DELTA = 0
 _BELOW = -1
@@ -141,7 +140,7 @@ class _Tableau:
             )
             for side in (self.lower, self.upper, self.lower_src, self.upper_src):
                 side.append(None)
-            self._bound(s, _ONE, c, i)
+            self._bound(s, 1, c, i)
 
     def _bound(self, j, k, c, i):
         """Tighten column j's bounds by constraint i, ``c``, which reads
@@ -181,7 +180,7 @@ class _Tableau:
     def _pivot_and_update(self, xi, xj, target):
         row = self.rows.pop(xi)
         a_ij = row.pop(xj)
-        inverse = a_ij if a_ij == 1 or a_ij == -1 else exact(_ONE / Fraction(a_ij))
+        inverse = a_ij if a_ij == 1 or a_ij == -1 else exact(1 / Fraction(a_ij))
         theta = (target - self.beta[xi]).scale(inverse)
         self.beta[xi] = target
         self.beta[xj] = self.beta[xj] + theta

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .errors import BudgetExceeded, MissingSymbol, UNotSubset
 
-# Cap on |B_alpha| for operations that enumerate all valuations.
+# The one cap on every table over valuations: truth tables, ANF, DNF atoms,
+# the decider's masses and the countermodel basis.
 MAX_VALUATION_SYMBOLS = 16
 
 

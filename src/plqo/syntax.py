@@ -8,9 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .prop import PropFormula, node
-
-MAX_DNF_ATOMS = 16
+from .prop import MAX_VALUATION_SYMBOLS, PropFormula, node
 
 
 # -- terms -------------------------------------------------------------------
@@ -286,8 +284,8 @@ def nnf_dnf_literals(f):
     expanded once per polarity, so a shared subformula costs its size,
     not the number of paths to it."""
     n_atoms = len(atoms_of(f))
-    if n_atoms > MAX_DNF_ATOMS:
-        raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {MAX_DNF_ATOMS}")
+    if n_atoms > MAX_VALUATION_SYMBOLS:
+        raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {MAX_VALUATION_SYMBOLS}")
     # (id(node), positive) -> (node, disjuncts); holding the node keeps its id unique
     memo = {}
 

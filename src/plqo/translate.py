@@ -27,13 +27,8 @@ from .prop import canonical_text
 from . import syntax as sx
 from .syntax import PNeg, PImpl, ProbAtom
 
-MAX_ADAMS_SYMBOLS = 12
 # terms in the paper's Q, about 4^n over n symbols: 9 symbols fit, 10 do not
 MAX_Q_TERMS = 1 << 19
-
-_ZERO = 0
-_ONE = 1
-_MINUS_ONE = -1
 
 
 # -- variables ---------------------------------------------------------------
@@ -204,8 +199,8 @@ def mass_var(a_set, u_set):
 def _mass_row(kind, m):
     """The bound ``kind`` ("mass>=0" or "mass<=1") on the mass ``m``, built directly."""
     if kind == "mass>=0":
-        return LinConstraint(((m, _MINUS_ONE),), "<=", _ZERO)
-    return LinConstraint(((m, _ONE),), "<=", _ONE)
+        return LinConstraint(((m, -1),), "<=", 0)
+    return LinConstraint(((m, 1),), "<=", 1)
 
 
 def _sum_row(masses):
@@ -223,7 +218,7 @@ def _formula_row(alpha, symbols, masses):
     whose valuation satisfies it: ``masses`` lists, in code order, the mass
     of each valuation of the ascending ``symbols``, a superset of alpha's."""
     table = prop.truth_table(alpha, symbols)
-    coeffs = {ProbVar.of(alpha): _ONE}
+    coeffs = {ProbVar.of(alpha): 1}
     for m, bit in zip(masses, format(table, f"0{1 << len(symbols)}b")[::-1]):
         if bit == "1":
             coeffs[m] = coeffs.get(m, 0) - 1
@@ -292,7 +287,7 @@ def linearize_term(t):
     if isinstance(t, sx.Const):
         return {}, t.q
     if isinstance(t, sx.NumVar):
-        return {NumericVar(t.k): Fraction(1)}, Fraction(0)
+        return {NumericVar(t.k): 1}, 0
     if isinstance(t, sx.TNeg):
         coeffs, const = linearize_term(t.child)
         return {v: -c for v, c in coeffs.items()}, -const
@@ -301,7 +296,7 @@ def linearize_term(t):
         c2, k2 = linearize_term(t.right)
         out = dict(c1)
         for v, c in c2.items():
-            out[v] = out.get(v, Fraction(0)) + c
+            out[v] = out.get(v, 0) + c
         return out, k1 + k2
     if isinstance(t, sx.Mul):
         c1, k1 = linearize_term(t.left)
@@ -350,9 +345,9 @@ class DecideSystem:
         # B_phi, delta and A_P from one walk of f
         atoms = sx.atoms_of(f)
         self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
-        if len(self.base) > MAX_ADAMS_SYMBOLS:
+        if len(self.base) > prop.MAX_VALUATION_SYMBOLS:
             raise BudgetExceeded(f"distribution system over {len(self.base)} symbols"
-                                 f" exceeds budget {MAX_ADAMS_SYMBOLS}")
+                                 f" exceeds budget {prop.MAX_VALUATION_SYMBOLS}")
         self.delta = list(dict.fromkeys(a.alpha for a in atoms if isinstance(a, ProbAtom)))
         self.a_p = sorted(frozenset().union(*(alpha.symbols() for alpha in self.delta)))
         self._masses = None

@@ -149,6 +149,13 @@ def test_budget_exit_3(capsys):
     assert "17 symbols exceeds budget 16" in err
 
 
+def test_check_over_seventeen_symbols_prints_nothing(capsys):
+    conj = " & ".join(f"B{i}" for i in range(1, 18))
+    code, out, err = invoke(capsys, "check", f"(O({conj}) & P(B1 & B17) = 1/3) -> P(B1) >= 1/3")
+    assert (code, out) == (3, "")
+    assert err == "error[budget]: distribution system over 17 symbols exceeds budget 16\n"
+
+
 def test_huge_numeral_is_a_budget_error(capsys):
     code, out, err = invoke(capsys, "check", "P(B1) < " + "9" * 5000)
     assert (code, out) == (3, "")
@@ -221,6 +228,45 @@ def test_malformed_files_are_spec_invalid(capsys, tmp_path, structure, assignmen
     assert (code, out) == (2, "")
     assert err.startswith("error[spec-invalid]:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "formula, model, error",
+    [
+        ("P(B1) = 1/0", None, "error[parse]: 1:11: zero denominator"),
+        ("P(B1) = 1/", None, "error[parse]: 1:11: expected a denominator"),
+        ("P(B1) =", None, "error[parse]: 1:8: expected a term"),
+        ("P(B1)", None, "error[parse]: 1:6: expected a comparison"),
+        ("O(B1) O(B2)", None, "error[parse]: 1:7: trailing input starting at 'O'"),
+        ("O(T)", "not json", "error[spec-invalid]: <model> is not a JSON document:"
+                             " Expecting value: line 1 column 1 (char 0)"),
+        ("O(T)", dict(_STRUCTURE, state=[[1], "0"]),
+         "error[spec-invalid]: complex entry must be a [re, im] pair: [1]"),
+        ("O(T)", dict(_STRUCTURE, state=[None, "0"]), "error[spec-invalid]: not a scalar: None"),
+        ("O(T)", {"generic": {"symbols": ["B1"], "nc": [], "masses": [-1, 2]}},
+         "error[spec-invalid]: masses must be nonnegative"),
+        ("O(T)", dict(_STRUCTURE, pqvs={"B1": [["1", "0"]]}),
+         "error[dim-mismatch]: projector is not square"),
+        ("O(T)", dict(_STRUCTURE, pqvs={"B1": [["1"]]}),
+         "error[dim-mismatch]: projector for B1 has wrong dimension"),
+    ],
+    ids=[
+        "zero-denominator", "no-denominator", "no-term", "no-comparison", "trailing-input",
+        "model-not-json", "state-entry-one-part", "state-entry-null", "negative-mass",
+        "projector-not-square", "projector-wrong-dimension",
+    ],
+)
+def test_hostile_input_is_one_error_line(capsys, tmp_path, formula, model, error):
+    """``check`` of a malformed formula, or ``eval`` over a malformed model
+    file, exits 2 with one error line and nothing on stdout."""
+    path = tmp_path / "m.json"
+    argv = ["check", formula]
+    if model is not None:
+        path.write_text(model if isinstance(model, str) else json.dumps(model))
+        argv = ["eval", "--model", str(path), "--formula", formula]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == error.replace("<model>", str(path)) + "\n"
 
 
 # The product of two 30-digit primes: no trial divisor within the bound splits it.
@@ -495,12 +541,14 @@ def test_eval_refuses_a_bad_assignment_member(capsys, tmp_path, member):
 
 
 def test_translate_over_budget_prints_nothing(capsys):
-    """Past the budget on the terms of the paper's Q (10 symbols) or on
-    its symbols (13), translate fails before printing a row."""
+    """Past the budget on the terms of the paper's Q (10 to 16 symbols) or
+    on valuations (17), translate fails before printing a row."""
     for n, message in [
         (10, "distribution system over 10 symbols has 60119 rows of 1108694 terms,"
              " past budget 524288 terms"),
-        (13, "distribution system over 13 symbols exceeds budget 12"),
+        (13, "distribution system over 13 symbols has 1602594 rows of 68711457 terms,"
+             " past budget 524288 terms"),
+        (17, "distribution system over 17 symbols exceeds budget 16"),
     ]:
         conj = " & ".join(f"B{i}" for i in range(1, n + 1))
         code, out, err = invoke(capsys, "translate", f"O({conj})")

@@ -30,7 +30,7 @@ from plqo.decide import (
     derive_schema,
 )
 from plqo import decide, genmodel, lra
-from plqo.errors import SchemaPreconditionFailed, VerificationFailed
+from plqo.errors import BudgetExceeded, SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import prob, satisfies
 from plqo.parser import parse_plqo
@@ -490,6 +490,20 @@ def _forged_rr():
     return Proof((rcof, ProofLine(2, _EqualsAnything(conj(atom(1), atom(2))), "RR", (1,))))
 
 
+def _forged(cls, *values):
+    """A ``cls`` node with these field values, past its constructor's checks."""
+    node = cls.__new__(cls)
+    node.__setstate__(list(values))
+    return node
+
+
+def _with_conclusion_atom(proof, make):
+    """The proof with its sentence's conclusion atom replaced by
+    ``make(atom)``."""
+    conclusion = proof.lines[0].content.conclusion
+    return _with_sentence(proof, conclusion=replace(conclusion, atom=make(conclusion.atom)))
+
+
 # prob-n3's proof is 1 RCOF, 2 RR 1, 3 TT, 4 MP 2,3
 _MALFORMED = {
     "mp-cites-a-later-line": lambda p: _with_line(p, 4, refs=(2, 5)),
@@ -529,6 +543,14 @@ _MALFORMED = {
     ),
     "obs-atom-of-an-int": lambda p: _with_sentence(p, conclusion=PlqoLiteral(True, ObsAtom(3))),
     "rr-formula-equals-anything": lambda p: _forged_rr(),
+    "forged-relation": lambda p: _with_conclusion_atom(
+        p, lambda a: _forged(ProbAtom, a.alpha, "!", ZERO)
+    ),
+    "forged-negative-constant": lambda p: _with_conclusion_atom(
+        p, lambda a: ProbAtom(a.alpha, a.cmp, _forged(type(ZERO), Fraction(-1)))
+    ),
+    "certificate-entry-not-a-pair": lambda p: _with_certificates(p, lambda cs: ((*cs[0], "x"),)),
+    "unknown-line-kind": lambda p: _with_line(p, 3, kind="XX"),
 }
 
 
@@ -683,7 +705,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "40 passed" in done.stdout
+    assert "44 passed" in done.stdout
 
 
 def test_no_assert_in_src():
@@ -697,6 +719,31 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_sixteen_symbols_are_decided():
+    """The decider's base B_phi may reach the one valuation budget, 16; the
+    CLI test with 17 symbols pins the budget error."""
+    verdict = check_valid(prob_ladder(16))
+    assert isinstance(verdict, Valid) and check_proof(verdict.proof)
+
+
+def _spread(n):
+    """P(B1) = 0 -> (P(B1) = 0 | P(B1) = 1/n | ... | P(B1) = (n-1)/n): n
+    atoms, valid by its skeleton alone."""
+    atoms = ["P(B1) = 0"] + [f"P(B1) = {k}/{n}" for k in range(1, n)]
+    return parse_plqo(f"P(B1) = 0 -> ({' | '.join(atoms)})")
+
+
+def test_sixteen_atoms_are_one_tt_line_and_seventeen_are_over_budget():
+    """The same budget bounds the atoms of a DNF and the letters of a TT line."""
+    verdict = check_valid(_spread(16))
+    assert isinstance(verdict, Valid)
+    (line,) = verdict.proof.lines
+    assert line.kind == "TT" and len(decide.letters_formula(line.content).symbols()) == 16
+    assert check_proof(verdict.proof)
+    with pytest.raises(BudgetExceeded, match="17 distinct atoms exceeds DNF budget 16"):
+        check_valid(_spread(17))
 
 
 def test_proof_conclusion_and_json():

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from plqo import hilbert
 from plqo.errors import DimMismatch, IncompatibleFamily, MissingSymbol, SpecInvalid
 from plqo.genmodel import GenericModelSpec, build_generic
 from plqo.hilbert import (
@@ -255,6 +256,37 @@ def test_adams_principles_on_diagonal_structures():
     samples.append((atom(1), Neg(atom(1))))
     samples.append((conj(atom(1), atom(2)), atom(1)))
     assert adams_check(s, samples) == []
+
+
+# tolerance mode: B1 and B2 project on the two basis vectors, masses 0.36 and 0.64
+FLOAT2 = structure_from_json(
+    {"dim": 2, "state": [0.6, 0.8], "pqvs": {"B1": [[1.0, 0], [0, 0]], "B2": [[0, 0], [0, 1.0]]}}
+)
+
+
+def test_adams_principles_in_tolerance_mode():
+    assert FLOAT2.tol is not None
+    b1, b2 = atom(1), atom(2)
+    samples = [(VERUM, VERUM), (b1, Neg(b1)), (b1, b2), (conj(b1, b2), b1), (b1, disj(b1, b2))]
+    assert adams_check(FLOAT2, samples) == []
+
+
+@pytest.mark.parametrize("structure", [UNIFORM2, FLOAT2], ids=["exact", "tolerance"])
+def test_adams_check_reports_each_principle(monkeypatch, structure):
+    """A correct prob on a compatible family keeps P1-P4, so a wrong one
+    stands in: each principle it breaks is reported in its own words."""
+    b1, b2 = atom(1), atom(2)
+    wrong = {VERUM: Fraction(1, 2), b1: Fraction(1, 4), conj(b1, b2): Fraction(3, 4),
+             Neg(b1): Fraction(2), disj(Neg(b1), b1): Fraction(1, 2)}
+    value = RadicalScalar.rational if structure.tol is None else float
+    monkeypatch.setattr(hilbert, "prob", lambda s, alpha: value(wrong[alpha]))
+    half, two, sum_ = (str(value(q)) for q in (Fraction(1, 2), Fraction(2), Fraction(9, 4)))
+    assert adams_check(structure, [(VERUM, b1), (conj(b1, b2), b1), (b1, Neg(b1))]) == [
+        f"P2: P(T) = {half} for a tautology",
+        "P3: P(B1 & B2) > P(B1) despite entailment",
+        f"P1: P(!B1) = {two} out of range",
+        f"P4: P(!B1 | B1) = {half} but P+P = {sum_}",
+    ]
 
 
 def test_adams_check_requires_compatibility():

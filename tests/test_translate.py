@@ -194,8 +194,8 @@ def test_q_decide_grows_with_the_symbols_under_p():
 
 
 def test_q_decide_budget_is_on_b_phi():
-    phi = parse_plqo(f"O({conj_text(13)}) -> P(B1) = 1")
-    with pytest.raises(BudgetExceeded, match="over 13 symbols exceeds budget 12"):
+    phi = parse_plqo(f"O({conj_text(17)}) -> P(B1) = 1")
+    with pytest.raises(BudgetExceeded, match="over 17 symbols exceeds budget 16"):
         decide_rows(phi)
 
 
