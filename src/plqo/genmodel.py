@@ -110,11 +110,15 @@ def build_generic(spec):
 
 
 def commutator_witness(structure, pair):
-    """The exact commutator matrix of the pair's projectors; the zero
-    matrix iff the pair is compatible."""
-    s1, s2 = tuple(pair) if len(tuple(pair)) == 2 else (tuple(pair)[0],) * 2
-    a = structure.pqv(s1).projector
-    b = structure.pqv(s2).projector
+    """The exact commutator matrix of the projectors of ``pair``, one or
+    two symbols; the zero matrix iff the pair is compatible."""
+    symbols = tuple(pair)
+    if len(symbols) not in (1, 2):
+        raise SpecInvalid(
+            f"a commutator takes one or two symbols, not {len(symbols)}: "
+            f"({', '.join(map(str, symbols))})"
+        )
+    a, b = (structure.pqv(s).projector for s in (symbols[0], symbols[-1]))
     return (a @ b - b @ a).dense(czero(structure.tol is None))
 
 

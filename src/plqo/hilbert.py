@@ -3,9 +3,11 @@
 A structure carries a unit state vector and, per propositional symbol, a
 propositional quantum variable represented by its induced projector.
 Compatibility is commutation of projectors; a classical formula is
-observable when its essential symbols form a pairwise-compatible family;
-probabilities are expectations of ordered projector products summed over
-satisfying valuations.
+observable when its essential symbols form a pairwise-compatible family.
+The commuting projectors of such a family generate a Boolean algebra, in
+which an observable formula alpha denotes a projector E_alpha, and its
+probability is <psi|E_alpha psi>, the paper's sum over the satisfying
+valuations of alpha's essential symbols.
 
 Scalars are exact (ComplexScalar) by default.  Structures loaded from
 files with floating-point entries use builtin complex arithmetic with a
@@ -27,18 +29,9 @@ from .errors import (
     MissingSymbol,
     SpecInvalid,
 )
-from .prop import (
-    PropSymbol,
-    essential_symbols,
-    is_tautology,
-    truth_table,
-    valuation_sets,
-    conj,
-    disj,
-    Neg,
-)
+from .prop import Atom, Impl, Neg, PropSymbol, Verum, conj, disj, essential_symbols, is_tautology
 from .parser import MAX_DIGITS
-from .scalars import C_ZERO, ComplexScalar, RadicalScalar, parse_radical, parse_rational
+from .scalars import C_ZERO, ComplexScalar, parse_radical, parse_rational
 from .syntax import EMPTY_ASSIGNMENT, Assignment, ObsAtom, PImpl, PNeg, ProbAtom, eval_term
 
 DEFAULT_TOL = 1e-9
@@ -202,11 +195,13 @@ class QuantumStructure:
 
 def compatible(y1, y2, tol=None):
     """True iff the two induced projectors commute exactly (or within
-    ``tol`` in float mode)."""
+    ``tol`` in float mode).  For self-adjoint E and F, (EF)† = FE, so
+    they commute iff EF is self-adjoint: one product, compared with its
+    adjoint."""
     if y1.dim != y2.dim:
         raise DimMismatch("projectors of different dimension")
-    a, b = y1.projector, y2.projector
-    return matrices_equal(a @ b, b @ a, tol)
+    ab = y1.projector @ y2.projector
+    return matrices_equal(ab, ab.dagger(), tol)
 
 
 def _compatible_family(structure, symbols):
@@ -220,18 +215,6 @@ def is_observable(structure, alpha):
     return _compatible_family(structure, sorted(essential_symbols(alpha)))
 
 
-def _projected_mass(structure, symbols, u, psi):
-    """<psi| Q_k ... Q_1 |psi> with Q_j the projector P (or I - P, applied
-    as v - P v) for the j-th symbol in ascending index order, P if it is in
-    ``u``, Q_1 applied first; psi is the state as an {index: amplitude} map."""
-    zero = czero(structure.tol is None)
-    vec = psi
-    for s in symbols:
-        pv = structure.pqv(s).projector.apply(vec, zero)
-        vec = pv if s in u else _sub(vec, pv)
-    return sum((psi[k].conjugate() * y for k, y in vec.items() if k in psi), zero)
-
-
 def _as_real(x, tol):
     if tol is None:
         if not x.im.is_zero():
@@ -243,22 +226,38 @@ def _as_real(x, tol):
 
 
 def prob(structure, alpha):
-    """Probability of alpha in the structure, summed over the satisfying
-    valuations of its essential symbols.  Raises IncompatibleFamily iff
-    alpha is not observable."""
-    syms = sorted(essential_symbols(alpha))
+    """Probability of alpha in the structure, <psi|E_alpha psi>.  Raises
+    IncompatibleFamily iff alpha is not observable.
+
+    E_alpha psi comes from one walk of alpha that carries a polarity:
+    E_!f v = v - E_f v and E_!(a -> b) v = E_a (E_!b v), which hold
+    because the projectors of alpha's essential symbols commute.  An
+    essential atom applies its projector, ``T`` is the identity, and an
+    inessential atom, whose truth value cannot change alpha's, reads as
+    false."""
+    essential = essential_symbols(alpha)
+    syms = sorted(essential)
     if not _compatible_family(structure, syms):
         raise IncompatibleFamily(f"symbol family {[str(s) for s in syms]} is not pairwise compatible")
-    # inessential symbols cannot change the truth value; read them as false
-    b_alpha = sorted(alpha.symbols())
-    table, bit = truth_table(alpha, b_alpha), {s: 1 << j for j, s in enumerate(b_alpha)}
-    total = czero(structure.tol is None)
+    zero = czero(structure.tol is None)
+
+    def walk(f, vec, positive):
+        """E_f vec if ``positive``, else E_!f vec."""
+        if isinstance(f, Neg):
+            return walk(f.child, vec, not positive)
+        if isinstance(f, Impl):
+            out = walk(f.left, walk(f.right, vec, False), True)
+            return _sub(vec, out) if positive else out
+        if isinstance(f, Atom) and f.symbol in essential:
+            out = structure.pqv(f.symbol).projector.apply(vec, zero)
+        else:
+            out = vec if isinstance(f, Verum) else {}
+        return out if positive else _sub(vec, out)
+
     psi = {i: x for i, x in enumerate(structure.state.amps) if x}
-    # the codes of syms[::-1] run in lexicographic order, which float sums see
-    for u in valuation_sets(syms[::-1]):
-        if table >> sum(bit[s] for s in u) & 1:
-            total = total + _projected_mass(structure, syms, u, psi)
-    return _as_real(total, structure.tol)
+    vec = walk(alpha, psi, True)
+    return _as_real(sum((psi[k].conjugate() * y for k, y in vec.items() if k in psi), zero),
+                    structure.tol)
 
 
 def _prob_compare(structure, p_value, cmp, q):
@@ -306,32 +305,22 @@ def adams_check(structure, samples):
     if not _compatible_family(structure, structure.pqvs):
         raise IncompatibleFamily("structure has incompatible quantum variables")
 
-    def close(x, y):
-        if structure.tol is None:
-            return x == y
-        return abs(x - y) <= structure.tol
-
-    def leq(x, y):
-        if structure.tol is None:
-            return x <= y
-        return x <= y + structure.tol
-
-    zero = RadicalScalar.rational(0) if structure.tol is None else 0.0
-    one = RadicalScalar.rational(1) if structure.tol is None else 1.0
+    tol = structure.tol
+    slack = 0 if tol is None else tol
     violations = []
     for alpha, beta in samples:
         pa = prob(structure, alpha)
         pb = prob(structure, beta)
         for f, pf in ((alpha, pa), (beta, pb)):
-            if not (leq(zero, pf) and leq(pf, one)):
+            if not -slack <= pf <= 1 + slack:
                 violations.append(f"P1: P({f}) = {pf} out of range")
-            if is_tautology(f) and not close(pf, one):
+            if is_tautology(f) and not scalar_is_zero(pf - 1, tol):
                 violations.append(f"P2: P({f}) = {pf} for a tautology")
-        if is_tautology(Neg(conj(alpha, Neg(beta)))) and not leq(pa, pb):
+        if is_tautology(Neg(conj(alpha, Neg(beta)))) and not pa <= pb + slack:
             violations.append(f"P3: P({alpha}) > P({beta}) despite entailment")
         if is_tautology(Neg(conj(beta, alpha))):
             por = prob(structure, disj(beta, alpha))
-            if not close(por, pb + pa):
+            if not scalar_is_zero(por - (pb + pa), tol):
                 violations.append(
                     f"P4: P({beta} | {alpha}) = {por} but P+P = {pb + pa}"
                 )

@@ -143,6 +143,51 @@ def distribution_point(base, joint, delta):
     return values
 
 
+def rational_rotation(rng, dim):
+    """A rational orthogonal matrix, as a list of rows: the Cayley
+    transform (I - S)(I + S)^-1 of a random rational skew-symmetric S,
+    whose I + S is always invertible."""
+    s = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            s[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            s[j][i] = -s[i][j]
+    eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    # Gauss-Jordan on [I + S | I - S] leaves (I + S)^-1 (I - S), the same matrix
+    rows = [[eye[i][j] + s[i][j] for j in range(dim)] + [eye[i][j] - s[i][j] for j in range(dim)]
+            for i in range(dim)]
+    for c in range(dim):
+        p = next(r for r in range(c, dim) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(dim):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[dim:] for row in rows]
+
+
+def rotated_structure(rng, nsym, dim, frames):
+    """A random exact structure that genmodel does not build.  Each of
+    B1..B<nsym> projects onto a random set of columns of one of ``frames``
+    rational rotations, of rank between 1 and dim - 1 (symbols that share
+    a rotation commute), and the state is a column of one more rotation."""
+    from plqo.hilbert import Pqv, QuantumStructure, StateVector
+    from plqo.scalars import ComplexScalar
+
+    rotations = [rational_rotation(rng, dim) for _ in range(frames + 1)]
+    col = rng.randrange(dim)
+    state = StateVector(dim, tuple(ComplexScalar.real(row[col]) for row in rotations[-1]))
+    pqvs = {}
+    for i in range(1, nsym + 1):
+        q = rng.choice(rotations[:-1])
+        cols = rng.sample(range(dim), rng.randint(1, dim - 1))
+        pqvs[PropSymbol(i)] = Pqv(tuple(
+            tuple(ComplexScalar.real(sum((a[k] * b[k] for k in cols), Fraction(0))) for b in q)
+            for a in q
+        ))
+    return QuantumStructure(dim, state, pqvs)
+
+
 def perfbench_workloads():
     """``perfbench/workloads.py`` as a module, imported without writing
     bytecode into ``perfbench/``."""

@@ -584,6 +584,12 @@ def test_eval_parse_error_after_prob_prints_nothing(capsys, tmp_path):
     assert err.startswith("error[parse]:")
 
 
+def test_translate_prints_a_coefficient_other_than_one(capsys):
+    code, out, _ = invoke(capsys, "translate", "P(B1) = 2 * x1")
+    assert code == 0
+    assert out.endswith("# atom P(B1) = 2 * x1\n-2*xn[1] + x[B1] = 0\n")
+
+
 def test_translate_output(capsys):
     code, out, _ = invoke(capsys, "translate", "P(B1) = 1/2")
     assert code == 0

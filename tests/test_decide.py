@@ -32,7 +32,7 @@ from plqo.decide import (
 from plqo import decide, genmodel, lra
 from plqo.errors import BudgetExceeded, SchemaPreconditionFailed, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
-from plqo.hilbert import prob, satisfies
+from plqo.hilbert import is_observable, prob, satisfies
 from plqo.parser import parse_plqo
 from plqo.prop import (
     Atom, Impl, Neg, PropSymbol, VERUM, Verum, atom, conj, disj, essential_symbols, is_tautology
@@ -40,6 +40,7 @@ from plqo.prop import (
 from plqo.scalars import RadicalScalar
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
+    Assignment,
     ONE,
     ZERO,
     ObsAtom,
@@ -47,6 +48,7 @@ from plqo.syntax import (
     PNeg,
     PlqoLiteral,
     ProbAtom,
+    atoms_of,
     fraction,
     nnf_dnf_literals,
     pdisj,
@@ -55,7 +57,9 @@ from plqo.syntax import (
 )
 from plqo.translate import DecideSystem, NumericVar, constraint
 
-from formgen import chain, gen_classical, gen_plqo, obs_ladder, perfbench_workloads, prob_ladder
+from formgen import (
+    chain, gen_classical, gen_plqo, obs_ladder, perfbench_workloads, prob_ladder, rotated_structure
+)
 from oracles import (
     as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal, rcof_holds_by_solving
 )
@@ -146,6 +150,30 @@ def test_valid_iff_negation_unsat():
             assert verdict.proof == check_valid(PNeg(PNeg(phi))).proof
         n_valid += valid
     assert 0 < n_valid < 40
+
+
+def test_proved_formulas_hold_in_structures_genmodel_did_not_build():
+    """Every formula check_valid proves holds under satisfies, for random
+    rational assignments, in exact structures built from rational
+    rotations: the prover against the semantics, prob included."""
+    rng = random.Random(97)
+    structures = [rotated_structure(rng, 3, rng.randint(2, 4), rng.randint(1, 3)) for _ in range(12)]
+    proved = set()
+    while len(proved) < 100:
+        phi = gen_plqo(rng, [1, 2, 3], rng.randint(1, 3), allow_vars=True)
+        if phi not in proved and isinstance(check_valid(phi), Valid):
+            proved.add(phi)
+    joint = 0  # P atoms over two or more essential symbols that are observable
+    for phi in proved:
+        for s in structures:
+            rho = Assignment({k: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for k in (1, 2, 3)})
+            assert satisfies(s, rho, phi), phi
+            joint += sum(
+                1 for a in atoms_of(phi)
+                if isinstance(a, ProbAtom) and len(essential_symbols(a.alpha)) > 1
+                and is_observable(s, a.alpha)
+            )
+    assert joint > 100
 
 
 def test_unsat_runs_the_search_once(monkeypatch):
@@ -363,6 +391,13 @@ def test_proof_checker_rejects_tampering():
 def test_proof_checker_rejects_false_tt():
     line = ProofLine(1, parse_plqo("P(B1) = 1"), "TT")
     with pytest.raises(AssertionError):
+        check_proof(Proof((line,)))
+
+
+def test_proof_checker_rejects_a_classical_formula_on_a_tt_line():
+    """B1 -> B1 is a classical tautology, not a formula of the logic."""
+    line = ProofLine(1, Impl(atom(1), atom(1)), "TT")
+    with pytest.raises(VerificationFailed, match="not a formula node"):
         check_proof(Proof((line,)))
 
 
@@ -705,7 +740,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "44 passed" in done.stdout
+    assert "45 passed" in done.stdout
 
 
 def test_no_assert_in_src():

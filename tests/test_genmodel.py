@@ -134,6 +134,23 @@ def test_commutator_block_entries():
                 assert entry.is_zero()
 
 
+@pytest.mark.parametrize("symbols, named", [((), "0: ()"), ((1, 2, 3), "3: (B1, B2, B3)")],
+                         ids=["none", "three"])
+def test_commutator_takes_one_or_two_symbols(symbols, named):
+    """B1 and B2 do not commute, so {B1, B2, B3} must not read as a
+    compatible pair."""
+    spec = GenericModelSpec.make([B(1), B(2), B(3)], [[B(1), B(2)]], uniform_masses(3))
+    s = build_generic(spec)
+    with pytest.raises(SpecInvalid, match="one or two symbols") as e:
+        commutator_witness(s, tuple(B(i) for i in symbols))
+    assert str(e.value).endswith(named)
+    with pytest.raises(SpecInvalid):
+        commutator_witness(s, frozenset(B(i) for i in symbols))
+    assert matrix_is_zero(commutator_witness(s, (B(3),)))
+    assert matrix_is_zero(commutator_witness(s, frozenset({B(1), B(3)})))
+    assert not matrix_is_zero(commutator_witness(s, (B(2), B(1))))
+
+
 def test_self_commutator_zero():
     spec = GenericModelSpec.make([B(1), B(2)], [[B(1), B(2)]], uniform_masses(2))
     s = build_generic(spec)

@@ -23,6 +23,8 @@ from plqo.hilbert import (
     structure_from_json,
 )
 from plqo.prop import (
+    FALSUM,
+    Impl,
     PropSymbol,
     VERUM,
     atom,
@@ -43,7 +45,7 @@ from plqo.syntax import (
     term_of_fraction,
 )
 
-from formgen import gen_classical, gen_plqo
+from formgen import gen_classical, gen_plqo, rotated_structure
 from oracles import (
     all_valuations,
     dense_compatible,
@@ -106,6 +108,11 @@ def test_structure_mixes_no_arithmetic():
             QuantumStructure(1, state, {PropSymbol(1): pqv}, tol)
     loose = QuantumStructure(1, float_state, {PropSymbol(1): Pqv(((1 + 0j,),), 1e-6)}, 1e-9)
     assert abs(prob(loose, atom(1)) - 1) < 1e-9
+
+
+def test_structure_and_state_dimensions_must_match():
+    with pytest.raises(DimMismatch, match="state dimension"):
+        QuantumStructure(2, StateVector(1, (C_ONE,)), {})
 
 
 def test_compatible_trivia():
@@ -536,6 +543,80 @@ def test_sparse_semantics_match_dense_reference():
                 s, EMPTY_ASSIGNMENT, phi
             )
     assert incompatible > 0 and compatible_seen > 0
+
+
+def _deep(leaves, left):
+    """Implications nested ``leaves`` deep, to the left or to the right."""
+    out = leaves[0]
+    for leaf in leaves[1:]:
+        out = Impl(out, leaf) if left else Impl(leaf, out)
+    return out
+
+
+_B1, _B2, _B3, _B9 = atom(1), atom(2), atom(3), atom(9)
+_LEAVES = [_B1, Neg(_B2), _B3, Neg(_B1), _B2, FALSUM, Neg(_B3), _B1, VERUM, Neg(_B2)]
+# No structure below has a quantum variable for B9.
+PROB_SHAPES = {
+    "inessential": [
+        conj(_B1, disj(_B2, Neg(_B2))), Impl(_B3, _B3), disj(_B1, Impl(_B9, _B9)),
+        conj(_B2, Neg(conj(_B9, Neg(_B9)))), Impl(conj(_B9, Neg(_B9)), _B3),
+        conj(Impl(_B2, _B2), Impl(_B1, conj(_B3, disj(_B9, Neg(_B9))))),
+    ],
+    "verum-falsum": [
+        VERUM, FALSUM, Neg(FALSUM), Impl(_B1, FALSUM), Impl(VERUM, _B2), Impl(FALSUM, _B1),
+        conj(_B1, VERUM), disj(FALSUM, _B3), Neg(Impl(_B2, VERUM)), conj(Neg(_B1), Impl(_B3, FALSUM)),
+    ],
+    "iff": [
+        iff(_B1, _B2), iff(_B1, Neg(_B3)), iff(iff(_B1, _B2), _B3), iff(_B1, _B1),
+        iff(_B2, iff(_B3, Neg(_B2))), conj(iff(_B1, _B2), iff(_B2, _B3)),
+    ],
+    "deep-implication": [
+        _deep(_LEAVES, left) if k == 0 else Neg(_deep(_LEAVES[k:], left))
+        for left in (False, True) for k in range(4)
+    ] + [_deep([_B1, _B2, _B3, _B1, _B2], False), _deep([_B3, _B1, _B2, _B3], True)],
+}
+
+
+def _shape_structures():
+    """Exact structures over B1..B3 with distinct, non-uniform masses."""
+    rng = random.Random(151)
+    out = [diagonal_structure([Fraction(k, 36) for k in range(1, 9)], 3)]
+    out += [build_generic(GenericModelSpec.make(
+        [PropSymbol(i) for i in (1, 2, 3)], nc, [Fraction(k, 36) for k in (8, 1, 7, 2, 6, 3, 5, 4)]
+    )) for nc in ([[PropSymbol(1), PropSymbol(3)]], [[PropSymbol(2), PropSymbol(3)]])]
+    out += [rotated_structure(rng, 3, 4, frames) for frames in (1, 1, 2, 2)]
+    return out
+
+
+@pytest.mark.parametrize("shape", sorted(PROB_SHAPES))
+def test_prob_matches_dense_reference_on_named_shapes(shape):
+    """The walk of alpha against the paper's sum over valuations, exactly,
+    on inessential symbols (B9 has no quantum variable), T and F leaves,
+    <-> and deep implications."""
+    values = set()
+    for s in _shape_structures():
+        for alpha in PROB_SHAPES[shape]:
+            x = _outcome(prob, s, alpha)
+            assert x == _outcome(dense_prob, s, alpha), (shape, alpha)
+            values.add(x)
+    # every shape meets values other than 0 and 1, and an unobservable family
+    assert IncompatibleFamily in values
+    assert len(values - {IncompatibleFamily, RadicalScalar.rational(0), RadicalScalar.rational(1)}) > 5
+
+
+def test_compatible_on_a_projector_hermitian_only_within_tolerance():
+    """One product against its adjoint agrees with the dense check of both
+    products on a float projector whose adjoint differs from it by less
+    than the tolerance."""
+    tol = 1e-9
+    p = Pqv(((0.5 + 0j, 0.5 + 3e-12j), (0.5 + 0j, 0.5 + 0j)), tol)
+    assert not matrices_equal(p.projector, p.projector.dagger())
+    commuting = Pqv(((0.5 + 0j, -0.5 + 0j), (-0.5 + 0j, 0.5 + 0j)), tol)
+    diagonal = Pqv(((1 + 0j, 0j), (0j, 0j)), tol)
+    for q, commutes in ((p, True), (commuting, True), (diagonal, False)):
+        for a, b in ((p, q), (q, p)):
+            assert compatible(a, b, tol) is commutes
+            assert dense_compatible(a.up_projector, b.up_projector, tol) is commutes
 
 
 def test_generic_structure_beyond_dense_reach():
