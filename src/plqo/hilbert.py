@@ -11,7 +11,10 @@ valuations of alpha's essential symbols.
 
 Scalars are exact (ComplexScalar) by default.  Structures loaded from
 files with floating-point entries use builtin complex arithmetic with a
-tolerance instead.  Either way projectors are held as sparse Matrix rows.
+tolerance instead.  Either way projectors are held as sparse Matrix rows,
+and their legality and commutation are checked on the rows that hold an
+entry off the diagonal: a row that is only its diagonal is legal iff its
+entry is real and idempotent, and commutes with any other such row.
 """
 
 from __future__ import annotations
@@ -54,16 +57,23 @@ class Matrix:
     """A square matrix held by rows: ``rows[i]`` maps a column index to the
     nonzero scalar there (exact ComplexScalar, or builtin complex in
     tolerance mode); the constructor drops zero entries, so exact
-    matrices are canonical.  Products, adjoints and comparisons cost
-    O(nnz): a generic structure is diagonal plus one 2x2 block per
-    incompatible pair, so its projectors have O(dim) entries."""
+    matrices are canonical, and records in ``off`` the rows that hold an
+    entry off the diagonal.  A generic structure is diagonal plus one 2x2
+    block per incompatible pair, so its projectors have O(dim) entries
+    and ``off`` has two rows per block."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "off")
 
     def __init__(self, rows):
-        self.rows = tuple(
-            row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows
-        )
+        kept, off = [], []
+        for i, row in enumerate(rows):
+            if not all(row.values()):
+                row = {j: x for j, x in row.items() if x}
+            if len(row) > (i in row):
+                off.append(i)
+            kept.append(row)
+        self.rows = tuple(kept)
+        self.off = frozenset(off)
 
     @property
     def dim(self):
@@ -73,22 +83,8 @@ class Matrix:
         """The matrix as a tuple of rows, with ``zero`` in the gaps."""
         return tuple(tuple(row.get(j, zero) for j in range(self.dim)) for row in self.rows)
 
-    def dagger(self):
-        rows = [{} for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                rows[j][i] = x.conjugate()
-        return Matrix(rows)
-
     def __matmul__(self, other):
-        rows = []
-        for row in self.rows:
-            out = {}
-            for k, x in row.items():
-                for j, y in other.rows[k].items():
-                    out[j] = out[j] + x * y if j in out else x * y
-            rows.append(out)
-        return Matrix(rows)
+        return Matrix(_times(row, other) for row in self.rows)
 
     def __sub__(self, other):
         return Matrix(_sub(ra, rb) for ra, rb in zip(self.rows, other.rows))
@@ -100,15 +96,26 @@ class Matrix:
         return {i: x for i, x in out if x}
 
 
-def matrices_equal(a, b, tol=None):
-    """Entrywise equality of two Matrix values, exact or within ``tol``.
-    Exact scalars and matrices are canonical (no zero entries, radicals
-    of distinct squarefree integers), so exact equality is structural."""
+def _times(row, m):
+    """The row vector ``row``, an {index: scalar} map, times the Matrix
+    ``m``; entries that cancel stay in the map as zeros."""
+    out = {}
+    for k, x in row.items():
+        for j, y in m.rows[k].items():
+            out[j] = out[j] + x * y if j in out else x * y
+    return out
+
+
+def _close(x, y, tol):
+    """x = y for scalars, exactly (exact scalars are canonical) or within ``tol``."""
+    return x == y if tol is None else abs(x - y) <= tol
+
+
+def _rows_close(u, v, tol):
+    """Entrywise equality of two {index: scalar} rows that may hold zeros."""
     if tol is None:
-        return a.rows == b.rows
-    return a.dim == b.dim and all(
-        scalar_is_zero(x, tol) for row in (a - b).rows for x in row.values()
-    )
+        return {j: x for j, x in u.items() if x} == {j: x for j, x in v.items() if x}
+    return all(abs(u.get(j, 0j) - v.get(j, 0j)) <= tol for j in u.keys() | v.keys())
 
 
 def _sub(u, v):
@@ -141,7 +148,12 @@ class StateVector:
 @dataclass(frozen=True)
 class Pqv:
     """A propositional quantum variable, carried by its induced projector:
-    a Matrix, or a dense tuple of rows that is converted to one."""
+    a Matrix, or a dense tuple of rows that is converted to one.
+
+    The projector must be Hermitian, then idempotent, exactly or within
+    ``tol``.  A row whose only entry is its diagonal d needs only d real
+    and d*d = d; each row in ``off`` is checked entry by entry against its
+    mirror and against its own row of P*P, so no product is formed."""
 
     projector: Matrix
     tol: object = None
@@ -153,9 +165,16 @@ class Pqv:
                 raise DimMismatch("projector is not square")
             m = Matrix(dict(enumerate(row)) for row in m)
             object.__setattr__(self, "projector", m)
-        if not matrices_equal(m, m.dagger(), self.tol):
+        rows, off, tol = m.rows, m.off, self.tol
+        zero = czero(tol is None)
+        # each distinct scalar object once: a generic structure shares one 1
+        diagonal = {id(row[i]): row[i] for i, row in enumerate(rows) if row and i not in off}.values()
+        if not (all(_close(d, d.conjugate(), tol) for d in diagonal) and all(
+            _close(x, rows[j].get(i, zero).conjugate(), tol) for i in off for j, x in rows[i].items()
+        )):
             raise SpecInvalid("projector is not Hermitian")
-        if not matrices_equal(m @ m, m, self.tol):
+        if not (all(_close(d * d, d, tol) for d in diagonal)
+                and all(_rows_close(_times(rows[i], m), rows[i], tol) for i in off)):
             raise SpecInvalid("projector is not idempotent")
 
     @property
@@ -194,14 +213,14 @@ class QuantumStructure:
 
 
 def compatible(y1, y2, tol=None):
-    """True iff the two induced projectors commute exactly (or within
-    ``tol`` in float mode).  For self-adjoint E and F, (EF)† = FE, so
-    they commute iff EF is self-adjoint: one product, compared with its
-    adjoint."""
+    """True iff the two induced projectors E and F commute exactly (or
+    within ``tol`` in float mode): EF and FE agree on every row in
+    ``E.off`` or ``F.off``.  On any other row both are diagonal, so both
+    products hold the one entry e*f = f*e there."""
     if y1.dim != y2.dim:
         raise DimMismatch("projectors of different dimension")
-    ab = y1.projector @ y2.projector
-    return matrices_equal(ab, ab.dagger(), tol)
+    e, f = y1.projector, y2.projector
+    return all(_rows_close(_times(e.rows[i], f), _times(f.rows[i], e), tol) for i in e.off | f.off)
 
 
 def _compatible_family(structure, symbols):

@@ -241,7 +241,7 @@ def _concretize(delta_values, constraints):
     """Substitute a concrete rational delta small enough for every
     constraint, producing an exact rational witness.  Only a constraint
     over a column with a delta part can cap delta, so only those are
-    read; with no delta part anywhere the witness is the standard parts."""
+    read, and a column with no delta part keeps its standard value."""
     touched = {v for v, dv in delta_values.items() if dv.inf}
     if not touched:
         return {v: dv.std for v, dv in delta_values.items()}
@@ -266,7 +266,7 @@ def _concretize(delta_values, constraints):
         if b > 0 and slack > 0:
             delta_cap = min(delta_cap, slack / Fraction(b))
     delta = delta_cap / Fraction(2)
-    return {v: dv.std + dv.inf * delta for v, dv in delta_values.items()}
+    return {v: dv.std + dv.inf * delta if dv.inf else dv.std for v, dv in delta_values.items()}
 
 
 def feasible(constraints):

@@ -77,7 +77,11 @@ radical_add, radical_sub, radical_mul and the complex_ forms are the
 exact scalar arithmetic as first written, the general loop for every
 operand, where plqo.scalars short-circuits zero and rational operands.
 matrices_equal_by_subtraction compares two sparse matrices by their
-entrywise difference, where plqo.hilbert compares canonical rows.
+entrywise difference, where sparse_matrices_equal compares canonical
+rows.  sparse_dagger and sparse_matrices_equal form the adjoint and
+compare whole sparse matrices, which plqo.hilbert's legality and
+commutation checks no longer do: they read only the rows that hold an
+entry off the diagonal.
 
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's value, and
@@ -90,6 +94,7 @@ from math import gcd, isqrt
 
 from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, verify
 from plqo.genmodel import build_generic
+from plqo.hilbert import Matrix
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.parser import _TOKEN_RE
 from plqo.prop import (
@@ -586,6 +591,25 @@ def is_canonical(x):
         and all(square_split_bruteforce(d) == (1, d) for d in ds)
         and all(isinstance(c, Fraction) and c != 0 for _, c in x.terms)
     )
+
+
+def sparse_dagger(m):
+    """The adjoint of a sparse Matrix, entry by entry."""
+    rows = [{} for _ in m.rows]
+    for i, row in enumerate(m.rows):
+        for j, x in row.items():
+            rows[j][i] = x.conjugate()
+    return Matrix(rows)
+
+
+def sparse_matrices_equal(a, b, tol=None):
+    """Entrywise equality of two sparse Matrix values, exact or within
+    ``tol``.  Exact scalars and matrices are canonical (no zero entries,
+    radicals of distinct squarefree integers), so exact equality is
+    structural."""
+    if tol is None:
+        return a.rows == b.rows
+    return a.dim == b.dim and all(abs(x) <= tol for row in (a - b).rows for x in row.values())
 
 
 def matrices_equal_by_subtraction(a, b):

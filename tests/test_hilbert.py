@@ -17,7 +17,6 @@ from plqo.hilbert import (
     compatible,
     is_observable,
     load_structure,
-    matrices_equal,
     prob,
     satisfies,
     structure_from_json,
@@ -59,6 +58,8 @@ from oracles import (
     mat_sub,
     mat_vec,
     matrices_equal_by_subtraction,
+    sparse_dagger,
+    sparse_matrices_equal,
 )
 
 
@@ -422,6 +423,14 @@ def _rank1_projector(v):
     ]
 
 
+def _rank1_block(rng, k):
+    """A rank-1 projector on k coordinates with an entry off its diagonal."""
+    while True:
+        block = _rank1_projector(_gaussian_vector(rng, k))
+        if any(block[i][j] != (0, 0) for i in range(k) for j in range(k) if i != j):
+            return block
+
+
 def _random_projector(rng, dim):
     if rng.random() < 0.5:
         ones = [rng.random() < 0.5 for _ in range(dim)]
@@ -447,10 +456,47 @@ def _corrupt(rng, m):
     return m
 
 
-def _file_doc(rng, nsym, exact):
+def _beside_diagonal(rng, dim, at, block):
+    """A dim x dim matrix holding ``block`` on the coordinates ``at`` and
+    0 or 1 on the diagonal elsewhere."""
+    ones = [rng.random() < 0.5 for _ in range(dim)]
+    m = [[(Fraction(int(i == j and ones[i])), Fraction(0)) for j in range(dim)]
+         for i in range(dim)]
+    for a, i in enumerate(at):
+        for b, j in enumerate(at):
+            m[i][j] = block[a][b]
+    return m
+
+
+def _complement(block):
+    return [[(int(i == j) - re, -im) for j, (re, im) in enumerate(row)]
+            for i, row in enumerate(block)]
+
+
+def _block_doc(rng, nsym, exact):
+    """A structure document whose projectors are diagonal beside one
+    shared 3x3 or 4x4 block: a fixed rank-1 projector there, its
+    complement, a fresh random projector, or the identity or zero on the
+    block."""
+    k = rng.choice([3, 4])
+    dim = k + rng.randint(1, 3)
+    at = sorted(rng.sample(range(dim), k))
+    shared = _rank1_block(rng, k)
+    zero = [[(Fraction(0), Fraction(0))] * k for _ in range(k)]
+
+    def projector(rng, dim):
+        fresh = _random_projector(rng, k)
+        block = rng.choice([shared, _complement(shared), fresh, zero, _complement(zero)])
+        return _beside_diagonal(rng, dim, at, block)
+
+    return _file_doc(rng, nsym, exact, dim, projector)
+
+
+def _file_doc(rng, nsym, exact, dim=None, projector=_random_projector):
     """A structure document with complex entries: a unit state with
-    radical amplitudes and per-symbol diagonal or rank-1 projectors."""
-    dim = rng.randint(2, 4)
+    radical amplitudes and per-symbol projectors from ``projector``,
+    diagonal or rank-1 by default."""
+    dim = dim or rng.randint(2, 4)
     v = _gaussian_vector(rng, dim)
     scale = RadicalScalar.sqrt_of(Fraction(1, sum(a * a + b * b for a, b in v)))
 
@@ -461,7 +507,7 @@ def _file_doc(rng, nsym, exact):
 
     state = [entry(scale * a, scale * b) for a, b in v]
     pqvs = {
-        f"B{k}": [[entry(*z) for z in row] for row in _random_projector(rng, dim)]
+        f"B{k}": [[entry(*z) for z in row] for row in projector(rng, dim)]
         for k in range(1, nsym + 1)
     }
     return {"dim": dim, "state": state, "pqvs": pqvs}
@@ -485,6 +531,50 @@ def _outcome(f, *args):
         return IncompatibleFamily
 
 
+def _legality(m, exact):
+    """What Pqv and the dense reference each say of the matrix ``m``, of
+    (re, im) pairs: None, "not Hermitian" or "not idempotent"."""
+    tol = None if exact else 1e-9
+    dense = tuple(
+        tuple(_cscalar(z) if exact else complex(*map(float, z)) for z in row) for row in m
+    )
+    try:
+        Pqv(dense, tol)
+        got = None
+    except SpecInvalid as e:
+        got = str(e).removeprefix("projector is ")
+    return got, dense_projector_defect(dense, tol)
+
+
+def _named_legality_cases(rng):
+    """(matrix, defect in exact mode, defect in tolerance mode) for a
+    projector with a 3x3 or 4x4 block beside diagonal rows, and for
+    mutants of it that only the off-diagonal rows or only the rows that
+    are their diagonal show."""
+    k = rng.choice([3, 4])
+    dim = k + 2
+    at = sorted(rng.sample(range(dim), k))
+    legal = _beside_diagonal(rng, dim, at, _rank1_block(rng, k))
+    i, j = next((i, j) for i in at for j in at if i != j and legal[i][j] != (0, 0))
+    d = next(r for r in range(dim) if r not in at)
+    legal[d][d] = (Fraction(1), Fraction(0))
+    cases = [(legal, None, None)]
+
+    def mutant(r, c, z, exact_defect, tolerance_defect):
+        m = [list(row) for row in legal]
+        m[r][c] = z
+        cases.append((m, exact_defect, tolerance_defect))
+
+    re, im = legal[i][j]
+    mutant(i, j, (re + Fraction(1, 3), im), "not Hermitian", "not Hermitian")
+    mutant(i, j, (re, im + Fraction(1, 10**12)), "not Hermitian", None)
+    mutant(d, d, (Fraction(1, 2), Fraction(0)), "not idempotent", "not idempotent")
+    mutant(i, d, (Fraction(1, 3), Fraction(0)), "not Hermitian", "not Hermitian")
+    mutant(d, d, (Fraction(1), Fraction(1, 10**6)), "not Hermitian", "not Hermitian")
+    mutant(d, d, (Fraction(1), Fraction(1, 10**12)), "not Hermitian", None)
+    return cases
+
+
 def test_projector_legality_matches_dense_reference():
     rng = random.Random(131)
     seen = set()
@@ -493,23 +583,29 @@ def test_projector_legality_matches_dense_reference():
         if rng.random() < 0.7:
             m = _corrupt(rng, m)
         for exact in (True, False):
-            tol = None if exact else 1e-9
-            dense = tuple(
-                tuple(_cscalar(z) if exact else complex(*map(float, z)) for z in row)
-                for row in m
-            )
-            defect = dense_projector_defect(dense, tol)
-            try:
-                Pqv(dense, tol)
-                got = None
-            except SpecInvalid as e:
-                got = str(e).removeprefix("projector is ")
+            got, defect = _legality(m, exact)
             assert got == defect
             seen.add((exact, defect))
     # both rejections and acceptance occur in both modes
     for exact in (True, False):
         for defect in (None, "not Hermitian", "not idempotent"):
             assert (exact, defect) in seen
+    # blocks wider than 2x2 beside diagonal rows, random mutants of them,
+    # and named mutants: one wrong entry off the diagonal, a diagonal row
+    # of 1/2, a diagonal row whose column holds an entry in another row,
+    # and a non-real diagonal
+    for _ in range(30):
+        k = rng.choice([3, 4])
+        dim = k + rng.randint(1, 3)
+        m = _beside_diagonal(rng, dim, sorted(rng.sample(range(dim), k)), _random_projector(rng, k))
+        if rng.random() < 0.7:
+            m = _corrupt(rng, m)
+        for exact in (True, False):
+            got, defect = _legality(m, exact)
+            assert got == defect
+        for m, exact_defect, tolerance_defect in _named_legality_cases(rng):
+            for exact, want in ((True, exact_defect), (False, tolerance_defect)):
+                assert _legality(m, exact) == (want, want)
 
 
 def test_sparse_semantics_match_dense_reference():
@@ -518,8 +614,14 @@ def test_sparse_semantics_match_dense_reference():
     for exact in (True, False):
         for _ in range(10):
             structures.append(structure_from_json(_file_doc(rng, 3, exact)))
+    # blocks wider than 2x2 beside diagonal rows, shared by every projector
+    first_block = len(structures)
+    for exact in (True, False):
+        for _ in range(10):
+            structures.append(structure_from_json(_block_doc(rng, 3, exact)))
     incompatible = compatible_seen = 0
-    for s in structures:
+    block_outcomes = set()
+    for n, s in enumerate(structures):
         tol = s.tol
         symbols = sorted(s.pqvs)
         for a, b in combinations(symbols, 2):
@@ -528,6 +630,8 @@ def test_sparse_semantics_match_dense_reference():
             assert sparse == dense_compatible(pa.up_projector, pb.up_projector, tol)
             compatible_seen += sparse
             incompatible += not sparse
+            if n >= first_block:
+                block_outcomes.add((tol is None, sparse))
         idx = [x.index for x in symbols]
         for _ in range(4):
             alpha = gen_classical(rng, idx, rng.randint(0, 3))
@@ -543,6 +647,18 @@ def test_sparse_semantics_match_dense_reference():
                 s, EMPTY_ASSIGNMENT, phi
             )
     assert incompatible > 0 and compatible_seen > 0
+    assert block_outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # one wrong entry off the diagonal, within a projector's own looser
+    # tolerance, is seen by the structure's
+    for _ in range(20):
+        doc = _block_doc(rng, 1, False)
+        legal = [[complex(*z) for z in row] for row in doc["pqvs"]["B1"]]
+        m = [list(row) for row in legal]
+        i, j = rng.sample(range(len(m)), 2)
+        m[i][j] += 1e-7j
+        p, q = Pqv(tuple(map(tuple, legal)), 1e-9), Pqv(tuple(map(tuple, m)), 1e-6)
+        for a, b in ((p, q), (q, p), (q, q)):
+            assert compatible(a, b, 1e-9) == dense_compatible(a.up_projector, b.up_projector, 1e-9)
 
 
 def _deep(leaves, left):
@@ -605,18 +721,32 @@ def test_prob_matches_dense_reference_on_named_shapes(shape):
 
 
 def test_compatible_on_a_projector_hermitian_only_within_tolerance():
-    """One product against its adjoint agrees with the dense check of both
-    products on a float projector whose adjoint differs from it by less
-    than the tolerance."""
+    """EF against FE agrees with the dense check of both products on float
+    projectors that are Hermitian only within a tolerance: one whose
+    adjoint differs from it by less than the structure's tolerance, and
+    one accepted at a looser tolerance of its own, which still commutes
+    with itself."""
     tol = 1e-9
     p = Pqv(((0.5 + 0j, 0.5 + 3e-12j), (0.5 + 0j, 0.5 + 0j)), tol)
-    assert not matrices_equal(p.projector, p.projector.dagger())
+    assert not sparse_matrices_equal(p.projector, sparse_dagger(p.projector))
     commuting = Pqv(((0.5 + 0j, -0.5 + 0j), (-0.5 + 0j, 0.5 + 0j)), tol)
     diagonal = Pqv(((1 + 0j, 0j), (0j, 0j)), tol)
     for q, commutes in ((p, True), (commuting, True), (diagonal, False)):
         for a, b in ((p, q), (q, p)):
             assert compatible(a, b, tol) is commutes
             assert dense_compatible(a.up_projector, b.up_projector, tol) is commutes
+    loose = Pqv(((0.5 + 0j, 0.5 + 1e-7j), (0.5 + 0j, 0.5 + 0j)), 1e-6)
+    b1, b2 = PropSymbol(1), PropSymbol(2)
+    s = QuantumStructure(2, StateVector(2, (1 + 0j, 0j), tol), {b1: loose, b2: loose}, tol)
+    pa, pb = s.pqv(b1), s.pqv(b2)
+    assert compatible(pa, pb, s.tol) is dense_compatible(pa.up_projector, pb.up_projector, s.tol)
+    assert compatible(pa, pb, s.tol) is True
+    alpha = conj(atom(1), atom(2))
+    assert is_observable(s, alpha) and dense_is_observable(s, alpha)
+    # observable, so prob gets as far as the value, whose imaginary part
+    # (5e-8) exceeds the structure's tolerance
+    with pytest.raises(SpecInvalid, match="non-real"):
+        prob(s, alpha)
 
 
 def test_generic_structure_beyond_dense_reach():
@@ -674,9 +804,9 @@ def test_exact_equality_matches_subtraction_on_random_sparse_matrices():
             1 for i, row in enumerate(ab.rows) for j in range(dim)
             if j not in row and any(j in b.rows[k] for k in a.rows[i])
         )
-        for x, y in ((ab, ba), (ab, c), (a, a.dagger().dagger()), (ab @ c, a @ (b @ c))):
+        for x, y in ((ab, ba), (ab, c), (a, sparse_dagger(sparse_dagger(a))), (ab @ c, a @ (b @ c))):
             want = matrices_equal_by_subtraction(x, y)
-            assert matrices_equal(x, y) == want
+            assert sparse_matrices_equal(x, y) == want
             verdicts.add(want)
     assert verdicts == {True, False}
     assert cancelled > 20
@@ -688,22 +818,22 @@ def test_exact_equality_of_products_that_cancel_to_zero():
     q = Matrix([{0: _HALF, 1: -_HALF}, {0: -_HALF, 1: _HALF}])
     zero = Matrix([{}, {}])
     assert (p @ q).rows == ({}, {})
-    assert matrices_equal(p @ q, zero) and matrices_equal_by_subtraction(p @ q, zero)
-    assert matrices_equal(p @ p, p)
-    assert not matrices_equal(p, q)
+    assert sparse_matrices_equal(p @ q, zero) and matrices_equal_by_subtraction(p @ q, zero)
+    assert sparse_matrices_equal(p @ p, p)
+    assert not sparse_matrices_equal(p, q)
 
 
 def test_exact_equality_needs_equal_dimensions():
     one, two = Matrix([{0: C_ONE}]), Matrix([{0: C_ONE}, {1: C_ONE}])
-    assert not matrices_equal(one, two) and not matrices_equal(two, one)
-    assert not matrices_equal(Matrix([{}]), Matrix([{}, {}]))
-    assert not matrices_equal(Matrix([{}]), Matrix([{}, {}]), 1e-9)
+    assert not sparse_matrices_equal(one, two) and not sparse_matrices_equal(two, one)
+    assert not sparse_matrices_equal(Matrix([{}]), Matrix([{}, {}]))
+    assert not sparse_matrices_equal(Matrix([{}]), Matrix([{}, {}]), 1e-9)
 
 
 def test_explicit_zero_entries_are_dropped():
     with_zeros = Matrix([{0: C_ONE, 1: C_ZERO}, {0: C_ZERO, 1: C_ZERO}])
     assert with_zeros.rows == ({0: C_ONE}, {})
-    assert matrices_equal(with_zeros, Matrix([{0: C_ONE}, {}]))
+    assert sparse_matrices_equal(with_zeros, Matrix([{0: C_ONE}, {}]))
     assert Pqv(((C_ONE, C_ZERO), (C_ZERO, C_ZERO))).projector.rows == ({0: C_ONE}, {})
 
 

@@ -405,6 +405,25 @@ def test_strict_bounds_of_both_signs_give_an_interior_witness():
     assert Fraction(0) < res.witness[x(1)] < Fraction(1, 1000)
 
 
+def test_a_strict_row_leaves_untouched_integral_values_int():
+    """Only x2 has a delta part; x1 and x3 keep their integral standard
+    values as ints, and the witness still meets every constraint."""
+    cs = [
+        constraint({x(1): 1}, "=", 3),
+        constraint({x(2): 1}, ">", 0),
+        constraint({x(1): 1, x(2): 1, x(3): 1}, "<=", 5),
+        constraint({x(3): 1}, ">=", 1),
+    ]
+    values = _Tableau(cs).values()
+    assert [bool(values[x(k)].inf) for k in (1, 2, 3)] == [False, True, False]
+    res = feasible(cs)
+    assert isinstance(res, Feasible)
+    w = res.witness
+    assert (w[x(1)], type(w[x(1)])) == (3, int) and (w[x(3)], type(w[x(3)])) == (1, int)
+    assert type(w[x(2)]) is Fraction and w[x(2)] > 0
+    assert constraints_hold(cs, w)
+
+
 def test_prob_ladder_pivots_stay_few(monkeypatch):
     # the decider solves the system over the two symbols under P, not the
     # paper's Q over all six, in one pivot; Q in first-appearance order
