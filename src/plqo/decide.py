@@ -105,11 +105,15 @@ def _refute(sent):
     """Case-split ``sent``'s literals against its system.  Returns
     ``sent`` carrying one certificate per branch when every branch is
     infeasible, else the first feasible branch's witness with the
-    system it satisfies."""
+    system it satisfies.  A literal with no disjunct leaves no branch, and
+    the system is not built."""
+    translations = [translate_literal(l) for l in sent.literals()]
+    if not all(translations):
+        return replace(sent, certificates=())
     system = DecideSystem(sent.formula())
     premise = system.rows()
     certificates = []
-    for branch in _branches(sent):
+    for branch in product(*translations):
         rows = premise + _literal_rows(branch)
         result = lra.feasible([c for _, c in rows])
         if result:

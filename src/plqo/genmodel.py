@@ -36,8 +36,9 @@ from .translate import DecideSystem, NumericVar, PairVar, constraints_hold, eval
 class GenericModelSpec:
     """symbols: ascending tuple of PropSymbol; nc: frozenset of 2-element
     frozensets over symbols; masses: tuple of 2^|symbols| nonnegative
-    rationals summing to 1, indexed by valuation code (bit j of the code
-    is the value of the j-th symbol)."""
+    rationals summing to 1, each a Fraction or an int (not a bool), indexed
+    by valuation code (bit j of the code is the value of the j-th symbol).
+    :meth:`make` reads masses from texts and other numbers."""
 
     symbols: tuple
     nc: frozenset
@@ -51,9 +52,12 @@ class GenericModelSpec:
             raise SpecInvalid(
                 f"need {1 << len(self.symbols)} masses, got {len(self.masses)}"
             )
+        for m in self.masses:
+            if type(m) is bool or not isinstance(m, (int, Fraction)):
+                raise SpecInvalid(f"mass {m!r} is not an exact rational")
         if any(m < 0 for m in self.masses):
             raise SpecInvalid("masses must be nonnegative")
-        if sum(self.masses, Fraction(0)) != 1:
+        if sum((m for m in self.masses if m), Fraction(0)) != 1:
             raise SpecInvalid("masses must sum to 1")
         base = set(self.symbols)
         for pair in self.nc:
@@ -103,7 +107,8 @@ def build_generic(spec):
                 rows += [{o: C_ONE}, {u: C_ONE}]
         pqvs[s] = Pqv(Matrix(rows))
 
-    amps = [ComplexScalar(RadicalScalar.sqrt_of(mass), RAD_ZERO) for mass in spec.masses]
+    amps = [ComplexScalar(RadicalScalar.sqrt_of(mass), RAD_ZERO) if mass else C_ZERO
+            for mass in spec.masses]
     amps += [C_ZERO] * (2 * len(nc_list))
     state = StateVector(dim, tuple(amps))
     return QuantumStructure(dim, state, pqvs)
@@ -149,24 +154,26 @@ def spec_to_json(spec):
 
 def structure_of_witness(base, masses, witness):
     """The generic structure (plus assignment) over the ascending ``base``
-    that a feasible witness of a decider's system describes, built without
-    checks.  ``masses`` is that system's :attr:`translate.DecideSystem.masses`,
-    over symbols of ``base``: each of its valuations keeps its mass, with
-    every other symbol false, and the other valuations of ``base`` have none.
+    that a feasible witness of a decider's system describes.  The witness's
+    fit to that system is not re-checked here; the spec, each projector's
+    legality and the state's norm are.  ``masses`` is that system's
+    :attr:`translate.DecideSystem.masses`, over symbols of ``base``: each of
+    its valuations keeps its mass, with every other symbol false, and the
+    other valuations of ``base`` have none.
 
     Returns (structure, assignment, spec).
     """
     bit = {s: 1 << j for j, s in enumerate(base)}
-    placed = [Fraction(0)] * (1 << len(base))
+    placed = [0] * (1 << len(base))
     for u, var in masses.items():
         if var not in witness:
             raise WitnessIncomplete(f"witness missing mass variable {var}")
         placed[sum(bit[s] for s in u)] = witness[var]
-    nc = []
-    for s1, s2 in combinations(base, 2):
-        if witness.get(PairVar.of(s1, s2), Fraction(0)) > 0:
-            nc.append((s1, s2))
-    spec = GenericModelSpec.make(base, nc, placed)
+    nc = frozenset(
+        frozenset(pair) for pair in combinations(base, 2)
+        if witness.get(PairVar.of(*pair), 0) > 0
+    )
+    spec = GenericModelSpec(tuple(base), nc, tuple(placed))
     rho = Assignment(
         {v.k: val for v, val in witness.items() if isinstance(v, NumericVar)}
     )

@@ -90,10 +90,15 @@ class Matrix:
         return Matrix(_sub(ra, rb) for ra, rb in zip(self.rows, other.rows))
 
     def apply(self, vec, zero):
-        """The product with a vector held as an {index: nonzero scalar} map."""
-        out = ((i, sum((x * vec[k] for k, x in row.items() if k in vec), zero))
-               for i, row in enumerate(self.rows))
-        return {i: x for i, x in out if x}
+        """The product with a vector held as an {index: nonzero scalar} map;
+        an empty row contributes nothing and costs no sum."""
+        out = {}
+        for i, row in enumerate(self.rows):
+            if row:
+                y = sum((x * vec[k] for k, x in row.items() if k in vec), zero)
+                if y:
+                    out[i] = y
+        return out
 
 
 def _times(row, m):

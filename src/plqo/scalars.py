@@ -6,6 +6,10 @@ of distinct squarefree integers are linearly independent over Q, so
 equality testing is coefficient-wise, and the sign of a nonzero value can
 be certified by refining rational bounds on each sqrt(d).
 
+A value is canonical: its terms ascend by squarefree radicand, and each
+coefficient is a nonzero Fraction.  Every operation returns canonical
+values, so equal values have equal terms.
+
 Complex scalars are pairs of real scalars.
 """
 
@@ -66,9 +70,10 @@ class RadicalScalar:
     @staticmethod
     def make(coeffs):
         """From a {d: c} map; drops zeros, sorts, validates nothing else."""
-        return RadicalScalar(
-            tuple((d, q) for d, c in sorted(coeffs.items()) if (q := Fraction(c)))
-        )
+        return RadicalScalar(tuple(
+            (d, q) for d, c in sorted(coeffs.items())
+            if (q := c if type(c) is Fraction else Fraction(c))
+        ))
 
     @staticmethod
     def rational(q):
@@ -96,6 +101,11 @@ class RadicalScalar:
             return other
         if not other.terms:
             return self
+        if len(self.terms) == len(other.terms) == 1 and self.terms[0][0] == other.terms[0][0]:
+            # c1*sqrt(d) + c2*sqrt(d) = (c1 + c2)*sqrt(d)
+            (d, c1), (_, c2) = self.terms[0], other.terms[0]
+            c = c1 + c2
+            return RadicalScalar(((d, c),)) if c else RAD_ZERO
         out = dict(self.terms)
         for d, c in other.terms:
             out[d] = out.get(d, Fraction(0)) + c
@@ -117,9 +127,10 @@ class RadicalScalar:
         other = _coerce_real(other)
         if not self.terms or not other.terms:
             return RAD_ZERO
-        if len(self.terms) == len(other.terms) == 1 and self.terms[0][0] == other.terms[0][0] == 1:
-            # two rationals; their product is nonzero
-            return RadicalScalar(((1, self.terms[0][1] * other.terms[0][1]),))
+        if len(self.terms) == len(other.terms) == 1 and self.terms[0][0] == other.terms[0][0]:
+            # c1*sqrt(d) * c2*sqrt(d) = c1*c2*d, a nonzero rational
+            (d, c1), (_, c2) = self.terms[0], other.terms[0]
+            return RadicalScalar(((1, c1 * c2 if d == 1 else c1 * c2 * d),))
         out = {}
         for d1, c1 in self.terms:
             for d2, c2 in other.terms:

@@ -308,6 +308,27 @@ def test_search_verifies_the_model_before_reporting(monkeypatch):
         check_valid(parse_plqo("O(T)"))
 
 
+def test_a_sentence_with_no_branch_builds_no_system(monkeypatch):
+    """!O(B1) has one essential symbol, so it translates to no disjunct and
+    the sentence O(B1 & B2) => O(B1) has no branch: it is refuted with no
+    certificate before its system is built, and the checker accepts it."""
+    built = []
+
+    def counted(f):
+        built.append(f)
+        return DecideSystem(f)
+
+    monkeypatch.setattr(decide, "DecideSystem", counted)
+    sent = RcofSentence((PlqoLiteral(True, ObsAtom(conj(atom(1), atom(2)))),),
+                        PlqoLiteral(True, ObsAtom(atom(1))))
+    assert decide._refute(sent) == sent and built == []
+    monkeypatch.undo()
+    verdict = check_valid(parse_plqo("O(B1 & B2) -> O(B1)"))
+    assert isinstance(verdict, Valid) and check_proof(verdict.proof)
+    [rcof] = [line.content for line in verdict.proof.lines if line.kind == "RCOF"]
+    assert rcof.certificates == ()
+
+
 def test_a_model_is_checked_once_by_satisfaction(monkeypatch):
     """An Invalid and a Satisfiable verdict build the decider's system once
     and never translate the target: the structure is checked against the

@@ -80,6 +80,32 @@ def test_spec_masses_are_not_booleans():
     assert spec_from_json({"symbols": ["B1"], "nc": [], "masses": [1, 0]}).masses == (1, 0)
 
 
+@pytest.mark.parametrize("masses, named", [
+    ((True, False), "True"),
+    ((0, True), "True"),
+    ((0.5, 0.5), "0.5"),
+    ((Fraction(1, 2), 0.5), "0.5"),
+    (("1/2", "1/2"), "'1/2'"),
+    ((Fraction(1), "0"), "'0'"),
+], ids=["bools", "bool-beside-int", "floats", "float-beside-fraction", "texts",
+        "text-beside-fraction"])
+def test_spec_built_directly_takes_exact_masses_only(masses, named):
+    """A spec built without ``make`` holds its masses as given, so each
+    must be a Fraction or an int that is not a bool; JSON would otherwise
+    write a text that ``spec_from_json`` refuses."""
+    with pytest.raises(SpecInvalid, match=re.escape(f"mass {named} is not an exact rational")):
+        GenericModelSpec((B(1),), frozenset(), masses)
+
+
+def test_make_still_reads_texts_and_numbers():
+    spec = GenericModelSpec((B(1),), frozenset(), (Fraction(1, 2), Fraction(1, 2)))
+    assert GenericModelSpec((B(1),), frozenset(), (1, 0)).masses == (1, 0)
+    for masses in (("1/2", "1/2"), (0.5, "0.5"), ("5e-1", Fraction(1, 2))):
+        made = GenericModelSpec.make([B(1)], [], masses)
+        assert made == spec and all(type(m) is Fraction for m in made.masses)
+        assert spec_to_json(made) == spec_to_json(spec)
+
+
 def test_dimension_law():
     for n in (1, 2, 3):
         symbols = [B(i) for i in range(1, n + 1)]

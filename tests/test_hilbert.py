@@ -15,6 +15,7 @@ from plqo.hilbert import (
     StateVector,
     adams_check,
     compatible,
+    czero,
     is_observable,
     load_structure,
     prob,
@@ -821,6 +822,55 @@ def test_exact_equality_of_products_that_cancel_to_zero():
     assert sparse_matrices_equal(p @ q, zero) and matrices_equal_by_subtraction(p @ q, zero)
     assert sparse_matrices_equal(p @ p, p)
     assert not sparse_matrices_equal(p, q)
+
+
+def _apply_case(rng, exact):
+    """A Matrix of empty rows, one-entry rows and one 2x2 or 3x3 block, and
+    a sparse vector; entries are signed rationals times sqrt(1), sqrt(2)
+    or sqrt(3), some with an imaginary part.  A block row lists its
+    columns in ascending order, the dense product's order, so float sums
+    agree to the last bit."""
+    dim = rng.randint(3, 8)
+    at = sorted(rng.sample(range(dim), rng.choice([2, 3])))
+
+    def scalar():
+        re, im = (RadicalScalar.rational(Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)))
+                  * RadicalScalar.sqrt_of(rng.choice([1, 2, 3])) for _ in range(2))
+        z = ComplexScalar(re, im if rng.random() < 0.3 else RAD_ZERO)
+        return z if exact else complex(z)
+
+    rows = [{} for _ in range(dim)]
+    for i in range(dim):
+        if i in at:
+            rows[i] = {j: scalar() for j in at}
+        elif rng.random() < 0.5:
+            rows[i] = {rng.randrange(dim): scalar()}
+    vec = {k: scalar() for k in rng.sample(range(dim), rng.randint(1, dim))}
+    return Matrix(rows), vec
+
+
+def test_apply_matches_the_dense_product():
+    """``Matrix.apply`` skips empty rows; every other row is the dense
+    product's, and no entry of the result is zero."""
+    rng = random.Random(163)
+    shapes = set()
+    for exact in (True, False):
+        for _ in range(150):
+            m, vec = _apply_case(rng, exact)
+            zero = czero(exact)
+            dense_vec = tuple(vec.get(k, zero) for k in range(m.dim))
+            want = {i: x for i, x in enumerate(mat_vec(m.dense(zero), dense_vec)) if x}
+            got = m.apply(vec, zero)
+            assert got == want
+            assert all(got.values())
+            shapes.update(len(row) for row in m.rows)
+    assert shapes == {0, 1, 2, 3}
+    # a block row whose products cancel leaves no entry
+    half = ComplexScalar.real(Fraction(1, 2))
+    p = Matrix([{0: half, 1: -half}, {}, {2: C_ONE}])
+    assert p.apply({0: half, 1: half}, C_ZERO) == {}
+    assert p.apply({0: C_ONE, 2: half}, C_ZERO) == {0: half, 2: half}
+    assert Matrix([{0: 0.5, 1: -0.5}, {}]).apply({0: 1j, 1: 1j}, 0j) == {}
 
 
 def test_exact_equality_needs_equal_dimensions():

@@ -365,3 +365,42 @@ def test_fast_paths_return_canonical_values():
     assert (C_ONE + C_ONE).im is RAD_ZERO
     assert ComplexScalar.real(s2).conjugate() == ComplexScalar.real(s2)
     assert not C_ZERO and C_ONE
+
+
+_nonzero_fractions = _fractions.filter(bool)
+
+
+@st.composite
+def _single_terms_over_one_radicand(draw):
+    """Two single-term radicals c1*sqrt(d) and c2*sqrt(d), with c2 = -c1
+    and c2 = c1 drawn often, and d = 1 among the radicands."""
+    d = draw(st.sampled_from([1, 1, 2, 3, 6, 30]))
+    c1 = draw(_nonzero_fractions)
+    c2 = draw(st.one_of(st.just(-c1), st.just(c1), _nonzero_fractions))
+    return RadicalScalar.make({d: c1}), RadicalScalar.make({d: c2})
+
+
+@given(_single_terms_over_one_radicand())
+def test_single_terms_over_one_radicand_match_the_general_loop(pair):
+    a, b = pair
+    for got, want in ((a + b, radical_add(a, b)), (a - b, radical_sub(a, b)),
+                      (a * b, radical_mul(a, b)), (b * a, radical_mul(b, a))):
+        assert got == want
+        assert is_canonical(got)
+    for x, y in ((ComplexScalar.real(a), ComplexScalar.real(b)),
+                 (ComplexScalar(a, b), ComplexScalar(b, a)),
+                 (ComplexScalar(a, a), ComplexScalar(RAD_ZERO, b))):
+        assert x * y == complex_mul(x, y) and _canonical_complex(x * y)
+        assert x + y == complex_add(x, y) and _canonical_complex(x + y)
+
+
+def test_single_terms_over_one_radicand_stay_canonical():
+    s2 = RadicalScalar.sqrt_of(2)
+    assert (s2 + -s2) is RAD_ZERO
+    assert (s2 * s2).terms == ((1, Fraction(2)),)
+    assert (rat(Fraction(1, 3)) * rat(3)).terms == ((1, Fraction(1)),)
+    third = RadicalScalar.sqrt_of(Fraction(1, 3))  # sqrt(3)/3
+    assert (third + third).terms == ((3, Fraction(2, 3)),)
+    assert (third * third).terms == ((1, Fraction(1, 3)),)
+    for x in (s2 + s2, s2 * s2, third * third, RadicalScalar.make({2: 3, 1: Fraction(1, 2), 5: 0})):
+        assert is_canonical(x)

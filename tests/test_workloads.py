@@ -1,11 +1,21 @@
 """The benchmark's query texts are printed by ``print_plqo``, so a printer
 change can silently change what the benchmark measures: pin a digest of
-every query text per workload and seed.  ``perfbench/workloads.py`` is
-imported, never written."""
+every query text per workload and seed.  The countermodels the workloads
+produce are checked against the spec's normalized form.
+``perfbench/workloads.py`` is imported, never written."""
 
+import contextlib
 import hashlib
+import io
+import json
+from itertools import combinations
 
 import pytest
+
+from plqo import cli, decide, genmodel
+from plqo.genmodel import GenericModelSpec, spec_from_json, spec_to_json
+from plqo.parser import parse_plqo
+from plqo.translate import PairVar
 
 from formgen import perfbench_workloads
 
@@ -31,3 +41,52 @@ def test_workload_query_texts_are_pinned(workloads, seed, name):
     for q in workloads.build(name, seed):
         digest.update(("\t".join((q.id, q.api) + q.texts) + "\n").encode())
     assert digest.hexdigest() == PINNED[seed, name]
+
+
+def _run(q):
+    """One workload query through the public API, as the benchmark sends it."""
+    if q.api == "cli":
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.run(["check", q.texts[0]])
+    formulas = [parse_plqo(t) for t in q.texts]
+    if q.api == "valid":
+        return decide.check_valid(formulas[0])
+    if q.api == "sat":
+        return decide.check_sat(formulas[0])
+    return decide.check_entail(formulas[:-1], formulas[-1])
+
+
+def _spec_by_make(base, masses, witness):
+    """The spec of a witness through ``GenericModelSpec.make``: each mass
+    placed at its code over ``base``, each pair with a positive variable
+    incompatible."""
+    bit = {s: 1 << j for j, s in enumerate(base)}
+    placed = [0] * (1 << len(base))
+    for u, var in masses.items():
+        placed[sum(bit[s] for s in u)] = witness[var]
+    nc = [p for p in combinations(base, 2) if witness.get(PairVar.of(*p), 0) > 0]
+    return GenericModelSpec.make(base, nc, placed)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_countermodel_specs_equal_their_normalized_form(workloads, monkeypatch, seed):
+    """Every countermodel the decider builds on the workloads holds the
+    spec that ``make`` and a JSON round trip give for the same witness,
+    with identical JSON text."""
+    specs = []
+
+    def recorded(base, masses, witness):
+        out = genmodel.structure_of_witness(base, masses, witness)
+        specs.append((out[2], _spec_by_make(base, masses, witness)))
+        return out
+
+    monkeypatch.setattr(decide, "structure_of_witness", recorded)
+    for name in ("valid-ladder", "countermodel-ladder", "acceptance-mix"):
+        for q in workloads.build(name, seed):
+            _run(q)
+    assert len(specs) > 100
+    for spec, made in specs:
+        text = json.dumps(spec_to_json(spec))
+        for other in (made, spec_from_json(spec_to_json(spec)["generic"])):
+            assert other == spec
+            assert json.dumps(spec_to_json(other)) == text
