@@ -243,7 +243,10 @@ def letters_formula(f):
 _NODE_FIELDS = {c: tuple(c.__dataclass_fields__) for c in (
     PlqoLiteral, ObsAtom, ProbAtom, PNeg, PImpl, prop.Verum, prop.Atom, Neg, Impl,
     prop.PropSymbol, sx.Const, sx.NumVar, sx.TNeg, sx.Add, sx.Mul,
-)} | {bool: (), str: (), int: (), Fraction: ()}
+)}
+# Field values of these exact types are leaves the walk skips; a value of a
+# subclass is walked like a node and, having no entry in _NODE_FIELDS, rejected
+_EXACT_LEAVES = frozenset((bool, str, int, Fraction))
 
 
 def _exact_nodes(f, seen):
@@ -264,7 +267,10 @@ def _exact_nodes(f, seen):
             ):
                 return False
             seen.add(id(node))
-            stack += [getattr(node, name) for name in fields]
+            for name in fields:
+                child = getattr(node, name)
+                if type(child) not in _EXACT_LEAVES:
+                    stack.append(child)
     return True
 
 

@@ -91,10 +91,12 @@ class Matrix:
 
     def apply(self, vec, zero):
         """The product with a vector held as an {index: nonzero scalar} map;
-        an empty row contributes nothing and costs no sum."""
+        a row that meets no entry of the vector, an empty one included,
+        contributes nothing and costs no sum."""
         out = {}
+        support = vec.keys()
         for i, row in enumerate(self.rows):
-            if row:
+            if not support.isdisjoint(row):
                 y = sum((x * vec[k] for k, x in row.items() if k in vec), zero)
                 if y:
                     out[i] = y

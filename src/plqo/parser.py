@@ -50,6 +50,10 @@ MAX_DEPTH = 64
 MAX_UNFOLDED = 1 << 16
 
 
+# The classes of tree nodes, whose fields unfolded counts into a node's size
+_NODE_CLASSES = (prop.PropFormula, sx.PlqoFormula, sx.RcofTerm)
+
+
 class _Token(NamedTuple):
     kind: str
     text: str
@@ -147,9 +151,12 @@ class _Parser:
         known = self.built.get(id(node))
         if known is not None:
             return known[1]
-        parts = (getattr(node, k) for k in node.__dataclass_fields__)
-        nodes = (prop.PropFormula, sx.PlqoFormula, sx.RcofTerm)
-        return 1 + sum(self.unfolded(p) for p in parts if isinstance(p, nodes))
+        size = 1
+        for name in node.__dataclass_fields__:
+            part = getattr(node, name)
+            if isinstance(part, _NODE_CLASSES):
+                size += self.unfolded(part)
+        return size
 
     def prefixed(self, op, make, operand, *args):
         """``operand(*args)`` under a run of prefix ``op``, each built by

@@ -13,17 +13,26 @@ with any literal translations, because no row of ``Q`` holds both a mass
 and a pair variable and a formula variable only touches masses over its
 own symbols: a solution of ``Q`` marginalizes to the symbols under ``P``,
 and a solution over those extends to all of ``B_phi`` with every other
-symbol false."""
+symbol false.
+
+Every row is a :class:`LinConstraint` in one normal form.  The rows whose
+shape is fixed are written in it directly: a pair variable pinned to zero
+(:func:`q_obs`) or nonnegative, a negative observability literal's sum of
+pair variables, a mass bound and the masses summing to one.  The rows
+read off arbitrary coefficient maps go through :func:`constraint`, the one
+normalizer: probability comparisons, their negations, formula rows and
+the marginal rows of ``Q``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear, VerificationFailed
 from . import prop
-from .prop import canonical_text
+from .prop import PropSymbol, canonical_text
 from . import syntax as sx
 from .syntax import PNeg, PImpl, ProbAtom
 
@@ -71,8 +80,8 @@ class PairVar:
 
     @staticmethod
     def of(s1, s2):
-        lo, hi = sorted((s1.index, s2.index))
-        return PairVar(lo, hi)
+        i, j = s1.index, s2.index
+        return PairVar(i, j) if i < j else PairVar(j, i)
 
     def __str__(self):
         return f"xp[B{self.i},B{self.j}]"
@@ -92,7 +101,8 @@ def _var_key(v):
 @dataclass(frozen=True)
 class LinConstraint:
     """Normalized linear constraint: sum of coeff*var REL rhs with REL in
-    {=, <=, <}.  Built via :func:`constraint`, which flips > and >=.  Each
+    {=, <=, <}, its terms ordered by variable.  Built via :func:`constraint`,
+    which flips > and >=, or directly for a row of fixed shape.  Each
     coefficient and the right side is an exact rational: an ``int`` when it
     is integral, else a ``Fraction``."""
 
@@ -141,7 +151,10 @@ def exact(q):
 
 
 def constraint(coeffs, rel, rhs=0):
-    """Build a normalized constraint from a var -> coefficient mapping."""
+    """Build a normalized constraint from a var -> coefficient mapping:
+    zero coefficients dropped, ``>`` and ``>=`` flipped, every number made
+    :func:`exact` and the terms sorted by variable.  The rows of fixed
+    shape are written in this form directly, not built here."""
     rhs = exact(rhs)
     coeffs = {v: exact(c) for v, c in coeffs.items() if c != 0}
     if rel in (">", ">="):
@@ -175,11 +188,12 @@ def constraints_hold(cs, values):
 
 
 def q_obs(a_set):
-    """Pair variables of all 2-subsets of ``a_set`` pinned to zero."""
-    out = []
-    for s1, s2 in combinations(sorted(a_set), 2):
-        out.append(constraint({PairVar.of(s1, s2): 1}, "=", 0))
-    return out
+    """Pair variables of all 2-subsets of ``a_set`` pinned to zero, built
+    directly in normal form."""
+    return [
+        LinConstraint(((PairVar(s1.index, s2.index), 1),), "=", 0)
+        for s1, s2 in combinations(sorted(a_set), 2)
+    ]
 
 
 def mass_var(a_set, u_set):
@@ -204,13 +218,15 @@ def _mass_row(kind, m):
 
 
 def _sum_row(masses):
-    """The masses summing to one."""
-    return constraint({m: 1 for m in masses}, "=", 1)
+    """The distinct mass variables ``masses`` summing to one, built
+    directly in normal form: ascending by key, each coefficient 1."""
+    return LinConstraint(tuple((m, 1) for m in sorted(masses, key=attrgetter("key"))), "=", 1)
 
 
 def _pair_row(s1, s2):
-    """The pair variable of symbols ``s1`` and ``s2`` nonnegative."""
-    return constraint({PairVar.of(s1, s2): 1}, ">=", 0)
+    """The pair variable of symbols ``s1`` < ``s2`` nonnegative, built
+    directly in normal form."""
+    return LinConstraint(((PairVar(s1.index, s2.index), -1),), "<=", 0)
 
 
 def _formula_row(alpha, symbols, masses):
@@ -344,7 +360,8 @@ class DecideSystem:
     def __init__(self, f):
         # B_phi, delta and A_P from one walk of f
         atoms = sx.atoms_of(f)
-        self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
+        self._base_set = frozenset().union(*(a.alpha.symbols() for a in atoms))
+        self.base = sorted(self._base_set)
         if len(self.base) > prop.MAX_VALUATION_SYMBOLS:
             raise BudgetExceeded(f"distribution system over {len(self.base)} symbols"
                                  f" exceeds budget {prop.MAX_VALUATION_SYMBOLS}")
@@ -367,7 +384,9 @@ class DecideSystem:
         kind, n = (name[0], len(name)) if type(name) is tuple and name else ("", 0)
         if (
             kind == "pair" and n == 3
-            and name[1] in self.base and name[2] in self.base and name[1] < name[2]
+            and type(name[1]) is PropSymbol and type(name[2]) is PropSymbol
+            and name[1] in self._base_set and name[2] in self._base_set
+            and name[1].index < name[2].index
         ):
             return _pair_row(name[1], name[2])
         if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
@@ -380,16 +399,21 @@ class DecideSystem:
         raise VerificationFailed(f"no row of the system is named {name}")
 
     def rows(self):
-        """(name, row) for every row, in order, without the identity 0 = 0."""
+        """(name, row) for every row, in order, without the identity 0 = 0;
+        each row is the one :meth:`row` builds from its name."""
         # No row is hashed away, as none repeats: rows of different kinds
         # differ in relation, right side or variables, and within a kind
         # each row has its own variable (delta has no repeats).  The one
         # constant row, 0 = 0, is a formula row whose variable is a mass.
-        names = [("mass>=0", u) for u in self.masses]
-        names.append(("sum",))
-        names += [("pair", s1, s2) for s1, s2 in combinations(self.base, 2)]
-        names += [("formula", k) for k in range(len(self.delta))]
-        return [(name, c) for name in names if (c := self.row(name)).terms]
+        masses = self.masses
+        out = [(("mass>=0", u), _mass_row("mass>=0", m)) for u, m in masses.items()]
+        out.append((("sum",), _sum_row(masses.values())))
+        out += [(("pair", s1, s2), _pair_row(s1, s2)) for s1, s2 in combinations(self.base, 2)]
+        for k, alpha in enumerate(self.delta):
+            c = _formula_row(alpha, self.a_p, masses.values())
+            if c.terms:
+                out.append((("formula", k), c))
+        return out
 
 
 def _comparison_constraint(alpha, cmp, term):
@@ -423,8 +447,9 @@ def translate_literal(lit):
         return [translate_atom(lit.atom)]
     alpha = lit.atom.alpha
     ess = sorted(prop.essential_symbols(alpha))
-    pairs = {PairVar.of(s1, s2): 1 for s1, s2 in combinations(ess, 2)}
-    disjuncts = [[constraint(pairs, ">", 0)]] if pairs else []
+    # the sum of the pair variables > 0, in normal form: ascending pairs, each -1 < 0
+    pairs = tuple((PairVar(s1.index, s2.index), -1) for s1, s2 in combinations(ess, 2))
+    disjuncts = [[LinConstraint(pairs, "<", 0)]] if pairs else []
     if isinstance(lit.atom, ProbAtom):
         cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
         disjuncts = disjuncts + negate_constraint(cmp_c)

@@ -60,6 +60,17 @@ per_pair_translate_literal is the literal translation as first written,
 one disjunct per essential pair of a negative literal, where
 plqo.translate asserts the sum of the pair variables positive.
 
+normalized_q_obs, normalized_pair_row, normalized_translate_literal and
+normalized_row build the rows whose shape is fixed (each pinned or
+nonnegative pair variable, a negative observability literal's sum of
+pair variables, the masses summing to one) through constraint(), from a
+coefficient map, where plqo.translate writes them directly in normal
+form.
+
+tree_size counts the nodes of a formula or term by plain recursion, a
+shared part at each place it occurs, where plqo.parser records the size
+of each node it builds and reads a built part's record back.
+
 token_positions counts the line and column token by token, as the
 tokenizer first did, where plqo.parser keeps each token's offset and
 computes a line:column (parser._where) only for the error it raises.
@@ -102,7 +113,7 @@ from plqo.prop import (
 )
 from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
-    Add, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
+    Add, Const, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
 )
 from plqo.translate import (
     DecideSystem,
@@ -349,6 +360,67 @@ def per_pair_translate_literal(lit):
         cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
         disjuncts = disjuncts + negate_constraint(cmp_c)
     return disjuncts
+
+
+def _pair_var(s1, s2):
+    return PairVar(*sorted((s1.index, s2.index)))
+
+
+def normalized_q_obs(a_set):
+    """Pair variables of all 2-subsets of ``a_set`` pinned to zero."""
+    return [constraint({_pair_var(s1, s2): 1}, "=", 0) for s1, s2 in combinations(sorted(a_set), 2)]
+
+
+def normalized_pair_row(s1, s2):
+    """The pair variable of symbols ``s1`` and ``s2`` nonnegative."""
+    return constraint({_pair_var(s1, s2): 1}, ">=", 0)
+
+
+def normalized_translate_literal(lit):
+    """Disjunction of constraint conjunctions equivalent to a literal, a
+    negative observability literal asserting the sum of its essential pair
+    variables positive."""
+    alpha = lit.atom.alpha
+    comparison = (
+        [_comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)]
+        if isinstance(lit.atom, ProbAtom) else []
+    )
+    if lit.positive:
+        return [normalized_q_obs(essential_symbols(alpha)) + comparison]
+    ess = sorted(essential_symbols(alpha))
+    pairs = {_pair_var(s1, s2): 1 for s1, s2 in combinations(ess, 2)}
+    disjuncts = [[constraint(pairs, ">", 0)]] if pairs else []
+    for c in comparison:
+        disjuncts += negate_constraint(c)
+    return disjuncts
+
+
+def normalized_row(system, name):
+    """The row of a DecideSystem called ``name``, a name it gives one of
+    its rows."""
+    kind = name[0]
+    if kind == "pair":
+        return normalized_pair_row(name[1], name[2])
+    if kind == "formula":
+        return set_formula_row(system.delta[name[1]], system.masses)
+    if kind == "sum":
+        return constraint({m: 1 for m in system.masses.values()}, "=", 1)
+    return constraint({system.masses[name[1]]: 1}, ">=", 0)
+
+
+def tree_size(node):
+    """The number of nodes of a formula or term as a tree."""
+    if isinstance(node, (Verum, Atom, Const, NumVar)):
+        return 1
+    if isinstance(node, (Neg, PNeg, TNeg)):
+        return 1 + tree_size(node.child)
+    if isinstance(node, (Impl, PImpl, Add, Mul)):
+        return 1 + tree_size(node.left) + tree_size(node.right)
+    if isinstance(node, ObsAtom):
+        return 1 + tree_size(node.alpha)
+    if isinstance(node, ProbAtom):
+        return 1 + tree_size(node.alpha) + tree_size(node.term)
+    raise TypeError(f"not a formula or term node: {node!r}")
 
 
 def token_positions(text):

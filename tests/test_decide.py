@@ -688,6 +688,53 @@ def test_proof_checker_rejects_a_literal_subclass():
         check_proof(proof)
 
 
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def _fig2_with_hypothesis_symbols(index):
+    """fig2 with its hypothesis O(B1 & B2), on the HYP line and among the
+    declared hypotheses, rebuilt over the symbols ``index(1)`` and ``index(2)``."""
+    fig2 = derive_schema("fig2")
+    hyp = ObsAtom(conj(Atom(PropSymbol(index(1))), Atom(PropSymbol(index(2)))))
+    return Proof((replace(fig2.lines[0], content=hyp),) + fig2.lines[1:], hypotheses=(hyp,))
+
+
+def _fig2_with_conclusion(cmp, q):
+    """fig2 with its conclusion P(B1 & B2) >= 0 rebuilt from the relation
+    ``cmp`` and a constant holding ``q``, past the constant's constructor."""
+    fig2 = derive_schema("fig2")
+    concl = fig2.lines[3].content
+    atom_ = ProbAtom(concl.child.alpha, cmp, _forged(type(ZERO), q))
+    return Proof(fig2.lines[:3] + (replace(fig2.lines[3], content=PNeg(atom_)),), fig2.hypotheses)
+
+
+@pytest.mark.parametrize(
+    "forge, exact, subclass",
+    [
+        (_fig2_with_hypothesis_symbols, int, _Int),
+        (lambda make: _fig2_with_conclusion(make("<"), Fraction(0)), str, _Str),
+        (lambda make: _fig2_with_conclusion("<", make(0)), Fraction, _Fraction),
+    ],
+    ids=["int-symbol-index", "str-relation", "fraction-constant"],
+)
+def test_proof_checker_rejects_leaf_subclasses(forge, exact, subclass):
+    """A leaf value of a subclass of int, str or Fraction equals the exact
+    one, so each forged proof passes every other check, as the same proof
+    with exact leaves does; the checker rejects it."""
+    assert check_proof(forge(exact))
+    with pytest.raises(VerificationFailed):
+        check_proof(forge(subclass))
+
+
 def test_proof_checker_rejects_inexact_multipliers():
     """Float multipliers 1e17, 1 and 1e17 round the x term away, though
     the three rows are satisfiable together."""
@@ -761,7 +808,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "45 passed" in done.stdout
+    assert "48 passed" in done.stdout
 
 
 def test_no_assert_in_src():

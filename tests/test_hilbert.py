@@ -850,21 +850,25 @@ def _apply_case(rng, exact):
 
 
 def test_apply_matches_the_dense_product():
-    """``Matrix.apply`` skips empty rows; every other row is the dense
-    product's, and no entry of the result is zero."""
+    """``Matrix.apply`` skips the rows that meet no entry of the vector,
+    empty rows included; every other row is the dense product's, and no
+    entry of the result is zero.  Each matrix is applied to its case's
+    vector and to one entry of it, whose support misses most rows."""
     rng = random.Random(163)
-    shapes = set()
+    shapes, missed = set(), 0
     for exact in (True, False):
         for _ in range(150):
             m, vec = _apply_case(rng, exact)
             zero = czero(exact)
-            dense_vec = tuple(vec.get(k, zero) for k in range(m.dim))
-            want = {i: x for i, x in enumerate(mat_vec(m.dense(zero), dense_vec)) if x}
-            got = m.apply(vec, zero)
-            assert got == want
-            assert all(got.values())
+            for v in (vec, dict([rng.choice(list(vec.items()))])):
+                dense_vec = tuple(v.get(k, zero) for k in range(m.dim))
+                want = {i: x for i, x in enumerate(mat_vec(m.dense(zero), dense_vec)) if x}
+                got = m.apply(v, zero)
+                assert got == want
+                assert all(got.values())
+                missed += sum(1 for row in m.rows if row and not row.keys() & v.keys())
             shapes.update(len(row) for row in m.rows)
-    assert shapes == {0, 1, 2, 3}
+    assert shapes == {0, 1, 2, 3} and missed > 300
     # a block row whose products cancel leaves no entry
     half = ComplexScalar.real(Fraction(1, 2))
     p = Matrix([{0: half, 1: -half}, {}, {2: C_ONE}])

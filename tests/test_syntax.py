@@ -12,6 +12,8 @@ from plqo.parser import (
     MAX_DEPTH,
     MAX_DIGITS,
     MAX_UNFOLDED,
+    PLQO,
+    _Parser,
     _where,
     parse_classical,
     parse_plqo,
@@ -50,7 +52,7 @@ from plqo.syntax import (
 )
 
 from formgen import gen_plqo, gen_term
-from oracles import closed, token_positions, tree_dnf_literals
+from oracles import closed, token_positions, tree_dnf_literals, tree_size
 
 
 def test_numeral_roundtrip():
@@ -413,6 +415,29 @@ def test_unfolded_size_is_budgeted(text, too_big):
     assert time.perf_counter() - start < 2
     with pytest.raises(BudgetExceeded, match=f"formula unfolds to [0-9]+ nodes, budget {MAX_UNFOLDED}"):
         parse_plqo(too_big)
+
+
+def test_recorded_sizes_are_the_tree_sizes():
+    """The parser records the unfolded size of each node it builds and
+    reads a built part's record back at each place the part occurs; every
+    record equals the plain count of the node's tree, on a seeded corpus
+    and on <-> chains, whose operands are shared, up to the budget."""
+    rng = random.Random(20261020)
+    texts = [print_plqo(gen_plqo(rng, [1, 2, 3], 4, atom_depth=3, allow_vars=True))
+             for _ in range(200)]
+    texts += [_iff_chain("O(B1)", n) for n in range(2, 14)]
+    texts += [f"P({_iff_chain('B1', n)}) = 1/2 -> O({_iff_chain('B1', n)})" for n in (2, 7, 13)]
+    texts.append(_iff_chain("P(B1 <-> B2) < 1/2 - x1 * 3", 9))
+    records = 0
+    for text in texts:
+        p = _Parser(text)
+        f = p.formula(PLQO)
+        p.expect_eof()
+        for _, size, node in p.built.values():
+            assert size == tree_size(node), text
+            records += 1
+        assert p.unfolded(f) == tree_size(f) <= MAX_UNFOLDED
+    assert records > 2000
 
 
 def test_literal_complement():

@@ -28,6 +28,7 @@ from plqo.syntax import (
     PNeg,
     PlqoLiteral,
     ProbAtom,
+    atoms_of,
     fraction,
     nnf_dnf_literals,
     numeral,
@@ -57,12 +58,19 @@ from formgen import (
     conj_text,
     distribution_point,
     gen_plqo,
+    iff_chain,
     obs_ladder,
     perfbench_workloads,
     prob_ladder,
     random_feasible_point,
 )
-from oracles import all_valuations, decide_rows, set_formula_row
+from oracles import (
+    all_valuations,
+    decide_rows,
+    normalized_row,
+    normalized_translate_literal,
+    set_formula_row,
+)
 
 
 def syms(*idx):
@@ -282,6 +290,62 @@ def test_formula_rows_equal_the_set_based_reference():
                 assert ProbVar.of(alpha) in masses.values(), alpha
                 constant += 1
     assert {0, 6} <= widths and constant >= 3
+
+
+def _typed_row(c):
+    """A row's terms, relation and right side, with the type of each
+    number and of each field of each variable."""
+    terms = tuple((v, tuple(map(type, vars(v).values())), a, type(a)) for v, a in c.terms)
+    return terms, c.rel, c.rhs, type(c.rhs)
+
+
+def test_rows_built_in_normal_form_equal_the_normalized_ones():
+    """q_obs, the pair rows, the sum row and a negative observability
+    literal's sum of pair variables are built directly in normal form.
+    Each equals the row constraint() makes from its coefficient map, number
+    types included: every named row of every system the search builds, and
+    the translation of each atom's two literals, for the workloads at seeds
+    1 and 2, the -> and <-> chains at n=3..8 and a seeded corpus.  rows()
+    builds its rows without looking their names up, and gives row(name)'s."""
+    workloads = perfbench_workloads()
+    formulas = []
+    for seed in (1, 2):
+        for name in workloads.WORKLOADS:
+            for q in workloads.build(name, seed):
+                fs = [parse_plqo(t) for t in q.texts]
+                formulas.append(PImpl(pconj_all(fs[:-1]), fs[-1]) if q.api == "entail" else fs[0])
+    formulas += [make(n, valid) for make in (chain, iff_chain) for n in range(3, 9)
+                 for valid in (True, False)]
+    rng = random.Random(20261020)
+    formulas += [gen_plqo(rng, [1, 2, 3, 4, 5], 3, atom_depth=3, allow_vars=True)
+                 for _ in range(100)]
+    kinds = set()
+    for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
+        system = DecideSystem(f)
+        names = [("mass>=0", u) for u in system.masses] + [("sum",)]
+        names += [("pair", s1, s2) for s1, s2 in combinations(system.base, 2)]
+        names += [("formula", k) for k in range(len(system.delta))]
+        for name in names:
+            assert _typed_row(system.row(name)) == _typed_row(normalized_row(system, name)), name
+            kinds.add(name[0])
+        built = [(name, c) for name in names if (c := system.row(name)).terms]
+        assert [(n, _typed_row(c)) for n, c in system.rows()] == [
+            (n, _typed_row(c)) for n, c in built
+        ], f
+    literals = dict.fromkeys(
+        PlqoLiteral(positive, a) for phi in formulas for a in atoms_of(phi)
+        for positive in (True, False)
+    )
+    widest = 0
+    for lit in literals:
+        got, expected = translate_literal(lit), normalized_translate_literal(lit)
+        assert [[_typed_row(c) for c in d] for d in got] == [
+            [_typed_row(c) for c in d] for d in expected
+        ], lit
+        if not lit.positive and isinstance(lit.atom, ObsAtom) and got:
+            widest = max(widest, len(got[0][0].terms))
+    assert kinds == {"mass>=0", "sum", "pair", "formula"}
+    assert len(literals) > 500 and widest >= 6
 
 
 def test_linearize():
