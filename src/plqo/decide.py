@@ -107,13 +107,13 @@ def _refute(sent):
     infeasible, else the first feasible branch's witness with the
     system it satisfies.  A literal with no disjunct leaves no branch, and
     the system is not built."""
-    translations = [translate_literal(l) for l in sent.literals()]
-    if not all(translations):
+    branches = list(_branches(sent))
+    if not branches:
         return replace(sent, certificates=())
     system = DecideSystem(sent.formula())
     premise = system.rows()
     certificates = []
-    for branch in product(*translations):
+    for branch in branches:
         rows = premise + _literal_rows(branch)
         result = lra.feasible([c for _, c in rows])
         if result:
@@ -421,7 +421,7 @@ def _search(target, conclusion):
         found = _refute(RcofSentence(tuple(lits[:-1]), lits[-1].complement()))
         if not isinstance(found, RcofSentence):
             witness, system = found
-            structure, rho, spec = structure_of_witness(base, system.masses, witness)
+            structure, rho, spec = structure_of_witness(base, system, witness)
             verify(satisfies(structure, rho, target), "the model does not satisfy the target")
             return structure, rho, spec
         sentences.append(found)

@@ -152,23 +152,25 @@ def spec_to_json(spec):
     }
 
 
-def structure_of_witness(base, masses, witness):
+def structure_of_witness(base, system, witness):
     """The generic structure (plus assignment) over the ascending ``base``
-    that a feasible witness of a decider's system describes.  The witness's
-    fit to that system is not re-checked here; the spec, each projector's
-    legality and the state's norm are.  ``masses`` is that system's
-    :attr:`translate.DecideSystem.masses`, over symbols of ``base``: each of
-    its valuations keeps its mass, with every other symbol false, and the
-    other valuations of ``base`` have none.
+    that a feasible witness of the decider's ``system`` describes.  The
+    witness's fit to that system is not re-checked here; the spec, each
+    projector's legality and the state's norm are.  The symbols of the
+    system's ``A_P`` are among ``base``: each valuation of ``A_P`` keeps its
+    mass, with every other symbol false, and the other valuations of
+    ``base`` have none.
 
     Returns (structure, assignment, spec).
     """
-    bit = {s: 1 << j for j, s in enumerate(base)}
+    codes = [0]  # codes[k]: the code over base of the valuation of code k over A_P
+    for bit in [1 << base.index(s) for s in system.a_p]:
+        codes += [c | bit for c in codes]
     placed = [0] * (1 << len(base))
-    for u, var in masses.items():
+    for code, var in zip(codes, system.masses):
         if var not in witness:
             raise WitnessIncomplete(f"witness missing mass variable {var}")
-        placed[sum(bit[s] for s in u)] = witness[var]
+        placed[code] = witness[var]
     nc = frozenset(
         frozenset(pair) for pair in combinations(base, 2)
         if witness.get(PairVar.of(*pair), 0) > 0
@@ -187,7 +189,7 @@ def model_from_witness(phi, witness):
     system = DecideSystem(phi)
     if not constraints_hold([c for _, c in system.rows()], witness):
         raise SpecInvalid("witness does not satisfy the distribution system")
-    structure, rho, spec = structure_of_witness(system.base, system.masses, witness)
+    structure, rho, spec = structure_of_witness(system.base, system, witness)
     verify(
         satisfies(structure, rho, phi) == eval_rcof(translate_formula(phi), witness),
         "witness-to-structure map broke the satisfaction equivalence",

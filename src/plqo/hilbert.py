@@ -188,11 +188,6 @@ class Pqv:
     def dim(self):
         return self.projector.dim
 
-    @property
-    def up_projector(self):
-        """The projector as a dense tuple of rows."""
-        return self.projector.dense(czero(self.tol is None))
-
 
 @dataclass(frozen=True)
 class QuantumStructure:

@@ -137,7 +137,12 @@ class _Parser:
     def build(self, make, *parts):
         """``make(*parts)``, one level above its deepest part, within the
         unfolded-size budget."""
-        depth = self.within_depth(1 + max(self.built.get(id(p), (0,))[0] for p in parts))
+        depth = 0
+        for p in parts:  # one or two
+            known = self.built.get(id(p))
+            if known is not None and known[0] > depth:
+                depth = known[0]
+        depth = self.within_depth(depth + 1)
         node = make(*parts)
         size = self.unfolded(node)
         if size > MAX_UNFOLDED:

@@ -1,6 +1,9 @@
 """Classical propositional formulas: evaluation, tautology checking,
 essential symbols, algebraic normal form and valuation-identifying formulas.
 
+A valuation of ascending symbols is named by its code, an int whose bit j
+is the value of the j-th symbol; every table over valuations is indexed so.
+
 Formulas are immutable trees over verum, atoms, negation and implication;
 the other connectives are builders that expand into those primitives.
 """
@@ -16,16 +19,20 @@ from .errors import BudgetExceeded, MissingSymbol, UNotSubset
 MAX_VALUATION_SYMBOLS = 16
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, repr=False)
 class PropSymbol:
+    """The symbol B<index>, its name also as its repr, so messages show it."""
+
     index: int
 
     def __post_init__(self):
         if self.index < 0:
             raise ValueError("symbol index must be nonnegative")
 
-    def __str__(self):
+    def __repr__(self):
         return f"B{self.index}"
+
+    __str__ = __repr__  # str() skips object.__str__'s call to repr
 
 
 def node(cls):
@@ -157,13 +164,6 @@ def _collect_symbols(f, out):
             stack.append(node.right)
 
 
-def valuation_sets(symbols):
-    """The valuations of ``symbols`` as the sets they make true, indexed by
-    code: bit j of the code is the value of the j-th listed symbol."""
-    n = len(symbols)
-    return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
-
-
 def _check_budget(symbols, what):
     if len(symbols) > MAX_VALUATION_SYMBOLS:
         raise BudgetExceeded(
@@ -181,7 +181,8 @@ def _column(n, i):
 
 def truth_table(f, syms):
     """The truth table of ``f`` over ``syms`` as one int: bit k is the
-    value of ``f`` under the k-th valuation of ``valuation_sets(sorted(syms))``.
+    value of ``f`` under the valuation of code k of the ascending ``syms``
+    (bit j of k is the value of the j-th).
     One walk of the tree, each node one bitwise operation on the columns;
     the caller bounds ``syms``."""
     syms = sorted(syms)
@@ -228,12 +229,6 @@ class AnfPoly:
     symbols; the empty monomial is the constant 1."""
 
     monomials: frozenset
-
-    def variables(self):
-        out = set()
-        for m in self.monomials:
-            out |= m
-        return frozenset(out)
 
     def __str__(self):
         if not self.monomials:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
@@ -196,14 +197,13 @@ def q_obs(a_set):
     ]
 
 
-def mass_var(a_set, u_set):
-    """Variable carrying the probability mass of the valuation on
-    ``a_set`` that makes exactly ``u_set`` true: the canonical text of
-    ``phi_A_U(a_set, u_set)``, written from its literals."""
-    u_set = frozenset(u_set)
-    if not u_set.issubset(a_set):
-        raise UNotSubset(f"{sorted(u_set)} is not a subset of {sorted(a_set)}")
-    lits = [str(s) if s in u_set else f"!{s}" for s in sorted(a_set)]
+def mass_var(symbols, code):
+    """Variable carrying the probability mass of the valuation ``code`` of
+    the ascending ``symbols`` (bit j is the value of the j-th symbol): the
+    canonical text of ``phi_A_U``, written from its literals."""
+    if code < 0 or code >> len(symbols):
+        raise UNotSubset(f"code {code} names no valuation of {list(symbols)}")
+    lits = [str(s) if code >> j & 1 else f"!{s}" for j, s in enumerate(symbols)]
     if len(lits) < 2:
         return ProbVar(lits[0] if lits else "T")
     # right-nested, as the printer writes it: l1&(l2&(...&(l{n-1}&ln)))
@@ -248,8 +248,8 @@ def q_adams(a_set, delta):
     to the mass of its satisfying valuations.  Repeated formulas of
     ``delta`` give one row, and the identity 0 = 0 is dropped.
     """
-    a_list = sorted(set(a_set))
-    a_set = frozenset(a_list)
+    a_set = frozenset(a_set)
+    a_list = sorted(a_set)
     # No row is hashed away, as none repeats: rows of different kinds
     # differ in relation, right side or variables, and within a kind each
     # row has its own variable (a mass's two bounds differ in sign), once
@@ -270,26 +270,29 @@ def q_adams(a_set, delta):
         raise BudgetExceeded(f"distribution system over {n} symbols has {rows} rows of"
                              f" {terms} terms, past budget {MAX_Q_TERMS} terms")
 
-    subsets_a = [frozenset(c) for r in range(len(a_list) + 1) for c in combinations(a_list, r)]
-    masses = {u: mass_var(a_set, u) for u in subsets_a}
-    out = [_mass_row(kind, m) for m in masses.values() for kind in ("mass>=0", "mass<=1")]
-    out.append(_sum_row(masses.values()))
-    # marginals
-    for a_sub in (s for s in subsets_a if s != a_set):
-        sub_elems = sorted(a_sub)
-        for r in range(len(sub_elems) + 1):
-            for u_sub in combinations(sub_elems, r):
-                u_sub = frozenset(u_sub)
-                coeffs = {mass_var(a_sub, u_sub): 1}
-                for u in subsets_a:
-                    if u & a_sub == u_sub:
-                        v = masses[u]
-                        coeffs[v] = coeffs.get(v, 0) - 1
+    # each subset of a_list as the mask of its positions, by size, then as
+    # combinations lists them
+    subsets = [sum(1 << j for j in c) for r in range(n + 1) for c in combinations(range(n), r)]
+    masses = [mass_var(a_list, u) for u in range(1 << n)]
+    out = [_mass_row(kind, masses[u]) for u in subsets for kind in ("mass>=0", "mass<=1")]
+    out.append(_sum_row(masses))
+    # marginals: the valuation v of a proper subset s, in the same order over
+    # its positions, sums the masses u with u & s == v, each v | w for a w
+    # outside s
+    for s in subsets[:-1]:
+        positions = [j for j in range(n) if s >> j & 1]
+        a_sub = [a_list[j] for j in positions]
+        outside = [w for w in range(1 << n) if not w & s]
+        for r in range(len(positions) + 1):
+            for c in combinations(range(len(positions)), r):
+                v = sum(1 << positions[i] for i in c)
+                coeffs = {masses[v | w]: -1 for w in outside}
+                coeffs[mass_var(a_sub, sum(1 << i for i in c))] = 1
                 out.append(constraint(coeffs, "=", 0))
     out += [_pair_row(s1, s2) for s1, s2 in combinations(a_list, 2)]
     for alpha in delta:
         b_alpha = sorted(alpha.symbols())
-        masses_alpha = [mass_var(b_alpha, u) for u in prop.valuation_sets(b_alpha)]
+        masses_alpha = [mass_var(b_alpha, u) for u in range(1 << len(b_alpha))]
         out.append(_formula_row(alpha, b_alpha, masses_alpha))
     return [c for c in out if c.terms]
 
@@ -348,8 +351,8 @@ class DecideSystem:
     Each row has a name, which a refutation certificate cites and
     :meth:`row` rebuilds alone:
 
-    - ``("mass>=0", u)``: the mass of the valuation of ``A_P`` that makes
-      exactly the set ``u`` true nonnegative;
+    - ``("mass>=0", k)``: the mass of the valuation of code ``k`` of
+      ``A_P`` nonnegative;
     - ``("sum",)``: the masses summing to one;
     - ``("pair", s1, s2)``: the pair variable of symbols s1 < s2 of
       ``B_phi`` nonnegative;
@@ -367,16 +370,13 @@ class DecideSystem:
                                  f" exceeds budget {prop.MAX_VALUATION_SYMBOLS}")
         self.delta = list(dict.fromkeys(a.alpha for a in atoms if isinstance(a, ProbAtom)))
         self.a_p = sorted(frozenset().union(*(alpha.symbols() for alpha in self.delta)))
-        self._masses = None
 
-    @property
+    @cached_property
     def masses(self):
-        """Each valuation of ``A_P``, as the set it makes true, to its mass
-        variable, in code order.  A solution extends to ``B_phi`` through this
-        map alone: each valuation keeps its mass, with every other symbol false."""
-        if self._masses is None:
-            self._masses = {u: mass_var(self.a_p, u) for u in prop.valuation_sets(self.a_p)}
-        return self._masses
+        """The mass variable of each valuation of ``A_P``, indexed by its
+        code.  A solution extends to ``B_phi`` through these alone: each
+        valuation keeps its mass, with every other symbol false."""
+        return tuple(mass_var(self.a_p, k) for k in range(1 << len(self.a_p)))
 
     def row(self, name):
         """The row called ``name``; VerificationFailed when no row of this
@@ -391,11 +391,11 @@ class DecideSystem:
             return _pair_row(name[1], name[2])
         if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
             # the masses are in code order over A_P, as the truth table reads them
-            return _formula_row(self.delta[name[1]], self.a_p, self.masses.values())
+            return _formula_row(self.delta[name[1]], self.a_p, self.masses)
         if kind == "sum" and n == 1:
-            return _sum_row(self.masses.values())
-        if kind == "mass>=0" and n == 2 and type(name[1]) is frozenset and name[1] in self.masses:
-            return _mass_row(kind, self.masses[name[1]])
+            return _sum_row(self.masses)
+        if kind == "mass>=0" and n == 2 and type(name[1]) is int and 0 <= name[1] < 1 << len(self.a_p):
+            return _mass_row(kind, mass_var(self.a_p, name[1]))
         raise VerificationFailed(f"no row of the system is named {name}")
 
     def rows(self):
@@ -406,11 +406,11 @@ class DecideSystem:
         # each row has its own variable (delta has no repeats).  The one
         # constant row, 0 = 0, is a formula row whose variable is a mass.
         masses = self.masses
-        out = [(("mass>=0", u), _mass_row("mass>=0", m)) for u, m in masses.items()]
-        out.append((("sum",), _sum_row(masses.values())))
+        out = [(("mass>=0", k), _mass_row("mass>=0", m)) for k, m in enumerate(masses)]
+        out.append((("sum",), _sum_row(masses)))
         out += [(("pair", s1, s2), _pair_row(s1, s2)) for s1, s2 in combinations(self.base, 2)]
         for k, alpha in enumerate(self.delta):
-            c = _formula_row(alpha, self.a_p, masses.values())
+            c = _formula_row(alpha, self.a_p, masses)
             if c.terms:
                 out.append((("formula", k), c))
         return out

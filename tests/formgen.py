@@ -94,7 +94,7 @@ def random_feasible_point(rng, base, delta, extra_pairs_positive=False):
     every marginal, formula and pair variable from it."""
     from itertools import combinations
 
-    from plqo.prop import valuation_sets
+    from oracles import valuation_sets
     from plqo.translate import PairVar
 
     base = sorted(base)
@@ -118,8 +118,8 @@ def distribution_point(base, joint, delta):
     ``base`` (the set it makes true) to its mass."""
     from itertools import combinations
 
-    from oracles import all_valuations, eval_formula
-    from plqo.translate import ProbVar, mass_var
+    from oracles import all_valuations, eval_formula, set_mass_var
+    from plqo.translate import ProbVar
 
     values = {}
     for r in range(len(base) + 1):
@@ -128,7 +128,7 @@ def distribution_point(base, joint, delta):
             for r2 in range(len(a_sub) + 1):
                 for u_sub in combinations(sorted(a_sub), r2):
                     u_sub = frozenset(u_sub)
-                    values[mass_var(a_sub, u_sub)] = sum(
+                    values[set_mass_var(a_sub, u_sub)] = sum(
                         (m for u, m in joint.items() if u & a_sub == u_sub),
                         Fraction(0),
                     )
@@ -138,7 +138,7 @@ def distribution_point(base, joint, delta):
         for v in all_valuations(b_alpha):
             if eval_formula(alpha, v):
                 u = frozenset(s for s in b_alpha if v[s])
-                acc += values[mass_var(b_alpha, u)]
+                acc += values[set_mass_var(b_alpha, u)]
         values[ProbVar.of(alpha)] = acc
     return values
 

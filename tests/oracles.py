@@ -9,7 +9,7 @@ where plqo.prop reads essential symbols off the algebraic normal form.
 
 The dense matrix helpers and the dense semantics below share no
 arithmetic with plqo.hilbert's sparse Matrix: they work on the dense
-tuple-of-rows views (``Pqv.up_projector``, ``StateVector.amps``) with
+tuple-of-rows views (``up_projector`` here, ``StateVector.amps``) with
 full products, and apply I - P by forming it.
 
 build_observable writes out the full observable of the generic
@@ -39,14 +39,20 @@ column, where plqo.lra._Tableau does both in one pass.
 eval_formula evaluates a classical formula by recursion on the tree,
 one valuation at a time, where plqo.prop computes the whole truth table
 in one walk of bitwise operations.  all_valuations lists valuations as
-dicts in lexicographic order, where plqo numbers them by code
-(plqo.prop.valuation_sets); satisfying_sets lists the valuations that
-satisfy a formula, as sets, where plqo reads the bits of its truth table.
+dicts in lexicographic order, where plqo names each by its code;
+valuation_sets lists them as the sets they make true, in code order;
+satisfying_sets lists the valuations that satisfy a formula, as sets,
+where plqo reads the bits of its truth table.
 
+set_mass_var names the mass of a valuation given as the set it makes
+true, where plqo.translate.mass_var reads the bits of its code.
 set_formula_row is the formula row as first written: it keeps a mass when
 its valuation, cut down to the formula's symbols, is among the formula's
 satisfying sets, one frozenset intersection and hash per mass, where
-plqo.translate reads the set bits of one truth table.
+plqo.translate reads the set bits of one truth table.  set_q_adams is the
+paper's Q as first written, every valuation, marginal and mass a set,
+where plqo.translate.q_adams works on codes and finds a marginal's masses
+as the submasks of the positions it leaves out.
 
 decide_rows lists the rows of the decider's system for a formula, in
 the order plqo.decide solves them.
@@ -95,17 +101,20 @@ commutation checks no longer do: they read only the rows that hold an
 entry off the diagonal.
 
 The last helpers read terms, polynomials and scalars in ways only the
-tests need: whether a term is closed, an ANF polynomial's value, and
-whether an exact scalar is rational or canonical.
+tests need: whether a term is closed, an ANF polynomial's variables and
+value, and whether an exact scalar is rational or canonical.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd, isqrt
 
-from plqo.errors import BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, verify
+from plqo.errors import (
+    BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, UNotSubset, verify
+)
 from plqo.genmodel import build_generic
-from plqo.hilbert import Matrix
+from plqo.hilbert import Matrix, czero
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
 from plqo.parser import _TOKEN_RE
 from plqo.prop import (
@@ -317,6 +326,25 @@ def satisfying_sets(f, syms):
     )
 
 
+def valuation_sets(symbols):
+    """The valuations of ``symbols`` as the sets they make true, indexed by
+    code: bit j of the code is the value of the j-th listed symbol."""
+    n = len(symbols)
+    return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
+
+
+def set_mass_var(a_set, u_set):
+    """The mass variable of the valuation on ``a_set`` that makes exactly
+    ``u_set`` true, written from its literals."""
+    u_set = frozenset(u_set)
+    if not u_set.issubset(a_set):
+        raise UNotSubset(f"{sorted(u_set)} is not a subset of {sorted(a_set)}")
+    lits = [str(s) if s in u_set else f"!{s}" for s in sorted(a_set)]
+    if len(lits) < 2:
+        return ProbVar(lits[0] if lits else "T")
+    return ProbVar("&(".join(lits[:-1]) + "&" + lits[-1] + ")" * (len(lits) - 2))
+
+
 def set_formula_row(alpha, masses):
     """The formula variable of ``alpha`` equal to the sum of the masses
     whose valuation satisfies it; ``masses`` maps each valuation of a
@@ -328,6 +356,33 @@ def set_formula_row(alpha, masses):
         if u & b_alpha in satisfying:
             coeffs[m] = coeffs.get(m, Fraction(0)) - 1
     return constraint(coeffs, "=", 0)
+
+
+def set_q_adams(a_set, delta):
+    """The paper's distribution system over ``a_set`` as first written,
+    every valuation a set: masses and marginals named from sets, each
+    marginal summing the masses whose set meets the subset in its own, and
+    each formula row read from its satisfying sets.  Rows and terms come in
+    the order plqo.translate.q_adams gives them."""
+    a_list = sorted(set(a_set))
+    subsets_a = [frozenset(c) for r in range(len(a_list) + 1) for c in combinations(a_list, r)]
+    masses = {u: set_mass_var(a_list, u) for u in subsets_a}
+    out = []
+    for m in masses.values():
+        out += [constraint({m: 1}, ">=", 0), constraint({m: 1}, "<=", 1)]
+    out.append(constraint({m: 1 for m in masses.values()}, "=", 1))
+    for a_sub in subsets_a[:-1]:
+        for r in range(len(a_sub) + 1):
+            for u_sub in combinations(sorted(a_sub), r):
+                coeffs = {set_mass_var(a_sub, u_sub): 1}
+                for u, m in masses.items():
+                    if u & a_sub == frozenset(u_sub):
+                        coeffs[m] = -1
+                out.append(constraint(coeffs, "=", 0))
+    out += [normalized_pair_row(s1, s2) for s1, s2 in combinations(a_list, 2)]
+    for alpha in dict.fromkeys(delta):
+        out.append(set_formula_row(alpha, _set_masses(tuple(sorted(alpha.symbols())))))
+    return [c for c in out if c.terms]
 
 
 def decide_rows(f):
@@ -395,17 +450,25 @@ def normalized_translate_literal(lit):
     return disjuncts
 
 
+@cache
+def _set_masses(symbols):
+    """Each valuation of ``symbols``, as the set it makes true, to its mass."""
+    return {u: set_mass_var(symbols, u) for u in valuation_sets(symbols)}
+
+
 def normalized_row(system, name):
     """The row of a DecideSystem called ``name``, a name it gives one of
     its rows."""
     kind = name[0]
     if kind == "pair":
         return normalized_pair_row(name[1], name[2])
+    if kind == "mass>=0":
+        u = {s for j, s in enumerate(system.a_p) if name[1] >> j & 1}
+        return constraint({set_mass_var(system.a_p, u): 1}, ">=", 0)
+    masses = _set_masses(tuple(system.a_p))
     if kind == "formula":
-        return set_formula_row(system.delta[name[1]], system.masses)
-    if kind == "sum":
-        return constraint({m: 1 for m in system.masses.values()}, "=", 1)
-    return constraint({system.masses[name[1]]: 1}, ">=", 0)
+        return set_formula_row(system.delta[name[1]], masses)
+    return constraint({m: 1 for m in masses.values()}, "=", 1)
 
 
 def tree_size(node):
@@ -759,12 +822,17 @@ def dense_projector_defect(m, tol=None):
     return None
 
 
+def up_projector(pqv):
+    """The projector of ``pqv`` as a dense tuple of rows."""
+    return pqv.projector.dense(czero(pqv.tol is None))
+
+
 def dense_compatible(a, b, tol=None):
     return matrices_equal(mat_mul(a, b), mat_mul(b, a), tol)
 
 
 def dense_is_observable(structure, alpha):
-    mats = [structure.pqv(s).up_projector for s in sorted(essential_symbols(alpha))]
+    mats = [up_projector(structure.pqv(s)) for s in sorted(essential_symbols(alpha))]
     return all(dense_compatible(a, b, structure.tol) for a, b in combinations(mats, 2))
 
 
@@ -773,7 +841,7 @@ def dense_prob(structure, alpha):
     products of its essential symbols, as in the paper's definition."""
     tol = structure.tol
     syms = sorted(essential_symbols(alpha))
-    mats = {s: structure.pqv(s).up_projector for s in syms}
+    mats = {s: up_projector(structure.pqv(s)) for s in syms}
     for a, b in combinations(mats.values(), 2):
         if not dense_compatible(a, b, tol):
             raise IncompatibleFamily("dense reference: incompatible family")
@@ -828,7 +896,7 @@ def build_observable(spec, symbol):
     if symbol not in spec.symbols:
         raise MissingSymbol(f"{symbol} is not in the generic base set")
     structure = build_generic(spec)
-    proj = structure.pqv(symbol).up_projector
+    proj = up_projector(structure.pqv(symbol))
     n = len(spec.symbols)
     j = spec.symbols.index(symbol)
     m = [list(row) for row in proj]
@@ -856,6 +924,11 @@ def closed(t):
     if isinstance(t, (Add, Mul)):
         return closed(t.left) and closed(t.right)
     return True
+
+
+def anf_variables(poly):
+    """The symbols that occur in some monomial of an ANF polynomial."""
+    return frozenset().union(*poly.monomials)
 
 
 def anf_evaluate(poly, valuation):

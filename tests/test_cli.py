@@ -190,6 +190,11 @@ def test_genmodel_malformed_nc_pair_is_spec_invalid(capsys):
     assert err.startswith("error[spec-invalid]:")
 
 
+def test_genmodel_names_the_symbols_of_a_malformed_nc_pair(capsys):
+    code, out, err = invoke(capsys, "genmodel", "--symbols", "B1", "--nc", "B1,B1", "--masses", "1", "0")
+    assert (code, out, err) == (2, "", "error[spec-invalid]: malformed nc pair [B1]\n")
+
+
 _STRUCTURE = {"dim": 2, "state": ["1", "0"], "pqvs": {"B1": [["1", "0"], ["0", "0"]]}}
 
 

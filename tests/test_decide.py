@@ -361,8 +361,8 @@ def test_search_rejects_a_structure_without_its_incompatible_pairs(monkeypatch):
     """The witness is right but the structure built from it lacks the
     incompatible pair the countermodel needs; satisfaction catches it."""
 
-    def without_nc(base, masses, witness):
-        _, rho, spec = genmodel.structure_of_witness(base, masses, witness)
+    def without_nc(base, system, witness):
+        _, rho, spec = genmodel.structure_of_witness(base, system, witness)
         spec = GenericModelSpec(spec.symbols, frozenset(), spec.masses)
         return build_generic(spec), rho, spec
 
@@ -577,6 +577,16 @@ _MALFORMED = {
     "pair-one-symbol": _citing(("pair", 1)),
     "formula-text-index": _citing(("formula", "x")),
     "mass-list-set": _citing(("mass>=0", [1])),
+    # the ladder's certificate cites the mass of code 1 over A_P = B1, B3:
+    # by its old set name, or by True, which equals 1 and hashes as 1
+    "mass-old-set-name": lambda p: _with_certificates(
+        p, _edit_entry("mass>=0", lambda e: [(("mass>=0", frozenset({PropSymbol(1)})), e[1])])
+    ),
+    "mass-code-true": lambda p: _with_certificates(
+        p, _edit_entry("mass>=0", lambda e: [(("mass>=0", True), e[1])])
+    ),
+    "mass-code-negative": _citing(("mass>=0", -1)),
+    "mass-code-past-a_p": _citing(("mass>=0", 4)),
     "text-multiplier": lambda p: _with_certificates(
         p, _edit_entry("mass>=0", lambda e: [(e[0], "1")])
     ),
@@ -808,7 +818,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "48 passed" in done.stdout
+    assert "52 passed" in done.stdout
 
 
 def test_no_assert_in_src():

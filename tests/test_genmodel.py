@@ -25,7 +25,7 @@ from plqo.translate import (
 )
 
 from formgen import gen_plqo, random_feasible_point
-from oracles import build_observable, dagger, matrices_equal, matrix_is_zero
+from oracles import build_observable, dagger, matrices_equal, matrix_is_zero, up_projector
 
 
 def B(i):
@@ -119,7 +119,7 @@ def test_single_symbol_uniform():
     spec = GenericModelSpec.make([B(1)], [], [Fraction(1, 2), Fraction(1, 2)])
     s = build_generic(spec)
     assert s.dim == 2
-    proj = s.pqv(B(1)).up_projector
+    proj = up_projector(s.pqv(B(1)))
     assert proj[0][0].is_zero() and proj[1][1] == C_ONE
     assert prob(s, atom(1)) == RadicalScalar.rational(Fraction(1, 2))
 
@@ -285,27 +285,33 @@ def test_structure_of_witness_builds_without_checking_the_system():
     w = {ProbVar.of(atom(1)): Fraction(1, 3), ProbVar.of(Neg(atom(1))): Fraction(2, 3)}
     w[PairVar(2, 3)] = Fraction(1)
     system = DecideSystem(phi)
-    structure, rho, spec = structure_of_witness(system.base, system.masses, w)
+    structure, rho, spec = structure_of_witness(system.base, system, w)
     checked = model_from_witness(phi, w)
     assert spec == checked[2] and rho == checked[1]
     assert structure.dim == checked[0].dim == 10
     w[PairVar(2, 3)] = Fraction(-1)  # outside the system, which bounds pairs below by 0
-    assert structure_of_witness(system.base, system.masses, w)[2].nc == frozenset()
+    assert structure_of_witness(system.base, system, w)[2].nc == frozenset()
     with pytest.raises(SpecInvalid, match="distribution system"):
         model_from_witness(phi, w)
 
 
 def test_structure_of_witness_places_masses_in_a_larger_base():
     """A system over A_P = {B3} placed in the base B1, B2, B3: its two
-    masses go to codes 0 and 4; a missing one is named."""
-    masses = DecideSystem(parse_plqo("P(B3) = 0")).masses
-    missing = masses[frozenset({B(3)})]
-    w = {masses[frozenset()]: Fraction(1, 2)}
+    masses go to codes 0 and 4; a missing one is named.  Over A_P = {B1,
+    B3}, each code's bits go to their symbols' places in the base."""
+    system = DecideSystem(parse_plqo("P(B3) = 0"))
+    unset, missing = system.masses
+    w = {unset: Fraction(1, 2)}
     with pytest.raises(WitnessIncomplete, match=re.escape(f"missing mass variable {missing}")):
-        structure_of_witness([B(1), B(2), B(3)], masses, w)
+        structure_of_witness([B(1), B(2), B(3)], system, w)
     w[missing] = Fraction(1, 2)
-    _, _, spec = structure_of_witness([B(1), B(2), B(3)], masses, w)
+    _, _, spec = structure_of_witness([B(1), B(2), B(3)], system, w)
     assert spec.masses == (Fraction(1, 2), 0, 0, 0, Fraction(1, 2), 0, 0, 0)
+    # A_P = B1, B3: its codes 0..3 go to the codes 0, 1, 4 and 5 of the base
+    system = DecideSystem(parse_plqo("P(B3 & B1) = 0 -> O(B2)"))
+    w = {m: Fraction(k + 1, 10) for k, m in enumerate(system.masses)}
+    _, _, spec = structure_of_witness(system.base, system, w)
+    assert spec.masses == tuple(Fraction(k, 10) for k in (1, 2, 0, 0, 3, 4, 0, 0))
 
 
 def test_witness_model_equivalence_corpus():

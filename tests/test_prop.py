@@ -29,7 +29,6 @@ from plqo.prop import (
     phi_A_U,
     print_prop,
     truth_table,
-    valuation_sets,
 )
 from plqo.syntax import ONE, ObsAtom, PImpl, PNeg, ProbAtom, fraction
 
@@ -38,9 +37,11 @@ from oracles import (
     all_valuations,
     anf_by_valuation,
     anf_evaluate,
+    anf_variables,
     essential_symbols_bruteforce,
     eval_formula,
     satisfying_sets,
+    valuation_sets,
 )
 
 
@@ -131,6 +132,11 @@ def test_phi_a_u():
         phi_A_U({PropSymbol(1)}, {PropSymbol(2)})
 
 
+def test_phi_a_u_names_the_symbols_in_its_error():
+    with pytest.raises(UNotSubset, match=r"^\[B2, B3\] is not a subset of \[B1, B3\]$"):
+        phi_A_U({PropSymbol(3), PropSymbol(1)}, {PropSymbol(2), PropSymbol(3)})
+
+
 def test_phi_a_u_conjunction_order():
     a = [PropSymbol(3), PropSymbol(1)]
     f = phi_A_U(a, a)
@@ -211,7 +217,7 @@ def test_anf_matches_the_per_valuation_reference():
     for f in formulas:
         poly = anf(f)
         assert poly == anf_by_valuation(f), print_prop(f)
-        assert essential_symbols(f) == poly.variables()
+        assert essential_symbols(f) == anf_variables(poly)
         assert is_tautology(f) == (str(poly) == "1")
 
 

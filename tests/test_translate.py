@@ -17,7 +17,6 @@ from plqo.prop import (
     canonical_text,
     conj,
     phi_A_U,
-    valuation_sets,
 )
 from plqo.syntax import (
     ONE,
@@ -57,6 +56,7 @@ from formgen import (
     chain,
     conj_text,
     distribution_point,
+    gen_classical,
     gen_plqo,
     iff_chain,
     obs_ladder,
@@ -70,6 +70,9 @@ from oracles import (
     normalized_row,
     normalized_translate_literal,
     set_formula_row,
+    set_mass_var,
+    set_q_adams,
+    valuation_sets,
 )
 
 
@@ -109,7 +112,7 @@ def test_q_adams_random_points_feasible():
 def test_q_adams_rejects_inconsistent_marginal():
     base = syms(1, 2)
     point = random_feasible_point(random.Random(1), base, [])
-    point[mass_var(frozenset(base[:1]), frozenset(base[:1]))] += Fraction(1, 7)
+    point[mass_var(base[:1], 1)] += Fraction(1, 7)
     assert not constraints_hold(q_adams(base, []), point)
 
 
@@ -190,7 +193,7 @@ def test_q_decide_grows_with_the_symbols_under_p():
     assert len(a_p) == 2 and len(system.base) == 12
     q = decide_rows(phi)
     assert len(q) <= len(system.delta) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
-    masses = {mass_var(a_p, frozenset(u)) for r in range(3) for u in combinations(a_p, r)}
+    masses = {set_mass_var(a_p, u) for u in valuation_sets(a_p)}
     assert len(masses) == 4
     prob_vars = {v for c in q for v, _ in c.terms if isinstance(v, ProbVar)}
     assert prob_vars <= masses | {ProbVar.of(a) for a in system.delta}
@@ -279,10 +282,11 @@ def test_formula_rows_equal_the_set_based_reference():
         system = DecideSystem(f)
         widths.add(len(system.a_p))
         for k, alpha in enumerate(system.delta):
-            row, expected = system.row(("formula", k)), set_formula_row(alpha, system.masses)
+            by_set = dict(zip(valuation_sets(system.a_p), system.masses))
+            row, expected = system.row(("formula", k)), set_formula_row(alpha, by_set)
             assert row == expected and str(row) == str(expected), (f, alpha)
             b_alpha = sorted(alpha.symbols())
-            masses = {u: mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}
+            masses = {u: set_mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}
             expected = set_formula_row(alpha, masses)
             if expected.terms:
                 assert q_adams(b_alpha, [alpha])[-1] == expected, alpha
@@ -322,7 +326,7 @@ def test_rows_built_in_normal_form_equal_the_normalized_ones():
     kinds = set()
     for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
         system = DecideSystem(f)
-        names = [("mass>=0", u) for u in system.masses] + [("sum",)]
+        names = [("mass>=0", k) for k in range(len(system.masses))] + [("sum",)]
         names += [("pair", s1, s2) for s1, s2 in combinations(system.base, 2)]
         names += [("formula", k) for k in range(len(system.delta))]
         for name in names:
@@ -450,22 +454,54 @@ def test_constraint_rendering_stable():
 
 @pytest.mark.parametrize("idx", [(), (4,), (1, 2), (1, 2, 3), (2, 5, 9), (1, 3, 4, 7, 12)])
 def test_mass_var_is_the_text_of_phi_a_u(idx):
+    """Every code of up to five symbols names the text of phi_A_U of the
+    set it makes true, as the set-based reference does."""
     a = syms(*idx)
-    for r in range(len(a) + 1):
-        for u in combinations(a, r):
-            expected = ProbVar(canonical_text(phi_A_U(a, u)))
-            assert mass_var(a, frozenset(u)) == expected
-            assert mass_var(set(a), set(u)) == expected
-    with pytest.raises(UNotSubset):
-        mass_var(a, frozenset(syms(13)))
+    for code, u in enumerate(valuation_sets(a)):
+        expected = ProbVar(canonical_text(phi_A_U(a, u)))
+        assert mass_var(a, code) == expected == set_mass_var(a, u)
+    for code in (-1, 1 << len(a)):
+        with pytest.raises(UNotSubset):
+            mass_var(a, code)
+
+
+def test_mass_var_at_sixteen_symbols():
+    """Sampled codes of the widest A_P, the one valuation budget of 16
+    symbols, and its first and last codes."""
+    a = syms(*range(1, 17))
+    rng = random.Random(20261020)
+    for code in [0, (1 << 16) - 1] + [rng.randrange(1 << 16) for _ in range(200)]:
+        u = {s for j, s in enumerate(a) if code >> j & 1}
+        assert mass_var(a, code) == ProbVar(canonical_text(phi_A_U(a, u))) == set_mass_var(a, u)
 
 
 def test_mass_var_texts():
     b1, b2, b3 = syms(1, 2, 3)
-    assert mass_var([b1, b2, b3], frozenset()).key == "!B1&(!B2&!B3)"
-    assert mass_var({b2, b1}, {b1}).key == "B1&!B2"
-    assert mass_var([b1], frozenset()).key == "!B1"
-    assert mass_var([], frozenset()).key == "T"
+    assert mass_var([b1, b2, b3], 0).key == "!B1&(!B2&!B3)"
+    assert mass_var([b1, b2], 1).key == "B1&!B2"
+    assert mass_var([b1, b2, b3], 0b110).key == "!B1&(B2&B3)"
+    assert mass_var([b1], 0).key == "!B1"
+    assert mass_var([], 0).key == "T"
+    with pytest.raises(UNotSubset, match=r"^code 4 names no valuation of \[B1, B2\]$"):
+        mass_var([b1, b2], 4)
+
+
+def test_q_adams_equals_the_set_based_reference():
+    """q_adams over codes gives the rows of the set-based reference, row for
+    row and term for term, over zero to six symbols, with formgen deltas,
+    a repeated formula and formulas whose row is 0 = 0."""
+    rng = random.Random(20261022)
+    for n in range(7):
+        base = syms(*sorted(rng.sample(range(1, 12), n)))
+        indices = [s.index for s in base]
+        for _ in range(3 if n < 6 else 1):
+            delta = [VERUM, phi_A_U(base[:1], base[:1])]
+            if base:
+                delta += [gen_classical(rng, indices, rng.randint(0, 3)) for _ in range(3)]
+            delta.append(delta[-1])
+            q, reference = q_adams(base, delta), set_q_adams(base, delta)
+            assert [str(c) for c in q] == [str(c) for c in reference], (base, delta)
+            assert q == reference
 
 
 @pytest.mark.parametrize(
@@ -479,15 +515,18 @@ def test_mass_rows_equal_the_normalized_constraints(phi):
     system = DecideSystem(PNeg(phi))
     assert len(system.masses) == 16
     names = [name for name, _ in system.rows() if name[0].startswith("mass")]
-    assert names == [("mass>=0", u) for u in system.masses]
-    for u, m in system.masses.items():
-        row, expected = system.row(("mass>=0", u)), constraint({m: 1}, ">=", 0)
+    assert names == [("mass>=0", k) for k in range(16)]
+    for k, m in enumerate(system.masses):
+        row, expected = system.row(("mass>=0", k)), constraint({m: 1}, ">=", 0)
         assert row == expected and hash(row) == hash(expected) and str(row) == str(expected)
         with pytest.raises(VerificationFailed):
-            system.row(("mass<=1", u))
+            system.row(("mass<=1", k))
+    for bad in (True, -1, 16, 16.0, 1 << 64, frozenset()):
+        with pytest.raises(VerificationFailed):
+            system.row(("mass>=0", bad))
     q = q_adams(system.base, system.delta)
     for u in valuation_sets(system.base):
-        m = mass_var(system.base, u)
+        m = set_mass_var(system.base, u)
         for expected in (constraint({m: 1}, ">=", 0), constraint({m: 1}, "<=", 1)):
             (row,) = [c for c in q if c == expected]
             assert hash(row) == hash(expected) and str(row) == str(expected)

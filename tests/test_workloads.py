@@ -18,6 +18,7 @@ from plqo.parser import parse_plqo
 from plqo.translate import PairVar
 
 from formgen import perfbench_workloads
+from oracles import valuation_sets
 
 # sha256 over "id<TAB>api<TAB>text...<LF>" per query, in workload order.
 PINNED = {
@@ -56,13 +57,13 @@ def _run(q):
     return decide.check_entail(formulas[:-1], formulas[-1])
 
 
-def _spec_by_make(base, masses, witness):
-    """The spec of a witness through ``GenericModelSpec.make``: each mass
-    placed at its code over ``base``, each pair with a positive variable
-    incompatible."""
+def _spec_by_make(base, system, witness):
+    """The spec of a witness of ``system`` through ``GenericModelSpec.make``:
+    each mass placed at the code over ``base`` of the set its valuation
+    makes true, each pair with a positive variable incompatible."""
     bit = {s: 1 << j for j, s in enumerate(base)}
     placed = [0] * (1 << len(base))
-    for u, var in masses.items():
+    for u, var in zip(valuation_sets(system.a_p), system.masses):
         placed[sum(bit[s] for s in u)] = witness[var]
     nc = [p for p in combinations(base, 2) if witness.get(PairVar.of(*p), 0) > 0]
     return GenericModelSpec.make(base, nc, placed)
@@ -75,9 +76,9 @@ def test_countermodel_specs_equal_their_normalized_form(workloads, monkeypatch, 
     with identical JSON text."""
     specs = []
 
-    def recorded(base, masses, witness):
-        out = genmodel.structure_of_witness(base, masses, witness)
-        specs.append((out[2], _spec_by_make(base, masses, witness)))
+    def recorded(base, system, witness):
+        out = genmodel.structure_of_witness(base, system, witness)
+        specs.append((out[2], _spec_by_make(base, system, witness)))
         return out
 
     monkeypatch.setattr(decide, "structure_of_witness", recorded)
