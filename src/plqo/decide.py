@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 from .errors import PlqoError, SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
@@ -105,15 +105,17 @@ def _refute(sent):
     """Case-split ``sent``'s literals against its system.  Returns
     ``sent`` carrying one certificate per branch when every branch is
     infeasible, else the first feasible branch's witness with the
-    system it satisfies.  A literal with no disjunct leaves no branch, and
-    the system is not built."""
-    branches = list(_branches(sent))
-    if not branches:
+    system it satisfies.  Branches are built one at a time, so a feasible
+    one ends the split before the rest exist.  A literal with no disjunct
+    leaves no branch, and the system is not built."""
+    branches = _branches(sent)
+    first = next(branches, None)
+    if first is None:
         return replace(sent, certificates=())
     system = DecideSystem(sent.formula())
     premise = system.rows()
     certificates = []
-    for branch in branches:
+    for branch in chain((first,), branches):
         rows = premise + _literal_rows(branch)
         result = lra.feasible([c for _, c in rows])
         if result:

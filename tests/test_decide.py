@@ -329,6 +329,24 @@ def test_a_sentence_with_no_branch_builds_no_system(monkeypatch):
     assert rcof.certificates == ()
 
 
+def test_the_search_stops_at_the_first_feasible_branch(monkeypatch):
+    """Sixteen negated P(B1 & B2) = c literals split into 3^16 branches.
+    The first, every pair variable positive, is feasible, so the search
+    builds that one branch and no other."""
+    pulled = []
+    branches = decide._branches
+
+    def counted(sent):
+        for branch in branches(sent):
+            pulled.append(branch)
+            yield branch
+
+    monkeypatch.setattr(decide, "_branches", counted)
+    phi = parse_plqo(" & ".join(f"!(P(B1 & B2) = 1/{k})" for k in range(2, 18)))
+    assert isinstance(check_sat(phi), Satisfiable)
+    assert len(pulled) == 1
+
+
 def test_a_model_is_checked_once_by_satisfaction(monkeypatch):
     """An Invalid and a Satisfiable verdict build the decider's system once
     and never translate the target: the structure is checked against the
