@@ -58,7 +58,8 @@ class RcofSentence:
     """The universally closed implication justifying one RR line: the
     distribution system of the derived implication, joined with the
     premise literals' translations, entails the conclusion literal's
-    translation.
+    translation.  That system is built from the literals' atoms
+    (:meth:`atoms`), without the implication itself.
 
     ``certificates`` holds one Farkas certificate per case-split branch of
     :meth:`literals`, in ``product`` order: the (row name, multiplier)
@@ -78,13 +79,18 @@ class RcofSentence:
             return concl
         return PImpl(pconj_all([l.formula() for l in self.premise_literals]), concl)
 
+    def atoms(self):
+        """The distinct atoms of the literals, premises then conclusion, in
+        first-occurrence order: those of :meth:`formula`."""
+        return tuple(dict.fromkeys([l.atom for l in self.premise_literals] + [self.conclusion.atom]))
+
     def literals(self):
         """The literals refuted together: the premises and the
         conclusion's complement."""
         return self.premise_literals + (self.conclusion.complement(),)
 
     def __str__(self):
-        system = DecideSystem(self.formula())
+        system = DecideSystem(self.atoms())
         base, delta = ",".join(map(str, system.base)), ",".join(f"({a})" for a in system.delta)
         parts = [f"Q[{base};{delta}]"] + [f"({l.formula()})^R" for l in self.premise_literals]
         concl = f"({self.conclusion.formula()})^R"
@@ -112,7 +118,7 @@ def _refute(sent):
     first = next(branches, None)
     if first is None:
         return replace(sent, certificates=())
-    system = DecideSystem(sent.formula())
+    system = DecideSystem(sent.atoms())
     premise = system.rows()
     certificates = []
     for branch in chain((first,), branches):
@@ -156,7 +162,7 @@ def check_refutation(cited):
 def _check_certificates(sent):
     """Each case-split branch of ``sent`` refuted by its own certificate,
     over rows rebuilt here from their names."""
-    system = DecideSystem(sent.formula())
+    system = DecideSystem(sent.atoms())
     branches = list(_branches(sent))
     certificates = sent.certificates
     verify(type(certificates) is tuple, "the certificates are not a tuple")
@@ -417,7 +423,7 @@ def _search(target, conclusion):
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
     disjuncts = nnf_dnf_literals(target)
-    base = DecideSystem(target).base  # checks the symbol budget on B_phi(target)
+    base = DecideSystem.of(target).base  # checks the symbol budget on B_phi(target)
     sentences = []
     for lits in disjuncts:
         found = _refute(RcofSentence(tuple(lits[:-1]), lits[-1].complement()))

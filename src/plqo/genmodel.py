@@ -186,7 +186,7 @@ def model_from_witness(phi, witness):
     """``structure_of_witness`` for a witness from outside the decider: its
     fit to the decider's system for ``phi`` and the satisfaction
     equivalence are verified."""
-    system = DecideSystem(phi)
+    system = DecideSystem.of(phi)
     if not constraints_hold([c for _, c in system.rows()], witness):
         raise SpecInvalid("witness does not satisfy the distribution system")
     structure, rho, spec = structure_of_witness(system.base, system, witness)

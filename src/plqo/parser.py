@@ -1,4 +1,4 @@
-"""Recursive-descent parser and printers for the surface grammar.
+"""Precedence-climbing parser and printers for the surface grammar.
 
 Classical formulas: atoms ``B1``, ``B2``, ...; ``T``; ``F``; ``!``, ``&``,
 ``|``, ``->`` (right-associative), ``<->``; parentheses.
@@ -7,14 +7,16 @@ Full formulas add the atomic forms ``O(alpha)`` and ``P(alpha) CMP term``
 with CMP in ``= < <= > >=``; terms are integer literals, fractions ``n/m``,
 variables ``x<k>``, ``+``, ``-``, ``*`` and parentheses.  ASCII only.
 
-Both sorts share one connective grammar: one precedence ladder parses
-them, given the sort's constructors, and ``prop.print_connectives``
-prints them, given the sort's atoms.
+Both sorts share one connective grammar: one precedence-climbing loop,
+keyed by ``prop.PREC_IFF`` ... ``prop.PREC_AND``, parses them given the
+sort's constructors, and ``prop.print_connectives`` prints them at the
+same precedences given the sort's atoms.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import BudgetExceeded, ParseError
@@ -23,17 +25,10 @@ from .prop import Atom, Impl, Neg, PropSymbol, VERUM, FALSUM
 from . import syntax as sx
 from .syntax import Add, Const, Mul, NumVar, ObsAtom, PImpl, PNeg, ProbAtom, TNeg, fraction, numeral
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<sym>B[0-9]+)
-  | (?P<var>x[0-9]+)
-  | (?P<int>[0-9]+)
-  | (?P<op><->|->|<=|>=|[TFOP()!&|=<>+\-*/])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# A token, or any other non-space character, which _tokenize rejects
+_TOKEN_RE = re.compile(r"B[0-9]+|x[0-9]+|[0-9]+|<->|->|<=|>=|\S")
+_OPERATORS = frozenset(("<->", "->", "<=", ">=", *"TFOP()!&|=<>+-*/"))
+_DIGITS = frozenset("0123456789")
 
 
 # Longest digit run accepted in a numeral, symbol or variable index; it
@@ -53,11 +48,10 @@ MAX_UNFOLDED = 1 << 16
 # The classes of tree nodes, whose fields unfolded counts into a node's size
 _NODE_CLASSES = (prop.PropFormula, sx.PlqoFormula, sx.RcofTerm)
 
-
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # offset in the text; _where turns it into a line:column
+# How tightly each binary connective binds, as prop.print_connectives
+# prints it; the right operand of a right-grouping one opens a level
+_BINDING = {"<->": prop.PREC_IFF, "->": prop.PREC_IMPL, "|": prop.PREC_OR, "&": prop.PREC_AND}
+_GROUPS_RIGHT = frozenset(("->", "|"))
 
 
 def _where(text, pos):
@@ -65,24 +59,30 @@ def _where(text, pos):
     return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
 
 
+def _token_where(text, i):
+    """The (line, column) of the i-th token of ``text``, or of its end past
+    the last token; offsets are found only for the error that needs one."""
+    m = next(islice(_TOKEN_RE.finditer(text), i, None), None)
+    return _where(text, len(text) if m is None else m.start())
+
+
 def _tokenize(text):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
+    """The token texts of ``text`` and ``""`` for its end.  A token that is
+    no operator is a word, whose first character gives its kind: ``B`` a
+    symbol, ``x`` a variable, a digit a numeral."""
+    tokens = _TOKEN_RE.findall(text)
+    for i, tok in enumerate(tokens):
+        if tok in _OPERATORS:
             continue
-        chunk = m.group()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {chunk!r}", *_where(text, m.start()))
-        if kind in ("sym", "var", "int"):
-            digits = len(chunk) - (kind != "int")
-            if digits > MAX_DIGITS:
-                line, col = _where(text, m.start())
-                raise BudgetExceeded(
-                    f"{line}:{col}: numeral of {digits} digits exceeds budget {MAX_DIGITS}"
-                )
-        tokens.append(_Token(kind, chunk, m.start()))
-    tokens.append(_Token("eof", "", len(text)))
+        if tok[-1] not in _DIGITS:  # a lone character that is no token
+            raise ParseError(f"unexpected character {tok!r}", *_token_where(text, i))
+        digits = len(tok) - (tok[0] in "Bx")
+        if digits > MAX_DIGITS:
+            line, col = _token_where(text, i)
+            raise BudgetExceeded(
+                f"{line}:{col}: numeral of {digits} digits exceeds budget {MAX_DIGITS}"
+            )
+    tokens.append("")
     return tokens
 
 
@@ -95,31 +95,23 @@ class _Parser:
         # id(node) -> (depth, unfolded size, node); holding the node keeps its id unique
         self.built = {}
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def at(self, text):
-        return self.peek().text == text
-
     def accept(self, text):
-        if self.at(text):
+        if self.tokens[self.pos] == text:
             self.pos += 1
             return True
         return False
 
     def expect(self, text):
-        tok = self.peek()
-        if tok.text != text:
-            got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            self.fail(f"expected {text!r}, got {got}")
+        tok = self.tokens[self.pos]
+        if tok != text:
+            self.fail(f"expected {text!r}, got {repr(tok) if tok else 'end of input'}")
         self.pos += 1
-        return tok
 
     def fail(self, message):
-        raise ParseError(message, *_where(self.text, self.peek().pos))
+        raise ParseError(message, *_token_where(self.text, self.pos))
 
     def over_budget(self, message):
-        line, col = _where(self.text, self.peek().pos)
+        line, col = _token_where(self.text, self.pos)
         raise BudgetExceeded(f"{line}:{col}: {message}")
 
     def within_depth(self, depth):
@@ -175,45 +167,34 @@ class _Parser:
         return node
 
     def expect_eof(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.fail(f"trailing input starting at {tok.text!r}")
+        tok = self.tokens[self.pos]
+        if tok:
+            self.fail(f"trailing input starting at {tok!r}")
 
     # -- formulas of either sort -------------------------------------------
 
-    def formula(self, layer):
-        f = self.implication(layer)
-        while self.accept("<->"):
-            f = self.build(layer.iff, f, self.implication(layer))
-        return f
-
-    def implication(self, layer):
-        f = self.disjunction(layer)
-        if self.accept("->"):
-            return self.build(layer.impl, f, self.nested(self.implication, layer))
-        return f
-
-    def disjunction(self, layer):
-        # right-associative, matching the printer's flat rendering
-        f = self.conjunction(layer)
-        if self.accept("|"):
-            return self.build(layer.disj, f, self.nested(self.disjunction, layer))
-        return f
-
-    def conjunction(self, layer):
-        f = self.negation(layer)
-        while self.accept("&"):
-            f = self.build(layer.conj, f, self.negation(layer))
-        return f
-
-    def negation(self, layer):
-        return self.prefixed("!", layer.neg, layer.primary, self)
+    def formula(self, layer, prec=prop.PREC_IFF):
+        """A formula of ``layer``'s sort whose binary connectives outside
+        parentheses bind at ``prec`` or tighter, by precedence climbing:
+        ``<->`` and ``&`` group to the left, ``->`` and ``|`` to the right."""
+        f = self.prefixed("!", layer.neg, layer.primary, self)
+        while True:
+            op = self.tokens[self.pos]
+            binding = _BINDING.get(op, -1)
+            if binding < prec:
+                return f
+            self.pos += 1
+            if op in _GROUPS_RIGHT:
+                right = self.nested(self.formula, layer, binding)
+            else:
+                right = self.formula(layer, binding + 1)
+            f = self.build(layer.connectives[op], f, right)
 
     def c_primary(self):
-        tok = self.peek()
-        if tok.kind == "sym":
+        tok = self.tokens[self.pos]
+        if tok[:1] == "B":
             self.pos += 1
-            return Atom(PropSymbol(int(tok.text[1:])))
+            return Atom(PropSymbol(int(tok[1:])))
         if self.accept("T"):
             return VERUM
         if self.accept("F"):
@@ -225,7 +206,7 @@ class _Parser:
         self.fail("expected a classical formula")
 
     def p_primary(self):
-        head = self.peek().text
+        head = self.tokens[self.pos]
         if head in ("O", "P"):
             self.pos += 1
             self.expect("(")
@@ -239,11 +220,11 @@ class _Parser:
         self.fail("expected a formula")
 
     def p_comparison(self, alpha):
-        for cmp_text, make in _COMPARISONS:
-            if self.accept(cmp_text):
-                return self.build(make, alpha, self.nested(self.term))
-        self.fail("expected a comparison")
-
+        make = _COMPARISONS.get(self.tokens[self.pos])
+        if make is None:
+            self.fail("expected a comparison")
+        self.pos += 1
+        return self.build(make, alpha, self.nested(self.term))
 
     # -- terms ---------------------------------------------------------------
 
@@ -270,51 +251,49 @@ class _Parser:
         return self.prefixed("-", TNeg, self.t_primary)
 
     def t_primary(self):
-        tok = self.peek()
-        if tok.kind == "int":
+        tok = self.tokens[self.pos]
+        if tok[:1] in _DIGITS:
             self.pos += 1
             m = 1
             if self.accept("/"):
-                den = self.peek()
-                if den.kind != "int":
+                den = self.tokens[self.pos]
+                if den[:1] not in _DIGITS:
                     self.fail("expected a denominator")
-                m = int(den.text)
+                m = int(den)
                 if m == 0:
                     self.fail("zero denominator")
                 self.pos += 1
-            return fraction(int(tok.text), m)
-        if tok.kind == "var":
+            return fraction(int(tok), m)
+        if tok[:1] == "x":
             self.pos += 1
-            return NumVar(int(tok.text[1:]))
+            return NumVar(int(tok[1:]))
         if self.accept("("):
             t = self.nested(self.term)
             self.expect(")")
             return t
         self.fail("expected a term")
 
-_COMPARISONS = (
-    ("<=", sx.prob_le),
-    (">=", sx.prob_ge),
-    ("<", lambda alpha, t: ProbAtom(alpha, "<", t)),
-    (">", sx.prob_gt),
-    ("=", lambda alpha, t: ProbAtom(alpha, "=", t)),
-)
+_COMPARISONS = {
+    "<=": sx.prob_le,
+    ">=": sx.prob_ge,
+    "<": lambda alpha, t: ProbAtom(alpha, "<", t),
+    ">": sx.prob_gt,
+    "=": lambda alpha, t: ProbAtom(alpha, "=", t),
+}
 
 
 class _Layer(NamedTuple):
-    """The constructors one formula sort builds its connectives with, and
-    the parser method for its atoms."""
+    """How one formula sort is built: the constructor of each binary
+    connective, by token, that of negation, and the parser method for
+    its atoms."""
 
-    iff: object
-    impl: object
-    disj: object
-    conj: object
+    connectives: dict
     neg: object
     primary: object
 
 
-CLASSICAL = _Layer(prop.iff, Impl, prop.disj, prop.conj, Neg, _Parser.c_primary)
-PLQO = _Layer(sx.piff, PImpl, sx.pdisj, sx.pconj, PNeg, _Parser.p_primary)
+CLASSICAL = _Layer({"<->": prop.iff, "->": Impl, "|": prop.disj, "&": prop.conj}, Neg, _Parser.c_primary)
+PLQO = _Layer({"<->": sx.piff, "->": PImpl, "|": sx.pdisj, "&": sx.pconj}, PNeg, _Parser.p_primary)
 
 
 def parse_classical(text):

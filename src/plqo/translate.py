@@ -335,18 +335,20 @@ def q_of(f):
     """The paper's distribution system of a formula: ``Q`` over its symbols
     and the classical formulas of its probability atoms, as ``plqo
     translate`` prints it.  The decider solves :class:`DecideSystem` instead."""
-    system = DecideSystem(f)
+    system = DecideSystem.of(f)
     return q_adams(system.base, system.delta)
 
 
 class DecideSystem:
-    """The system the decider solves for a formula ``f``: one mass >= 0 per
-    valuation of ``A_P``, the symbols of the classical formulas under ``P``
-    in ``f``, the masses summing to one (so each is at most one), every
-    pair variable over ``B_phi`` nonnegative, and each formula variable
-    equal to the sum of the masses whose valuation satisfies it.  Its size
-    is linear in 2^|A_P| and quadratic in |B_phi|; the budget stays on
-    |B_phi|, the symbols a countermodel is built over.
+    """The system the decider solves over ``atoms``, the distinct atoms of
+    a formula in first-occurrence order: :meth:`of` reads them off a
+    formula, and a sentence's system is built from its literals' atoms
+    alone.  It has one mass >= 0 per valuation of ``A_P``, the symbols of
+    the classical formulas under ``P``, the masses summing to one (so each
+    is at most one), every pair variable over ``B_phi`` nonnegative, and
+    each formula variable equal to the sum of the masses whose valuation
+    satisfies it.  Its size is linear in 2^|A_P| and quadratic in |B_phi|;
+    the budget stays on |B_phi|, the symbols a countermodel is built over.
 
     Each row has a name, which a refutation certificate cites and
     :meth:`row` rebuilds alone:
@@ -360,9 +362,7 @@ class DecideSystem:
       classical formulas under ``P`` in first-occurrence order.
     """
 
-    def __init__(self, f):
-        # B_phi, delta and A_P from one walk of f
-        atoms = sx.atoms_of(f)
+    def __init__(self, atoms):
         self._base_set = frozenset().union(*(a.alpha.symbols() for a in atoms))
         self.base = sorted(self._base_set)
         if len(self.base) > prop.MAX_VALUATION_SYMBOLS:
@@ -370,6 +370,11 @@ class DecideSystem:
                                  f" exceeds budget {prop.MAX_VALUATION_SYMBOLS}")
         self.delta = list(dict.fromkeys(a.alpha for a in atoms if isinstance(a, ProbAtom)))
         self.a_p = sorted(frozenset().union(*(alpha.symbols() for alpha in self.delta)))
+
+    @classmethod
+    def of(cls, f):
+        """The system of formula ``f``, from one walk of its atoms."""
+        return cls(sx.atoms_of(f))
 
     @cached_property
     def masses(self):

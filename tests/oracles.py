@@ -78,8 +78,15 @@ shared part at each place it occurs, where plqo.parser records the size
 of each node it builds and reads a built part's record back.
 
 token_positions counts the line and column token by token, as the
-tokenizer first did, where plqo.parser keeps each token's offset and
-computes a line:column (parser._where) only for the error it raises.
+tokenizer first did, where plqo.parser finds the offset of a token
+only for the error it raises and computes its line:column there
+(parser._where).
+
+ladder_parse_plqo, ladder_parse_classical and ladder_parse_term are the
+parser as first written: a tokenizer that keeps each token's kind and
+offset, and one method per precedence level, where plqo.parser reads
+the token texts of one findall and climbs prop's precedences in one
+loop.
 
 tree_dnf_literals expands the DNF once per path through the formula and
 cleans up at the end, where plqo.syntax expands each shared subformula
@@ -105,24 +112,28 @@ tests need: whether a term is closed, an ANF polynomial's variables and
 value, and whether an exact scalar is rational or canonical.
 """
 
+import re
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from plqo.errors import (
-    BudgetExceeded, IncompatibleFamily, MissingSymbol, SpecInvalid, UNotSubset, verify
+    BudgetExceeded, IncompatibleFamily, MissingSymbol, ParseError, SpecInvalid, UNotSubset, verify
 )
 from plqo.genmodel import build_generic
 from plqo.hilbert import Matrix, czero
 from plqo.lra import DeltaRational, Feasible, Infeasible, _concretize, feasible
-from plqo.parser import _TOKEN_RE
+from plqo.parser import MAX_DEPTH, MAX_DIGITS, MAX_UNFOLDED, _NODE_CLASSES, _where
 from plqo.prop import (
-    MAX_VALUATION_SYMBOLS, AnfPoly, Atom, Impl, Neg, Verum, essential_symbols
+    FALSUM, MAX_VALUATION_SYMBOLS, VERUM, AnfPoly, Atom, Impl, Neg, PropSymbol, Verum, conj, disj,
+    essential_symbols, iff,
 )
 from plqo.scalars import C_ONE, C_ZERO, ComplexScalar, RadicalScalar
 from plqo.syntax import (
-    Add, Const, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term, is_atom
+    ONE, Add, Const, Mul, NumVar, ObsAtom, PImpl, PNeg, PlqoLiteral, ProbAtom, TNeg, eval_term,
+    fraction, is_atom, numeral, pconj, pdisj, piff, prob_ge, prob_gt, prob_le,
 )
 from plqo.translate import (
     DecideSystem,
@@ -387,7 +398,7 @@ def set_q_adams(a_set, delta):
 
 def decide_rows(f):
     """The rows of the decider's system for ``f``."""
-    return [c for _, c in DecideSystem(f).rows()]
+    return [c for _, c in DecideSystem.of(f).rows()]
 
 
 def rcof_holds_by_solving(sent):
@@ -505,6 +516,277 @@ def token_positions(text):
         pos += len(chunk)
     positions[pos] = (line, col)
     return positions
+
+
+# -- the parser as first written ----------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<sym>B[0-9]+)
+  | (?P<var>x[0-9]+)
+  | (?P<int>[0-9]+)
+  | (?P<op><->|->|<=|>=|[TFOP()!&|=<>+\-*/])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+class _LadderToken(NamedTuple):
+    kind: str
+    text: str
+    pos: int
+
+
+def _ladder_tokenize(text):
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        chunk = m.group()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {chunk!r}", *_where(text, m.start()))
+        if kind in ("sym", "var", "int"):
+            digits = len(chunk) - (kind != "int")
+            if digits > MAX_DIGITS:
+                line, col = _where(text, m.start())
+                raise BudgetExceeded(
+                    f"{line}:{col}: numeral of {digits} digits exceeds budget {MAX_DIGITS}"
+                )
+        tokens.append(_LadderToken(kind, chunk, m.start()))
+    tokens.append(_LadderToken("eof", "", len(text)))
+    return tokens
+
+
+class _LadderParser:
+    def __init__(self, text):
+        self.text = text
+        self.tokens = _ladder_tokenize(text)
+        self.pos = 0
+        self.open = 0
+        self.built = {}  # id(node) -> (depth, unfolded size, node)
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def accept(self, text):
+        if self.peek().text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text):
+        tok = self.peek()
+        if tok.text != text:
+            got = "end of input" if tok.kind == "eof" else repr(tok.text)
+            self.fail(f"expected {text!r}, got {got}")
+        self.pos += 1
+
+    def fail(self, message):
+        raise ParseError(message, *_where(self.text, self.peek().pos))
+
+    def over_budget(self, message):
+        line, col = _where(self.text, self.peek().pos)
+        raise BudgetExceeded(f"{line}:{col}: {message}")
+
+    def within_depth(self, depth):
+        if depth > MAX_DEPTH:
+            self.over_budget(f"nesting depth {depth} exceeds budget {MAX_DEPTH}")
+        return depth
+
+    def nested(self, parse, *args):
+        self.open = self.within_depth(self.open + 1)
+        out = parse(*args)
+        self.open -= 1
+        return out
+
+    def build(self, make, *parts):
+        depth = 0
+        for p in parts:
+            known = self.built.get(id(p))
+            if known is not None and known[0] > depth:
+                depth = known[0]
+        depth = self.within_depth(depth + 1)
+        node = make(*parts)
+        size = self.unfolded(node)
+        if size > MAX_UNFOLDED:
+            self.over_budget(f"formula unfolds to {size} nodes, budget {MAX_UNFOLDED}")
+        self.built[id(node)] = (depth, size, node)
+        return node
+
+    def unfolded(self, node):
+        known = self.built.get(id(node))
+        if known is not None:
+            return known[1]
+        size = 1
+        for name in node.__dataclass_fields__:
+            part = getattr(node, name)
+            if isinstance(part, _NODE_CLASSES):
+                size += self.unfolded(part)
+        return size
+
+    def prefixed(self, op, make, operand, *args):
+        count = 0
+        while self.accept(op):
+            count += 1
+        node = operand(*args)
+        for _ in range(count):
+            node = self.build(make, node)
+        return node
+
+    def expect_eof(self):
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.fail(f"trailing input starting at {tok.text!r}")
+
+    def formula(self, layer):
+        f = self.implication(layer)
+        while self.accept("<->"):
+            f = self.build(layer.iff, f, self.implication(layer))
+        return f
+
+    def implication(self, layer):
+        f = self.disjunction(layer)
+        if self.accept("->"):
+            return self.build(layer.impl, f, self.nested(self.implication, layer))
+        return f
+
+    def disjunction(self, layer):
+        f = self.conjunction(layer)
+        if self.accept("|"):
+            return self.build(layer.disj, f, self.nested(self.disjunction, layer))
+        return f
+
+    def conjunction(self, layer):
+        f = self.negation(layer)
+        while self.accept("&"):
+            f = self.build(layer.conj, f, self.negation(layer))
+        return f
+
+    def negation(self, layer):
+        return self.prefixed("!", layer.neg, layer.primary, self)
+
+    def c_primary(self):
+        tok = self.peek()
+        if tok.kind == "sym":
+            self.pos += 1
+            return Atom(PropSymbol(int(tok.text[1:])))
+        if self.accept("T"):
+            return VERUM
+        if self.accept("F"):
+            return FALSUM
+        if self.accept("("):
+            f = self.nested(self.formula, _LADDER_CLASSICAL)
+            self.expect(")")
+            return f
+        self.fail("expected a classical formula")
+
+    def p_primary(self):
+        head = self.peek().text
+        if head in ("O", "P"):
+            self.pos += 1
+            self.expect("(")
+            alpha = self.nested(self.formula, _LADDER_CLASSICAL)
+            self.expect(")")
+            return self.build(ObsAtom, alpha) if head == "O" else self.p_comparison(alpha)
+        if self.accept("("):
+            f = self.nested(self.formula, _LADDER_PLQO)
+            self.expect(")")
+            return f
+        self.fail("expected a formula")
+
+    def p_comparison(self, alpha):
+        for cmp_text, make in _LADDER_COMPARISONS:
+            if self.accept(cmp_text):
+                return self.build(make, alpha, self.nested(self.term))
+        self.fail("expected a comparison")
+
+    def term(self):
+        t = self.t_prod()
+        while True:
+            if self.accept("+"):
+                right = self.t_prod()
+                n = t.q if isinstance(t, Const) and t.q.denominator == 1 else 0
+                t = numeral(n + 1) if n and right == ONE else self.build(Add, t, right)
+            elif self.accept("-"):
+                t = self.build(Add, t, self.build(TNeg, self.t_prod()))
+            else:
+                return t
+
+    def t_prod(self):
+        t = self.t_unary()
+        while self.accept("*"):
+            t = self.build(Mul, t, self.t_unary())
+        return t
+
+    def t_unary(self):
+        return self.prefixed("-", TNeg, self.t_primary)
+
+    def t_primary(self):
+        tok = self.peek()
+        if tok.kind == "int":
+            self.pos += 1
+            m = 1
+            if self.accept("/"):
+                den = self.peek()
+                if den.kind != "int":
+                    self.fail("expected a denominator")
+                m = int(den.text)
+                if m == 0:
+                    self.fail("zero denominator")
+                self.pos += 1
+            return fraction(int(tok.text), m)
+        if tok.kind == "var":
+            self.pos += 1
+            return NumVar(int(tok.text[1:]))
+        if self.accept("("):
+            t = self.nested(self.term)
+            self.expect(")")
+            return t
+        self.fail("expected a term")
+
+
+_LADDER_COMPARISONS = (
+    ("<=", prob_le),
+    (">=", prob_ge),
+    ("<", lambda alpha, t: ProbAtom(alpha, "<", t)),
+    (">", prob_gt),
+    ("=", lambda alpha, t: ProbAtom(alpha, "=", t)),
+)
+
+
+class _Rungs(NamedTuple):
+    iff: object
+    impl: object
+    disj: object
+    conj: object
+    neg: object
+    primary: object
+
+
+_LADDER_CLASSICAL = _Rungs(iff, Impl, disj, conj, Neg, _LadderParser.c_primary)
+_LADDER_PLQO = _Rungs(piff, PImpl, pdisj, pconj, PNeg, _LadderParser.p_primary)
+
+
+def _ladder_parse(text, entry):
+    p = _LadderParser(text)
+    out = entry(p)
+    p.expect_eof()
+    return out
+
+
+def ladder_parse_classical(text):
+    return _ladder_parse(text, lambda p: p.formula(_LADDER_CLASSICAL))
+
+
+def ladder_parse_plqo(text):
+    return _ladder_parse(text, lambda p: p.formula(_LADDER_PLQO))
+
+
+def ladder_parse_term(text):
+    return _ladder_parse(text, _LadderParser.term)
 
 
 def tree_dnf_literals(f):

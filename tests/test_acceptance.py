@@ -153,7 +153,7 @@ def test_05_witness_model_equivalence():
     n_true = n_false = 0
     while n_pairs < 100:
         phi = gen_plqo(rng, [1, 2, 3], rng.randint(0, 2), allow_vars=True)
-        system = DecideSystem(phi)
+        system = DecideSystem.of(phi)
         base = system.base
         if len(base) > 3:
             continue

@@ -244,7 +244,7 @@ def test_valid_agrees_with_grid_search():
     checked_valid = 0
     for _ in range(25):
         phi = gen_plqo(rng, [1, 2], rng.randint(0, 2), atom_depth=2)
-        base = DecideSystem(phi).base
+        base = DecideSystem.of(phi).base
         if len(base) > 2:
             continue
         verdict = check_valid(phi)
@@ -314,9 +314,9 @@ def test_a_sentence_with_no_branch_builds_no_system(monkeypatch):
     certificate before its system is built, and the checker accepts it."""
     built = []
 
-    def counted(f):
-        built.append(f)
-        return DecideSystem(f)
+    def counted(atoms):
+        built.append(atoms)
+        return DecideSystem(atoms)
 
     monkeypatch.setattr(decide, "DecideSystem", counted)
     sent = RcofSentence((PlqoLiteral(True, ObsAtom(conj(atom(1), atom(2)))),),
@@ -396,9 +396,9 @@ def test_countermodel_lifted_from_a_smaller_a_p():
     B3: the witness's two masses are placed in the target's base with B1
     and B2 false."""
     phi = parse_plqo("P(B3) = 0 & P(B1 | B2) = 1/4")
-    (lits, _), target = nnf_dnf_literals(PNeg(phi)), DecideSystem(PNeg(phi))
+    (lits, _), target = nnf_dnf_literals(PNeg(phi)), DecideSystem.of(PNeg(phi))
     sentence = RcofSentence(tuple(lits[:-1]), lits[-1].complement())
-    assert DecideSystem(sentence.formula()).a_p == [PropSymbol(3)]
+    assert DecideSystem.of(sentence.formula()).a_p == [PropSymbol(3)]
     assert target.a_p == [PropSymbol(i) for i in (1, 2, 3)]
     verdict = check_valid(phi)
     assert isinstance(verdict, Invalid)
@@ -524,7 +524,7 @@ def test_proof_checker_rejects_a_row_outside_the_system(name):
     it was: only the name check can reject it."""
     proof = _ladder_proof()
     _, sent = _sentence_line(proof)
-    system = DecideSystem(sent.formula())
+    system = DecideSystem.of(sent.formula())
     assert len(system.delta) == 2 and system.base == [PropSymbol(i) for i in (1, 2, 3)]
     with pytest.raises(VerificationFailed):
         check_proof(_with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),)))

@@ -217,7 +217,7 @@ def test_json_roundtrip():
 
 def test_model_from_witness_obs_negative():
     phi = parse_plqo("!(O(B1 & B2))")
-    base = DecideSystem(phi).base
+    base = DecideSystem.of(phi).base
     w = random_feasible_point(random.Random(3), base, [])
     w[PairVar(1, 2)] = Fraction(1)
     structure, rho, spec = model_from_witness(phi, w)
@@ -284,7 +284,7 @@ def test_structure_of_witness_builds_without_checking_the_system():
     phi = parse_plqo("O(B2 & B3) -> P(B1) = 1/3")
     w = {ProbVar.of(atom(1)): Fraction(1, 3), ProbVar.of(Neg(atom(1))): Fraction(2, 3)}
     w[PairVar(2, 3)] = Fraction(1)
-    system = DecideSystem(phi)
+    system = DecideSystem.of(phi)
     structure, rho, spec = structure_of_witness(system.base, system, w)
     checked = model_from_witness(phi, w)
     assert spec == checked[2] and rho == checked[1]
@@ -299,7 +299,7 @@ def test_structure_of_witness_places_masses_in_a_larger_base():
     """A system over A_P = {B3} placed in the base B1, B2, B3: its two
     masses go to codes 0 and 4; a missing one is named.  Over A_P = {B1,
     B3}, each code's bits go to their symbols' places in the base."""
-    system = DecideSystem(parse_plqo("P(B3) = 0"))
+    system = DecideSystem.of(parse_plqo("P(B3) = 0"))
     unset, missing = system.masses
     w = {unset: Fraction(1, 2)}
     with pytest.raises(WitnessIncomplete, match=re.escape(f"missing mass variable {missing}")):
@@ -308,7 +308,7 @@ def test_structure_of_witness_places_masses_in_a_larger_base():
     _, _, spec = structure_of_witness([B(1), B(2), B(3)], system, w)
     assert spec.masses == (Fraction(1, 2), 0, 0, 0, Fraction(1, 2), 0, 0, 0)
     # A_P = B1, B3: its codes 0..3 go to the codes 0, 1, 4 and 5 of the base
-    system = DecideSystem(parse_plqo("P(B3 & B1) = 0 -> O(B2)"))
+    system = DecideSystem.of(parse_plqo("P(B3 & B1) = 0 -> O(B2)"))
     w = {m: Fraction(k + 1, 10) for k, m in enumerate(system.masses)}
     _, _, spec = structure_of_witness(system.base, system, w)
     assert spec.masses == tuple(Fraction(k, 10) for k in (1, 2, 0, 0, 3, 4, 0, 0))
@@ -321,7 +321,7 @@ def test_witness_model_equivalence_corpus():
     n_true = n_false = 0
     for _ in range(120):
         phi = gen_plqo(rng, [1, 2, 3], rng.randint(0, 2), atom_depth=2, allow_vars=True)
-        system = DecideSystem(phi)
+        system = DecideSystem.of(phi)
         base = system.base
         if len(base) > 3:
             continue

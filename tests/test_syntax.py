@@ -51,8 +51,16 @@ from plqo.syntax import (
     term_of_fraction,
 )
 
-from formgen import gen_plqo, gen_term
-from oracles import closed, token_positions, tree_dnf_literals, tree_size
+from formgen import gen_classical, gen_plqo, gen_term
+from oracles import (
+    closed,
+    ladder_parse_classical,
+    ladder_parse_plqo,
+    ladder_parse_term,
+    token_positions,
+    tree_dnf_literals,
+    tree_size,
+)
 
 
 def test_numeral_roundtrip():
@@ -251,7 +259,7 @@ def test_atoms_of_first_occurrence_order():
     assert len(atoms) == 2
     assert isinstance(atoms[0], ProbAtom)
     assert isinstance(atoms[1], ObsAtom)
-    assert DecideSystem(f).delta == [atom(1)]
+    assert DecideSystem.of(f).delta == [atom(1)]
 
 
 def _truth(f, lit_values):
@@ -438,6 +446,85 @@ def test_recorded_sizes_are_the_tree_sizes():
             records += 1
         assert p.unfolded(f) == tree_size(f) <= MAX_UNFOLDED
     assert records > 2000
+
+
+def _parsed(parse, text):
+    """The tree ``parse`` reads from ``text``, or its error's class and
+    message, line:column included."""
+    try:
+        return parse(text)
+    except (ParseError, BudgetExceeded) as e:
+        return type(e), str(e)
+
+
+# Pieces of text, well formed and not: lone letters that start no token, a
+# digit outside ASCII, numerals one digit past the budget, line breaks, tabs
+_FUZZ_PIECES = [
+    "O(", "P(", "O(B1)", "P(B2) = 1/2", "B1", "B12", "x3", "1", "1/2", "0", "/0", "/", "->",
+    "<->", "<-", "|", "&", "!", "(", ")", "=", "<", "<=", ">", ">=", "+", "-", "*", "T", "F",
+    " ", "\r\n", "\n", "\t", "B", "x", "B\u0661", "9" * (MAX_DIGITS + 1),
+    "B" + "1" * (MAX_DIGITS + 1), "x" + "2" * MAX_DIGITS, "#", "\u00e9", "\u00a0",
+]
+
+
+def test_parser_matches_the_ladder_parser():
+    """Each entry point reads the tree the ladder parser reads, or raises
+    the same error class with the same message and line:column, on a
+    seeded formgen corpus, on seeded piece-fuzz texts (random pieces, and
+    formgen texts with pieces spliced in), and on the depth shapes and
+    <-> chains at and one past their budgets."""
+    rng = random.Random(31)
+    corpus = []
+    for _ in range(700):
+        corpus.append(print_plqo(gen_plqo(rng, [1, 2, 3], 4, atom_depth=3, allow_vars=True)))
+        corpus.append(print_prop(gen_classical(rng, [1, 2, 3], 4)))
+        corpus.append(print_term(gen_term(rng, allow_vars=True)))
+    fuzz = ["".join(rng.choice(_FUZZ_PIECES) for _ in range(rng.randint(0, 12)))
+            for _ in range(6000)]
+    for _ in range(6000):
+        text = print_plqo(gen_plqo(rng, [1, 2, 3], 3, atom_depth=2, allow_vars=True))
+        for _ in range(rng.randint(1, 2)):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(_FUZZ_PIECES + [""]) + text[i + rng.randint(0, 3):]
+        fuzz.append(text)
+    caps = [make(n) for make in _DEPTH_SHAPES.values() for n in (MAX_DEPTH, MAX_DEPTH + 1)]
+    # 13 operands unfold within MAX_UNFOLDED, 14 past it
+    caps += [_iff_chain(a, n) for a in ("O(B1)", "B1") for n in (13, 14)]
+    caps += [f"P({_iff_chain('B1', n)}) = 1/2 -> O(B1)" for n in (13, 14)]
+    outcomes = {}
+    for text in corpus + fuzz + caps:
+        for parse, ladder in [(parse_plqo, ladder_parse_plqo),
+                              (parse_classical, ladder_parse_classical),
+                              (parse_term, ladder_parse_term)]:
+            got = _parsed(parse, text)
+            assert got == _parsed(ladder, text), (parse.__name__, text)
+            kind = got[0] if type(got) is tuple else "tree"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert len(corpus) >= 2000 and len(fuzz) >= 10000
+    assert min(outcomes.get(k, 0) for k in ("tree", ParseError, BudgetExceeded)) > 100, outcomes
+
+
+def _balanced_conjunction(leaves):
+    """``leaves`` copies of O(B1) joined by & as a balanced tree."""
+    if leaves == 1:
+        return "O(B1)"
+    half = _balanced_conjunction(leaves // 2)
+    return f"{half} & ({half})"
+
+
+def test_parse_time_is_linear_in_the_text():
+    """A balanced & tree of 8,192 atoms parses within 2 s, and with a
+    trailing & fails at its end within 2 s: a line:column found for every
+    token, not only for the error, would make both quadratic."""
+    text = _balanced_conjunction(8192)
+    assert len(text) == 81915
+    start = time.perf_counter()
+    parse_plqo(text)
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^1:81918: expected a formula$"):
+        parse_plqo(text + " &")
+    assert time.perf_counter() - start < 2
 
 
 def test_literal_complement():

@@ -162,7 +162,7 @@ def test_q_decide_agrees_with_the_papers_q():
     extended = refuted = 0
     for phi in formulas:
         target = PNeg(phi)
-        system = DecideSystem(target)
+        system = DecideSystem.of(target)
         delta = system.delta
         q = decide_rows(target)
         q_full = q_adams(system.base, delta)
@@ -188,7 +188,7 @@ def test_q_decide_grows_with_the_symbols_under_p():
     """prob-n12 puts two of its twelve symbols under P: its system has
     2^2 masses, not 3^12 marginals."""
     phi = PNeg(prob_ladder(12))
-    system = DecideSystem(phi)
+    system = DecideSystem.of(phi)
     a_p = system.a_p
     assert len(a_p) == 2 and len(system.base) == 12
     q = decide_rows(phi)
@@ -247,7 +247,7 @@ def test_no_system_row_repeats_or_is_constant():
     ]
     systems = dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi))
     for f in systems:
-        system = DecideSystem(f)
+        system = DecideSystem.of(f)
         named = system.rows()
         rows = [c for _, c in named]
         assert len(set(rows)) == len(rows) and all(c.terms for c in rows), f
@@ -279,7 +279,7 @@ def test_formula_rows_equal_the_set_based_reference():
         formulas.append(gen_plqo(rng, symbols, rng.randint(1, 3), atom_depth=3, allow_vars=True))
     widths, constant = set(), 0
     for f in formulas:
-        system = DecideSystem(f)
+        system = DecideSystem.of(f)
         widths.add(len(system.a_p))
         for k, alpha in enumerate(system.delta):
             by_set = dict(zip(valuation_sets(system.a_p), system.masses))
@@ -325,7 +325,7 @@ def test_rows_built_in_normal_form_equal_the_normalized_ones():
                  for _ in range(100)]
     kinds = set()
     for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
-        system = DecideSystem(f)
+        system = DecideSystem.of(f)
         names = [("mass>=0", k) for k in range(len(system.masses))] + [("sum",)]
         names += [("pair", s1, s2) for s1, s2 in combinations(system.base, 2)]
         names += [("formula", k) for k in range(len(system.delta))]
@@ -416,7 +416,7 @@ def test_literal_exclusivity_via_solver():
     for _ in range(40):
         phi = gen_plqo(rng, [1, 2], 0)
         lit = PlqoLiteral(True, phi)
-        base = DecideSystem(phi).base
+        base = DecideSystem.of(phi).base
         delta = [phi.alpha] if isinstance(phi, ProbAtom) else []
         premise = q_adams(base, delta)
         for pos in translate_literal(lit):
@@ -430,7 +430,7 @@ def test_eval_rcof_matches_pointwise():
     rng = random.Random(59)
     for _ in range(60):
         phi = gen_plqo(rng, [1, 2], rng.randint(0, 2))
-        system = DecideSystem(phi)
+        system = DecideSystem.of(phi)
         base = system.base
         delta = system.delta
         point = random_feasible_point(rng, base, delta, extra_pairs_positive=True)
@@ -512,7 +512,7 @@ def test_q_adams_equals_the_set_based_reference():
 def test_mass_rows_equal_the_normalized_constraints(phi):
     """The decider's masses are bounded below only, one row each, as they
     sum to one; the paper's Q bounds each of its masses in [0,1]."""
-    system = DecideSystem(PNeg(phi))
+    system = DecideSystem.of(PNeg(phi))
     assert len(system.masses) == 16
     names = [name for name, _ in system.rows() if name[0].startswith("mass")]
     assert names == [("mass>=0", k) for k in range(16)]

@@ -1,13 +1,16 @@
 """The benchmark's query texts are printed by ``print_plqo``, so a printer
 change can silently change what the benchmark measures: pin a digest of
 every query text per workload and seed.  The countermodels the workloads
-produce are checked against the spec's normalized form.
+produce are checked against the spec's normalized form, and the systems
+of the sentences they refute against the systems of those sentences'
+formulas.
 ``perfbench/workloads.py`` is imported, never written."""
 
 import contextlib
 import hashlib
 import io
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -15,9 +18,9 @@ import pytest
 from plqo import cli, decide, genmodel
 from plqo.genmodel import GenericModelSpec, spec_from_json, spec_to_json
 from plqo.parser import parse_plqo
-from plqo.translate import PairVar
+from plqo.translate import DecideSystem, PairVar
 
-from formgen import perfbench_workloads
+from formgen import gen_plqo, perfbench_workloads
 from oracles import valuation_sets
 
 # sha256 over "id<TAB>api<TAB>text...<LF>" per query, in workload order.
@@ -91,3 +94,37 @@ def test_countermodel_specs_equal_their_normalized_form(workloads, monkeypatch, 
         for other in (made, spec_from_json(spec_to_json(spec)["generic"])):
             assert other == spec
             assert json.dumps(spec_to_json(other)) == text
+
+
+@pytest.mark.parametrize("corpus", ["seed1", "seed2", "formgen"])
+def test_sentence_systems_from_literals_equal_those_from_formulas(workloads, monkeypatch, corpus):
+    """Every sentence the search builds, on both ladders and the mix at
+    seeds 1 and 2 and on a formgen corpus, gets from its literals' atoms
+    the system its formula gives: the same symbols, formulas, masses, rows
+    and row names, and the same row under each name."""
+    sentences = []
+    refute = decide._refute
+
+    def recorded(sent):
+        sentences.append(sent)
+        return refute(sent)
+
+    monkeypatch.setattr(decide, "_refute", recorded)
+    if corpus == "formgen":
+        rng = random.Random(31)
+        for _ in range(150):
+            decide.check_valid(gen_plqo(rng, [1, 2, 3], 3, atom_depth=2, allow_vars=True))
+    else:
+        for name in ("valid-ladder", "countermodel-ladder", "acceptance-mix"):
+            for q in workloads.build(name, int(corpus[-1])):
+                _run(q)
+    assert len(sentences) > 150
+    for sent in sentences:
+        mine, theirs = DecideSystem(sent.atoms()), DecideSystem.of(sent.formula())
+        assert (mine.base, mine.delta, mine.a_p, mine.masses) == (
+            theirs.base, theirs.delta, theirs.a_p, theirs.masses)
+        rows = mine.rows()
+        assert rows == theirs.rows()
+        names = [name for name, _ in rows] + [("formula", k) for k in range(len(mine.delta))]
+        for name in names:
+            assert mine.row(name) == theirs.row(name)
