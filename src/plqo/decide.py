@@ -16,8 +16,9 @@ turned into a verified finite quantum countermodel.  Satisfiability runs
 the same search on the formula itself: a feasible branch is a model, and
 refuting every disjunct proves the negation.
 
-The proof checker never runs the solver: it rebuilds the rows each
-certificate cites and checks one exact linear combination of them.
+The proof checker never runs the solver: it builds each sentence's rows
+once, as the search does, reads each row a certificate cites by its name,
+and checks one exact linear combination of them.
 """
 
 from __future__ import annotations
@@ -160,9 +161,12 @@ def check_refutation(cited):
 
 
 def _check_certificates(sent):
-    """Each case-split branch of ``sent`` refuted by its own certificate,
-    over rows rebuilt here from their names."""
-    system = DecideSystem(sent.atoms())
+    """Each case-split branch of ``sent`` refuted by its own certificate.
+    The sentence's system and each branch's literal rows are built once,
+    and each cited row is read from them by its name: a tuple of exact
+    ``str`` and ``int`` parts, so that no ``True``, ``1.0`` or ``int``
+    subclass, which equal and hash as an ``int``, matches a name."""
+    system = dict(DecideSystem(sent.atoms()).rows())
     branches = list(_branches(sent))
     certificates = sent.certificates
     verify(type(certificates) is tuple, "the certificates are not a tuple")
@@ -172,16 +176,18 @@ def _check_certificates(sent):
     )
     for branch, certificate in zip(branches, certificates):
         verify(type(certificate) is tuple, "a certificate is not a tuple")
-        literal_rows = _literal_rows(branch)
+        literal_rows = dict(_literal_rows(branch))
         cited = []
         for entry in certificate:
             if not (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is tuple):
                 raise VerificationFailed(f"{entry!r} is not a (row name, multiplier) pair")
             name, m = entry
-            # a literal row is found under the name _refute gave it; any
-            # other name must name a row of the system
-            row = next((c for n, c in literal_rows if n == name), None)
-            cited.append((system.row(name) if row is None else row, m))
+            row = None
+            if all(type(part) is str or type(part) is int for part in name):
+                row = system.get(name) or literal_rows.get(name)
+            if row is None:
+                raise VerificationFailed(f"no row of the system is named {name}")
+            cited.append((row, m))
         check_refutation(cited)
 
 

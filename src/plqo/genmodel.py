@@ -185,9 +185,12 @@ def structure_of_witness(base, system, witness):
 def model_from_witness(phi, witness):
     """``structure_of_witness`` for a witness from outside the decider: its
     fit to the decider's system for ``phi`` and the satisfaction
-    equivalence are verified."""
+    equivalence are verified.  That system bounds no pair variable, so
+    each of the witness's is checked nonnegative here, as ``Q`` bounds it."""
     system = DecideSystem.of(phi)
-    if not constraints_hold([c for _, c in system.rows()], witness):
+    if not constraints_hold([c for _, c in system.rows()], witness) or any(
+        value < 0 for v, value in witness.items() if isinstance(v, PairVar)
+    ):
         raise SpecInvalid("witness does not satisfy the distribution system")
     structure, rho, spec = structure_of_witness(system.base, system, witness)
     verify(

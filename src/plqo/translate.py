@@ -8,12 +8,16 @@ consumed by the feasibility solver.
 The decider's system (:class:`DecideSystem`) is that of Fagin, Halpern and
 Megiddo ("A logic for reasoning about probabilities", 1990): one mass per
 valuation of the symbols under ``P`` and each formula variable one sum of
-masses, with no marginal rows.  It is equisatisfiable with ``Q`` joined
-with any literal translations, because no row of ``Q`` holds both a mass
-and a pair variable and a formula variable only touches masses over its
-own symbols: a solution of ``Q`` marginalizes to the symbols under ``P``,
-and a solution over those extends to all of ``B_phi`` with every other
-symbol false.
+masses, with no marginal rows and no pair variables.  It is
+equisatisfiable with ``Q`` joined with any literal translations, because
+no row of ``Q`` holds both a mass and a pair variable and a formula
+variable only touches masses over its own symbols: a solution of ``Q``
+marginalizes to the symbols under ``P``, and a solution over those
+extends to all of ``B_phi`` with every other symbol false.  Of ``Q``'s
+pair bounds only those a literal needs are kept, in the literal's own
+translation: a pair variable occurs only pinned to zero or in a negative
+observability literal's strict sum, whose disjunct bounds each of its
+pairs.
 
 Every row is a :class:`LinConstraint` in one normal form.  The rows whose
 shape is fixed are written in it directly: a pair variable pinned to zero
@@ -31,9 +35,9 @@ from functools import cached_property
 from itertools import combinations
 from operator import attrgetter
 
-from .errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear, VerificationFailed
+from .errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from . import prop
-from .prop import PropSymbol, canonical_text
+from .prop import canonical_text
 from . import syntax as sx
 from .syntax import PNeg, PImpl, ProbAtom
 
@@ -343,28 +347,26 @@ class DecideSystem:
     """The system the decider solves over ``atoms``, the distinct atoms of
     a formula in first-occurrence order: :meth:`of` reads them off a
     formula, and a sentence's system is built from its literals' atoms
-    alone.  It has one mass >= 0 per valuation of ``A_P``, the symbols of
-    the classical formulas under ``P``, the masses summing to one (so each
-    is at most one), every pair variable over ``B_phi`` nonnegative, and
-    each formula variable equal to the sum of the masses whose valuation
-    satisfies it.  Its size is linear in 2^|A_P| and quadratic in |B_phi|;
-    the budget stays on |B_phi|, the symbols a countermodel is built over.
+    alone.  It is Fagin, Halpern and Megiddo's: one mass >= 0 per
+    valuation of ``A_P``, the symbols of the classical formulas under
+    ``P``, the masses summing to one (so each is at most one), and each
+    formula variable equal to the sum of the masses whose valuation
+    satisfies it.  It names no pair variable; a literal's translation
+    bounds the pairs it uses.  Its size is linear in 2^|A_P|; the budget
+    stays on |B_phi|, the symbols a countermodel is built over.
 
-    Each row has a name, which a refutation certificate cites and
-    :meth:`row` rebuilds alone:
+    Each row has a name, which a refutation certificate cites and the
+    proof checker finds among :meth:`rows`:
 
     - ``("mass>=0", k)``: the mass of the valuation of code ``k`` of
       ``A_P`` nonnegative;
     - ``("sum",)``: the masses summing to one;
-    - ``("pair", s1, s2)``: the pair variable of symbols s1 < s2 of
-      ``B_phi`` nonnegative;
     - ``("formula", k)``: the row of the k-th formula of ``delta``, the
       classical formulas under ``P`` in first-occurrence order.
     """
 
     def __init__(self, atoms):
-        self._base_set = frozenset().union(*(a.alpha.symbols() for a in atoms))
-        self.base = sorted(self._base_set)
+        self.base = sorted(frozenset().union(*(a.alpha.symbols() for a in atoms)))
         if len(self.base) > prop.MAX_VALUATION_SYMBOLS:
             raise BudgetExceeded(f"distribution system over {len(self.base)} symbols"
                                  f" exceeds budget {prop.MAX_VALUATION_SYMBOLS}")
@@ -383,29 +385,8 @@ class DecideSystem:
         valuation keeps its mass, with every other symbol false."""
         return tuple(mass_var(self.a_p, k) for k in range(1 << len(self.a_p)))
 
-    def row(self, name):
-        """The row called ``name``; VerificationFailed when no row of this
-        system has that name, whatever its shape."""
-        kind, n = (name[0], len(name)) if type(name) is tuple and name else ("", 0)
-        if (
-            kind == "pair" and n == 3
-            and type(name[1]) is PropSymbol and type(name[2]) is PropSymbol
-            and name[1] in self._base_set and name[2] in self._base_set
-            and name[1].index < name[2].index
-        ):
-            return _pair_row(name[1], name[2])
-        if kind == "formula" and n == 2 and type(name[1]) is int and 0 <= name[1] < len(self.delta):
-            # the masses are in code order over A_P, as the truth table reads them
-            return _formula_row(self.delta[name[1]], self.a_p, self.masses)
-        if kind == "sum" and n == 1:
-            return _sum_row(self.masses)
-        if kind == "mass>=0" and n == 2 and type(name[1]) is int and 0 <= name[1] < 1 << len(self.a_p):
-            return _mass_row(kind, mass_var(self.a_p, name[1]))
-        raise VerificationFailed(f"no row of the system is named {name}")
-
     def rows(self):
-        """(name, row) for every row, in order, without the identity 0 = 0;
-        each row is the one :meth:`row` builds from its name."""
+        """(name, row) for every row, in order, without the identity 0 = 0."""
         # No row is hashed away, as none repeats: rows of different kinds
         # differ in relation, right side or variables, and within a kind
         # each row has its own variable (delta has no repeats).  The one
@@ -413,8 +394,8 @@ class DecideSystem:
         masses = self.masses
         out = [(("mass>=0", k), _mass_row("mass>=0", m)) for k, m in enumerate(masses)]
         out.append((("sum",), _sum_row(masses)))
-        out += [(("pair", s1, s2), _pair_row(s1, s2)) for s1, s2 in combinations(self.base, 2)]
         for k, alpha in enumerate(self.delta):
+            # the masses are in code order over A_P, as the truth table reads them
             c = _formula_row(alpha, self.a_p, masses)
             if c.terms:
                 out.append((("formula", k), c))
@@ -442,22 +423,24 @@ def translate_literal(lit):
     """Disjunction of constraint conjunctions equivalent to a literal.
 
     A negative observability literal becomes the single disjunct asserting
-    the sum of its essential pair variables strictly positive (the
-    negation of all = 0 under the ambient >= 0); with at most one
-    essential symbol there is no pair and the disjunction is empty, i.e.
-    unsatisfiable.  A negative probability literal adds the comparison's
-    complement disjuncts.
+    the sum of its essential pair variables strictly positive, each of
+    those pair variables nonnegative; with at most one essential symbol
+    there is no pair and the disjunction is empty, i.e. unsatisfiable.  A
+    negative probability literal adds the comparison's complement
+    disjuncts.
     """
     if lit.positive:
         return [translate_atom(lit.atom)]
     alpha = lit.atom.alpha
-    ess = sorted(prop.essential_symbols(alpha))
-    # the sum of the pair variables > 0, in normal form: ascending pairs, each -1 < 0
-    pairs = tuple((PairVar(s1.index, s2.index), -1) for s1, s2 in combinations(ess, 2))
-    disjuncts = [[LinConstraint(pairs, "<", 0)]] if pairs else []
+    pairs = list(combinations(sorted(prop.essential_symbols(alpha)), 2))
+    disjuncts = []
+    if pairs:
+        # the sum of the pair variables > 0, in normal form: ascending pairs, each -1 < 0
+        strict = LinConstraint(tuple((PairVar(s1.index, s2.index), -1) for s1, s2 in pairs), "<", 0)
+        disjuncts.append([strict] + [_pair_row(s1, s2) for s1, s2 in pairs])
     if isinstance(lit.atom, ProbAtom):
         cmp_c = _comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)
-        disjuncts = disjuncts + negate_constraint(cmp_c)
+        disjuncts += negate_constraint(cmp_c)
     return disjuncts
 
 

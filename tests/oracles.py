@@ -445,7 +445,7 @@ def normalized_pair_row(s1, s2):
 def normalized_translate_literal(lit):
     """Disjunction of constraint conjunctions equivalent to a literal, a
     negative observability literal asserting the sum of its essential pair
-    variables positive."""
+    variables positive and each of them nonnegative."""
     alpha = lit.atom.alpha
     comparison = (
         [_comparison_constraint(alpha, lit.atom.cmp, lit.atom.term)]
@@ -454,8 +454,11 @@ def normalized_translate_literal(lit):
     if lit.positive:
         return [normalized_q_obs(essential_symbols(alpha)) + comparison]
     ess = sorted(essential_symbols(alpha))
-    pairs = {_pair_var(s1, s2): 1 for s1, s2 in combinations(ess, 2)}
-    disjuncts = [[constraint(pairs, ">", 0)]] if pairs else []
+    pairs = list(combinations(ess, 2))
+    disjuncts = []
+    if pairs:
+        strict = constraint({_pair_var(s1, s2): 1 for s1, s2 in pairs}, ">", 0)
+        disjuncts.append([strict] + [normalized_pair_row(s1, s2) for s1, s2 in pairs])
     for c in comparison:
         disjuncts += negate_constraint(c)
     return disjuncts
@@ -471,8 +474,6 @@ def normalized_row(system, name):
     """The row of a DecideSystem called ``name``, a name it gives one of
     its rows."""
     kind = name[0]
-    if kind == "pair":
-        return normalized_pair_row(name[1], name[2])
     if kind == "mass>=0":
         u = {s for j, s in enumerate(system.a_p) if name[1] >> j & 1}
         return constraint({set_mass_var(system.a_p, u): 1}, ">=", 0)

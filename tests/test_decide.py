@@ -578,6 +578,10 @@ def _with_conclusion_atom(proof, make):
     return _with_sentence(proof, conclusion=replace(conclusion, atom=make(conclusion.atom)))
 
 
+class _Int(int):
+    pass
+
+
 # prob-n3's proof is 1 RCOF, 2 RR 1, 3 TT, 4 MP 2,3
 _MALFORMED = {
     "mp-cites-a-later-line": lambda p: _with_line(p, 4, refs=(2, 5)),
@@ -605,6 +609,20 @@ _MALFORMED = {
     ),
     "mass-code-negative": _citing(("mass>=0", -1)),
     "mass-code-past-a_p": _citing(("mass>=0", 4)),
+    # cited with multiplier 0, so only the name check can reject them: the
+    # first three equal and hash as the name ("mass>=0", 1) of a row
+    "mass-code-true-cited": _citing(("mass>=0", True)),
+    "mass-code-float-one": _citing(("mass>=0", 1.0)),
+    "mass-code-int-subclass": _citing(("mass>=0", _Int(1))),
+    "mass-code-sixteen": _citing(("mass>=0", 16)),
+    "mass-code-float": _citing(("mass>=0", 16.0)),
+    "mass-code-wide": _citing(("mass>=0", 1 << 64)),
+    "mass-code-frozenset": _citing(("mass>=0", frozenset())),
+    "mass-upper-bound": _citing(("mass<=1", 0)),
+    # the decider's system has no pair rows, and drops its one identity
+    # 0 = 0, the row of P(B1 & B3), whose variable is a mass
+    "pair-of-the-base": _citing(("pair", PropSymbol(1), PropSymbol(3))),
+    "formula-dropped-identity": _citing(("formula", 0)),
     "text-multiplier": lambda p: _with_certificates(
         p, _edit_entry("mass>=0", lambda e: [(e[0], "1")])
     ),
@@ -714,10 +732,6 @@ def test_proof_checker_rejects_a_literal_subclass():
     )
     with pytest.raises(VerificationFailed):
         check_proof(proof)
-
-
-class _Int(int):
-    pass
 
 
 class _Str(str):
@@ -836,7 +850,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "52 passed" in done.stdout
+    assert "62 passed" in done.stdout
 
 
 def test_no_assert_in_src():

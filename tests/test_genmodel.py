@@ -289,7 +289,7 @@ def test_structure_of_witness_builds_without_checking_the_system():
     checked = model_from_witness(phi, w)
     assert spec == checked[2] and rho == checked[1]
     assert structure.dim == checked[0].dim == 10
-    w[PairVar(2, 3)] = Fraction(-1)  # outside the system, which bounds pairs below by 0
+    w[PairVar(2, 3)] = Fraction(-1)  # outside Q, which bounds pairs below by 0
     assert structure_of_witness(system.base, system, w)[2].nc == frozenset()
     with pytest.raises(SpecInvalid, match="distribution system"):
         model_from_witness(phi, w)

@@ -1,12 +1,11 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb
+from itertools import product
 
 import pytest
 
 from plqo.decide import RcofSentence, check_refutation
-from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear, VerificationFailed
+from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from plqo.genmodel import model_from_witness
 from plqo.lra import feasible
 from plqo.parser import parse_plqo
@@ -153,13 +152,29 @@ def _paper_point(spec, witness, delta):
 def test_q_decide_agrees_with_the_papers_q():
     """Each branch the search solves, over the decider's system and over
     the paper's Q: a witness, extended to B_phi by model_from_witness,
-    satisfies all of Q and the branch; a refuted branch is refuted on Q
-    too, by a Farkas certificate that check_refutation verifies."""
+    satisfies all of Q, its pair bounds included, and the branch; a
+    refuted branch is refuted on Q too, by a Farkas certificate that
+    check_refutation verifies.  The corpus puts negative O literals that
+    share pairs no literal pins in one branch: only their own translations
+    bound those pairs."""
     formulas = [ladder(n) for ladder in (prob_ladder, obs_ladder) for n in range(3, 7)]
     formulas += [chain(n, valid) for n in range(3, 7) for valid in (True, False)]
     rng = random.Random(20261021)
     formulas += [gen_plqo(rng, [1, 2, 3], 3, allow_vars=True) for _ in range(40)]
-    extended = refuted = 0
+    formulas += [
+        parse_plqo(t)
+        for t in (
+            "!(O(B1 & B2 & B3) | O(B2 & B3 & B4)) -> O(B1 & B4)",
+            "(!O(B1 & B2 & B3) & !O(B1 & B3 & B4) & O(B1 & B3)) -> O(B2 & B4)",
+            "!O(B1 & B2) -> !O(B1 & B2 & B3)",
+            "(P(B1 & B2) < 1/2 & !O(B2 & B3)) -> P(B1 | B3) = 1",
+            "(O(B1 & B2) & O(B2 & B3)) -> O(B1 & B2 & B3)",
+        )
+    ]
+    rng = random.Random(20261032)
+    formulas += [gen_plqo(rng, [1, 2, 3, 4, 5], 3, atom_depth=3, allow_vars=True)
+                 for _ in range(100)]
+    extended = refuted = incompatible = 0
     for phi in formulas:
         target = PNeg(phi)
         system = DecideSystem.of(target)
@@ -175,33 +190,32 @@ def test_q_decide_agrees_with_the_papers_q():
                     point = _paper_point(spec, result.witness, delta)
                     assert constraints_hold(q_full + branch, point)
                     extended += 1
+                    incompatible += bool(spec.nc)
                 else:
                     rows = q_full + branch
                     on_q = feasible(rows)
                     assert not on_q
                     check_refutation([(rows[i], m) for i, m in on_q.multipliers])
                     refuted += 1
-    assert extended > 40 and refuted > 40
+    assert extended > 40 and refuted > 40 and incompatible > 40
 
 
 def test_q_decide_grows_with_the_symbols_under_p():
     """prob-n12 puts two of its twelve symbols under P: its system has
-    2^2 masses, not 3^12 marginals."""
+    2^2 masses, not 3^12 marginals, and no pair variable."""
     phi = PNeg(prob_ladder(12))
     system = DecideSystem.of(phi)
     a_p = system.a_p
     assert len(a_p) == 2 and len(system.base) == 12
     q = decide_rows(phi)
-    assert len(q) <= len(system.delta) + 2 * 2 ** len(a_p) + 1 + comb(12, 2)
+    assert len(q) <= len(system.delta) + 2 ** len(a_p) + 1
     masses = {set_mass_var(a_p, u) for u in valuation_sets(a_p)}
     assert len(masses) == 4
     prob_vars = {v for c in q for v, _ in c.terms if isinstance(v, ProbVar)}
     assert prob_vars <= masses | {ProbVar.of(a) for a in system.delta}
-    # the pair rows are Q's, over all of B_phi: the simplex never moves a
-    # pair variable below zero, so no witness would show one missing
-    base = syms(*range(1, 13))
-    pairs = {constraint({PairVar.of(s1, s2): 1}, ">=", 0) for s1, s2 in combinations(base, 2)}
-    assert pairs <= set(q)
+    # Fagin, Halpern and Megiddo's system: a literal's translation bounds
+    # the pair variables it uses
+    assert not any(isinstance(v, PairVar) for c in q for v, _ in c.terms)
 
 
 def test_q_decide_budget_is_on_b_phi():
@@ -225,8 +239,8 @@ def test_no_system_row_repeats_or_is_constant():
     """Neither system hashes its rows, because none repeats: over every
     system the search builds for the workloads and a seeded corpus with T,
     F and mass-named P formulas, no two rows are equal, no row is constant,
-    DecideSystem drops only formula rows 0 = 0, and q_adams ignores
-    repeated delta entries."""
+    DecideSystem drops only the names of formula rows 0 = 0 and gives no
+    pair row, and q_adams ignores repeated delta entries."""
     workloads = perfbench_workloads()
     formulas = []
     for seed in (1, 2):
@@ -248,11 +262,13 @@ def test_no_system_row_repeats_or_is_constant():
     systems = dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi))
     for f in systems:
         system = DecideSystem.of(f)
-        named = system.rows()
-        rows = [c for _, c in named]
+        named = dict(system.rows())
+        rows = list(named.values())
+        assert len(named) == len(system.rows()), f
         assert len(set(rows)) == len(rows) and all(c.terms for c in rows), f
-        dropped = {("formula", k) for k in range(len(system.delta))} - {n for n, _ in named}
-        assert all(system.row(name) == constraint({}, "=", 0) for name in dropped), f
+        assert all(name[0] != "pair" for name in named), f
+        dropped = {("formula", k) for k in range(len(system.delta))} - set(named)
+        assert all(normalized_row(system, name) == constraint({}, "=", 0) for name in dropped), f
         q = q_adams(system.base, system.delta)
         assert len(set(q)) == len(q) and all(c.terms for c in q), f
         assert q_adams(system.base, system.delta + system.delta[::-1]) == q, f
@@ -263,7 +279,8 @@ def test_formula_rows_equal_the_set_based_reference():
     """A formula row read off one truth table, in code order, equals the
     set-based row over the same masses: in the decider's system over A_P
     of up to six symbols, and in q_adams over the formula's own symbols.
-    The corpus has T, F and mass-named P formulas, whose row is 0 = 0."""
+    The corpus has T, F and mass-named P formulas, whose row is 0 = 0 and
+    whose name the decider's system does not give."""
     rng = random.Random(20261019)
     formulas = [
         parse_plqo(t)
@@ -280,11 +297,16 @@ def test_formula_rows_equal_the_set_based_reference():
     widths, constant = set(), 0
     for f in formulas:
         system = DecideSystem.of(f)
+        named = dict(system.rows())
         widths.add(len(system.a_p))
         for k, alpha in enumerate(system.delta):
             by_set = dict(zip(valuation_sets(system.a_p), system.masses))
-            row, expected = system.row(("formula", k)), set_formula_row(alpha, by_set)
-            assert row == expected and str(row) == str(expected), (f, alpha)
+            expected = set_formula_row(alpha, by_set)
+            if expected.terms:
+                row = named[("formula", k)]
+                assert row == expected and str(row) == str(expected), (f, alpha)
+            else:
+                assert ("formula", k) not in named, (f, alpha)
             b_alpha = sorted(alpha.symbols())
             masses = {u: set_mass_var(b_alpha, u) for u in valuation_sets(b_alpha)}
             expected = set_formula_row(alpha, masses)
@@ -304,13 +326,14 @@ def _typed_row(c):
 
 
 def test_rows_built_in_normal_form_equal_the_normalized_ones():
-    """q_obs, the pair rows, the sum row and a negative observability
-    literal's sum of pair variables are built directly in normal form.
-    Each equals the row constraint() makes from its coefficient map, number
-    types included: every named row of every system the search builds, and
-    the translation of each atom's two literals, for the workloads at seeds
-    1 and 2, the -> and <-> chains at n=3..8 and a seeded corpus.  rows()
-    builds its rows without looking their names up, and gives row(name)'s."""
+    """q_obs, the mass and sum rows, and a negative observability literal's
+    sum of pair variables and pair bounds are built directly in normal
+    form.  Each equals the row constraint() makes from its coefficient map,
+    number types included: every named row of every system the search
+    builds, and the translation of each atom's two literals, for the
+    workloads at seeds 1 and 2, the -> and <-> chains at n=3..8 and a
+    seeded corpus.  rows() names every mass, the sum and each formula whose
+    row is not 0 = 0, in that order, and no pair."""
     workloads = perfbench_workloads()
     formulas = []
     for seed in (1, 2):
@@ -327,15 +350,12 @@ def test_rows_built_in_normal_form_equal_the_normalized_ones():
     for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
         system = DecideSystem.of(f)
         names = [("mass>=0", k) for k in range(len(system.masses))] + [("sum",)]
-        names += [("pair", s1, s2) for s1, s2 in combinations(system.base, 2)]
         names += [("formula", k) for k in range(len(system.delta))]
-        for name in names:
-            assert _typed_row(system.row(name)) == _typed_row(normalized_row(system, name)), name
-            kinds.add(name[0])
-        built = [(name, c) for name in names if (c := system.row(name)).terms]
+        expected = [(name, c) for name in names if (c := normalized_row(system, name)).terms]
         assert [(n, _typed_row(c)) for n, c in system.rows()] == [
-            (n, _typed_row(c)) for n, c in built
+            (n, _typed_row(c)) for n, c in expected
         ], f
+        kinds.update(name[0] for name, _ in expected)
     literals = dict.fromkeys(
         PlqoLiteral(positive, a) for phi in formulas for a in atoms_of(phi)
         for positive in (True, False)
@@ -348,7 +368,7 @@ def test_rows_built_in_normal_form_equal_the_normalized_ones():
         ], lit
         if not lit.positive and isinstance(lit.atom, ObsAtom) and got:
             widest = max(widest, len(got[0][0].terms))
-    assert kinds == {"mass>=0", "sum", "pair", "formula"}
+    assert kinds == {"mass>=0", "sum", "formula"}
     assert len(literals) > 500 and widest >= 6
 
 
@@ -381,22 +401,26 @@ def test_negative_obs_literal_disjunction():
     lit = PlqoLiteral(False, ObsAtom(conj(atom(1), atom(2))))
     disjuncts = translate_literal(lit)
     assert len(disjuncts) == 1
-    (c,) = disjuncts[0]
+    (c, bound) = disjuncts[0]
     assert c.rel == "<" and c.coeffs() == {PairVar(1, 2): -1}
+    assert bound == constraint({PairVar(1, 2): 1}, ">=", 0)
     # one essential symbol: negation unsatisfiable, empty disjunction
     assert translate_literal(PlqoLiteral(False, ObsAtom(atom(1)))) == []
 
 
 def test_negative_obs_literal_is_one_sum_constraint():
     """Not O(alpha) says some essential pair is incompatible: one strict
-    sum over the pair variables, not one disjunct per pair."""
+    sum over the pair variables, not one disjunct per pair, beside the
+    bound of each of those pairs."""
     alpha = conj(conj(atom(1), atom(2)), atom(3))
-    ((c,),) = translate_literal(PlqoLiteral(False, ObsAtom(alpha)))
+    ((c, *bounds),) = translate_literal(PlqoLiteral(False, ObsAtom(alpha)))
+    pairs = [PairVar(1, 2), PairVar(1, 3), PairVar(2, 3)]
     assert c.rel == "<" and c.rhs == 0
-    assert c.coeffs() == {PairVar(1, 2): -1, PairVar(1, 3): -1, PairVar(2, 3): -1}
+    assert c.coeffs() == {p: -1 for p in pairs}
+    assert bounds == [constraint({p: 1}, ">=", 0) for p in pairs]
     # the "alpha unobservable" alternative of a negative probability literal
     obs, *complements = translate_literal(PlqoLiteral(False, ProbAtom(alpha, "=", ONE)))
-    assert obs == [c] and len(complements) == 2
+    assert obs == [c, *bounds] and len(complements) == 2
 
 
 def test_negative_prob_literal_disjunction():
@@ -511,19 +535,17 @@ def test_q_adams_equals_the_set_based_reference():
 )
 def test_mass_rows_equal_the_normalized_constraints(phi):
     """The decider's masses are bounded below only, one row each, as they
-    sum to one; the paper's Q bounds each of its masses in [0,1]."""
+    sum to one; the paper's Q bounds each of its masses in [0,1].  The
+    checker's test_proof_checker_rejects_a_malformed_line refuses the
+    names of no mass bound."""
     system = DecideSystem.of(PNeg(phi))
     assert len(system.masses) == 16
-    names = [name for name, _ in system.rows() if name[0].startswith("mass")]
+    named = dict(system.rows())
+    names = [name for name in named if name[0].startswith("mass")]
     assert names == [("mass>=0", k) for k in range(16)]
     for k, m in enumerate(system.masses):
-        row, expected = system.row(("mass>=0", k)), constraint({m: 1}, ">=", 0)
+        row, expected = named[("mass>=0", k)], constraint({m: 1}, ">=", 0)
         assert row == expected and hash(row) == hash(expected) and str(row) == str(expected)
-        with pytest.raises(VerificationFailed):
-            system.row(("mass<=1", k))
-    for bad in (True, -1, 16, 16.0, 1 << 64, frozenset()):
-        with pytest.raises(VerificationFailed):
-            system.row(("mass>=0", bad))
     q = q_adams(system.base, system.delta)
     for u in valuation_sets(system.base):
         m = set_mass_var(system.base, u)

@@ -21,7 +21,7 @@ from plqo.parser import parse_plqo
 from plqo.translate import DecideSystem, PairVar
 
 from formgen import gen_plqo, perfbench_workloads
-from oracles import valuation_sets
+from oracles import normalized_row, valuation_sets
 
 # sha256 over "id<TAB>api<TAB>text...<LF>" per query, in workload order.
 PINNED = {
@@ -101,7 +101,8 @@ def test_sentence_systems_from_literals_equal_those_from_formulas(workloads, mon
     """Every sentence the search builds, on both ladders and the mix at
     seeds 1 and 2 and on a formgen corpus, gets from its literals' atoms
     the system its formula gives: the same symbols, formulas, masses, rows
-    and row names, and the same row under each name."""
+    and row names.  No name is given twice or names a pair, and a formula's
+    name is missing exactly when its reference row is 0 = 0."""
     sentences = []
     refute = decide._refute
 
@@ -125,6 +126,31 @@ def test_sentence_systems_from_literals_equal_those_from_formulas(workloads, mon
             theirs.base, theirs.delta, theirs.a_p, theirs.masses)
         rows = mine.rows()
         assert rows == theirs.rows()
-        names = [name for name, _ in rows] + [("formula", k) for k in range(len(mine.delta))]
-        for name in names:
-            assert mine.row(name) == theirs.row(name)
+        named = dict(rows)
+        assert len(named) == len(rows) and all(name[0] != "pair" for name in named)
+        for k in range(len(mine.delta)):
+            name = ("formula", k)
+            assert (name in named) == bool(normalized_row(mine, name).terms), name
+
+
+def test_the_checker_builds_each_sentence_system_once(workloads, monkeypatch):
+    """check_proof builds each RCOF line's system once, through
+    DecideSystem.rows, on every proof the search checks on both ladders
+    and the mix at seed 1."""
+    proofs = []
+    check_proof = decide.check_proof
+    monkeypatch.setattr(decide, "check_proof", lambda proof: proofs.append(proof) or check_proof(proof))
+    for name in ("valid-ladder", "countermodel-ladder", "acceptance-mix"):
+        for q in workloads.build(name, 1):
+            _run(q)
+    built = []
+    rows = DecideSystem.rows
+    monkeypatch.setattr(DecideSystem, "rows", lambda self: built.append(self) or rows(self))
+    sentences = 0
+    for proof in proofs:
+        built.clear()
+        assert check_proof(proof)
+        lines = sum(line.kind == "RCOF" for line in proof.lines)
+        assert len(built) == lines, proof.render()
+        sentences += lines
+    assert sentences > 60
