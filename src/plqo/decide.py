@@ -428,8 +428,9 @@ def _search(target, conclusion):
     ``(structure, assignment, spec)``; when every disjunct is refuted, the
     checked proof of ``conclusion`` (the negation of ``target`` up to
     double negation) is returned."""
-    disjuncts = nnf_dnf_literals(target)
-    base = DecideSystem.of(target).base  # checks the symbol budget on B_phi(target)
+    atoms = sx.dnf_atoms(target)  # the one walk of its atoms, and the DNF budget
+    base = DecideSystem(atoms).base  # the symbol budget on B_phi(target), before expanding
+    disjuncts = nnf_dnf_literals(target, atoms)
     sentences = []
     for lits in disjuncts:
         found = _refute(RcofSentence(tuple(lits[:-1]), lits[-1].complement()))

@@ -29,7 +29,9 @@ from .hilbert import (
 )
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar, parse_rational
 from .syntax import Assignment
-from .translate import DecideSystem, NumericVar, PairVar, constraints_hold, eval_rcof, translate_formula
+from .translate import (
+    DecideSystem, NumericVar, PairVar, ProbVar, constraints_hold, eval_rcof, translate_formula
+)
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,11 @@ def model_from_witness(phi, witness):
     """``structure_of_witness`` for a witness from outside the decider: its
     fit to the decider's system for ``phi`` and the satisfaction
     equivalence are verified.  That system bounds no pair variable, so
-    each of the witness's is checked nonnegative here, as ``Q`` bounds it."""
+    each of the witness's is checked nonnegative here, as ``Q`` bounds it.
+    Each key must be a variable, not a tuple equal to one."""
+    for v in witness:
+        if type(v) not in (NumericVar, ProbVar, PairVar):
+            raise SpecInvalid(f"witness key {v!r} is not a solver variable")
     system = DecideSystem.of(phi)
     if not constraints_hold([c for _, c in system.rows()], witness) or any(
         value < 0 for v, value in witness.items() if isinstance(v, PairVar)

@@ -276,16 +276,24 @@ def _join(candidates):
     return out
 
 
-def nnf_dnf_literals(f):
+def dnf_atoms(f):
+    """:func:`atoms_of` ``f``, within the DNF budget on their number."""
+    atoms = atoms_of(f)
+    if len(atoms) > MAX_VALUATION_SYMBOLS:
+        raise BudgetExceeded(f"{len(atoms)} distinct atoms exceeds DNF budget {MAX_VALUATION_SYMBOLS}")
+    return atoms
+
+
+def nnf_dnf_literals(f, atoms=None):
     """Disjunctive normal form of ``f`` over its atoms, as a list of
     literal conjunctions.  Disjuncts containing complementary literals
     are pruned; duplicate literals and duplicate disjuncts are dropped.
     Deterministic: syntax-directed expansion order.  Each subformula is
     expanded once per polarity, so a shared subformula costs its size,
-    not the number of paths to it."""
-    n_atoms = len(atoms_of(f))
-    if n_atoms > MAX_VALUATION_SYMBOLS:
-        raise BudgetExceeded(f"{n_atoms} distinct atoms exceeds DNF budget {MAX_VALUATION_SYMBOLS}")
+    not the number of paths to it.  A caller that has ``atoms``, the
+    :func:`dnf_atoms` of ``f``, passes them, and ``f`` is not walked again."""
+    if atoms is None:
+        dnf_atoms(f)
     # (id(node), positive) -> (node, disjuncts); holding the node keeps its id unique
     memo = {}
 

@@ -19,13 +19,16 @@ translation: a pair variable occurs only pinned to zero or in a negative
 observability literal's strict sum, whose disjunct bounds each of its
 pairs.
 
-Every row is a :class:`LinConstraint` in one normal form.  The rows whose
-shape is fixed are written in it directly: a pair variable pinned to zero
-(:func:`q_obs`) or nonnegative, a negative observability literal's sum of
-pair variables, a mass bound and the masses summing to one.  The rows
-read off arbitrary coefficient maps go through :func:`constraint`, the one
-normalizer: probability comparisons, their negations, formula rows and
-the marginal rows of ``Q``."""
+Each variable is a tuple tagged by its kind's rank, ``(0, k)`` for a
+numeric term variable, ``(1, key)`` for a formula variable and ``(2, i,
+j)`` for a pair variable, and hashes, compares and orders as that tuple.
+Every row is a :class:`LinConstraint` in one normal form, its terms in
+that order.  The rows whose shape is fixed are written in it directly: a
+pair variable pinned to zero (:func:`q_obs`) or nonnegative, a negative
+observability literal's sum of pair variables, a mass bound and the
+masses summing to one.  The rows read off arbitrary coefficient maps go
+through :func:`constraint`, the one normalizer: probability comparisons,
+their negations, formula rows and the marginal rows of ``Q``."""
 
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from . import prop
@@ -48,21 +52,42 @@ MAX_Q_TERMS = 1 << 19
 # -- variables ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=True)
-class NumericVar:
-    """Solver unknown for the surface term variable x_k."""
+class _Var(tuple):
+    """A solver unknown: its kind's rank, then the fields it is rebuilt from."""
 
-    k: int
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        return self[1:]
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self[1:]))
+        return f"{type(self).__name__}({args})"
+
+
+class NumericVar(_Var):
+    """Solver unknown ``(0, k)`` for the surface term variable x_k."""
+
+    __slots__ = ()
+    _fields = ("k",)
+    k = property(itemgetter(1))
+
+    def __new__(cls, k):
+        return tuple.__new__(cls, (0, k))
 
     def __str__(self):
         return f"xn[{self.k}]"
 
 
-@dataclass(frozen=True, order=True)
-class ProbVar:
-    """Probability-of-formula variable, keyed by canonical formula text."""
+class ProbVar(_Var):
+    """Probability-of-formula variable ``(1, key)``, keyed by canonical formula text."""
 
-    key: str
+    __slots__ = ()
+    _fields = ("key",)
+    key = property(itemgetter(1))
+
+    def __new__(cls, key):
+        return tuple.__new__(cls, (1, key))
 
     @staticmethod
     def of(alpha):
@@ -72,16 +97,18 @@ class ProbVar:
         return f"x[{self.key}]"
 
 
-@dataclass(frozen=True, order=True)
-class PairVar:
-    """Compatibility variable for an unordered pair of symbols."""
+class PairVar(_Var):
+    """Compatibility variable ``(2, i, j)`` for the pair of symbols i < j."""
 
-    i: int
-    j: int
+    __slots__ = ()
+    _fields = ("i", "j")
+    i = property(itemgetter(1))
+    j = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.i >= self.j:
+    def __new__(cls, i, j):
+        if i >= j:
             raise ValueError("pair must be stored with ascending indices")
+        return tuple.__new__(cls, (2, i, j))
 
     @staticmethod
     def of(s1, s2):
@@ -92,24 +119,15 @@ class PairVar:
         return f"xp[B{self.i},B{self.j}]"
 
 
-def _var_key(v):
-    if isinstance(v, NumericVar):
-        return (0, v.k, "")
-    if isinstance(v, ProbVar):
-        return (1, 0, v.key)
-    return (2, v.i, v.j)
-
-
 # -- constraints -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinConstraint:
+class LinConstraint(NamedTuple):
     """Normalized linear constraint: sum of coeff*var REL rhs with REL in
-    {=, <=, <}, its terms ordered by variable.  Built via :func:`constraint`,
-    which flips > and >=, or directly for a row of fixed shape.  Each
-    coefficient and the right side is an exact rational: an ``int`` when it
-    is integral, else a ``Fraction``."""
+    {=, <=, <}, its terms ordered by variable, as tuples order them.  Built
+    via :func:`constraint`, which flips > and >=, or directly for a row of
+    fixed shape.  Each coefficient and the right side is an exact rational:
+    an ``int`` when it is integral, else a ``Fraction``."""
 
     terms: tuple
     rel: str
@@ -158,8 +176,8 @@ def exact(q):
 def constraint(coeffs, rel, rhs=0):
     """Build a normalized constraint from a var -> coefficient mapping:
     zero coefficients dropped, ``>`` and ``>=`` flipped, every number made
-    :func:`exact` and the terms sorted by variable.  The rows of fixed
-    shape are written in this form directly, not built here."""
+    :func:`exact` and the terms sorted by variable, in tuple order.  The
+    rows of fixed shape are written in this form directly, not built here."""
     rhs = exact(rhs)
     coeffs = {v: exact(c) for v, c in coeffs.items() if c != 0}
     if rel in (">", ">="):
@@ -168,8 +186,7 @@ def constraint(coeffs, rel, rhs=0):
         rel = "<" if rel == ">" else "<="
     if rel not in ("=", "<=", "<"):
         raise ValueError(f"unknown relation {rel!r}")
-    terms = tuple(sorted(coeffs.items(), key=lambda item: _var_key(item[0])))
-    return LinConstraint(terms, rel, rhs)
+    return LinConstraint(tuple(sorted(coeffs.items())), rel, rhs)
 
 
 def negate_constraint(c):
@@ -224,7 +241,7 @@ def _mass_row(kind, m):
 def _sum_row(masses):
     """The distinct mass variables ``masses`` summing to one, built
     directly in normal form: ascending by key, each coefficient 1."""
-    return LinConstraint(tuple((m, 1) for m in sorted(masses, key=attrgetter("key"))), "=", 1)
+    return LinConstraint(tuple((m, 1) for m in sorted(masses)), "=", 1)
 
 
 def _pair_row(s1, s2):

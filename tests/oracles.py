@@ -107,6 +107,10 @@ compare whole sparse matrices, which plqo.hilbert's legality and
 commutation checks no longer do: they read only the rows that hold an
 entry off the diagonal.
 
+var_key is the solver variables' order as first written, a key read off
+each variable's kind and fields, where plqo.translate's variables are
+tuples tagged by their kind's rank and sort as tuples.
+
 The last helpers read terms, polynomials and scalars in ways only the
 tests need: whether a term is closed, an ANF polynomial's variables and
 value, and whether an exact scalar is rational or canonical.
@@ -137,6 +141,7 @@ from plqo.syntax import (
 )
 from plqo.translate import (
     DecideSystem,
+    NumericVar,
     PairVar,
     ProbVar,
     _comparison_constraint,
@@ -342,6 +347,16 @@ def valuation_sets(symbols):
     code: bit j of the code is the value of the j-th listed symbol."""
     n = len(symbols)
     return [frozenset(symbols[j] for j in range(n) if code >> j & 1) for code in range(1 << n)]
+
+
+def var_key(v):
+    """The sort key of a solver variable: numeric term variables by index,
+    then formula variables by text, then pair variables by their indices."""
+    if isinstance(v, NumericVar):
+        return (0, v.k, "")
+    if isinstance(v, ProbVar):
+        return (1, 0, v.key)
+    return (2, v.i, v.j)
 
 
 def set_mass_var(a_set, u_set):

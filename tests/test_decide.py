@@ -3,6 +3,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import time
@@ -29,8 +30,8 @@ from plqo.decide import (
     conservativeness_check,
     derive_schema,
 )
-from plqo import decide, genmodel, lra
-from plqo.errors import BudgetExceeded, SchemaPreconditionFailed, VerificationFailed
+from plqo import decide, genmodel, lra, syntax
+from plqo.errors import BudgetExceeded, SchemaPreconditionFailed, SpecInvalid, VerificationFailed
 from plqo.genmodel import GenericModelSpec, build_generic, commutator_witness
 from plqo.hilbert import is_observable, prob, satisfies
 from plqo.parser import parse_plqo
@@ -55,7 +56,7 @@ from plqo.syntax import (
     prob_gt,
     prob_le,
 )
-from plqo.translate import DecideSystem, NumericVar, constraint
+from plqo.translate import DecideSystem, NumericVar, PairVar, ProbVar, constraint
 
 from formgen import (
     chain, gen_classical, gen_plqo, obs_ladder, perfbench_workloads, prob_ladder, rotated_structure
@@ -306,6 +307,58 @@ def test_search_verifies_the_model_before_reporting(monkeypatch):
     monkeypatch.setattr(decide, "translate_literal", complemented)
     with pytest.raises(VerificationFailed):
         check_valid(parse_plqo("O(T)"))
+
+
+class _ForeignTuple(tuple):
+    """A tuple subclass that is no solver variable type."""
+
+
+@pytest.mark.parametrize(
+    "impostor",
+    [(0, 1), (1, "T"), (2, 1, 2), _ForeignTuple((1, "T")), True],
+    ids=["numeric-tuple", "prob-tuple", "pair-tuple", "foreign-subclass", "true"],
+)
+def test_search_verifies_the_model_before_reporting_from_solver_variables_only(impostor):
+    """model_from_witness, the entry for a witness from outside the
+    decider, takes only keys of the three variable types: a plain tuple
+    equals the variable it spells and would stand in for it.  The name
+    puts it among the cases the -O child below runs."""
+    phi = parse_plqo("(O(B2 & B3) & P(T) = x1) -> O(B1)")
+    witness = {ProbVar("T"): 1, PairVar(1, 2): 0, PairVar(2, 3): 1, NumericVar(1): 1}
+    genmodel.model_from_witness(phi, witness)
+    forged = {v: x for v, x in witness.items() if v != impostor}
+    forged[impostor] = witness.get(impostor, 0)
+    with pytest.raises(SpecInvalid, match=re.escape(repr(impostor))):
+        genmodel.model_from_witness(phi, forged)
+
+
+def test_one_walk_of_the_target_atoms_per_query(monkeypatch):
+    """check_valid reads B_phi, both budgets and the DNF from one walk of
+    its target's atoms, on both ladders; over 17 symbols the budget stops
+    it before the DNF is expanded."""
+    walked = []
+    original = syntax.atoms_of
+
+    def counted(f):
+        walked.append(f)
+        return original(f)
+
+    monkeypatch.setattr(syntax, "atoms_of", counted)
+    workloads = perfbench_workloads()
+    for name in ("valid-ladder", "countermodel-ladder"):
+        for q in workloads.build(name, 1):
+            phi = parse_plqo(q.texts[0])
+            walked.clear()
+            check_valid(phi)
+            assert q.api == "valid" and len(walked) == 1, q.id
+
+    def unreachable(*args):
+        raise AssertionError("the DNF was expanded past the symbol budget")
+
+    monkeypatch.setattr(decide, "nnf_dnf_literals", unreachable)
+    wide = " & ".join(f"B{i}" for i in range(1, 18))
+    with pytest.raises(BudgetExceeded, match="distribution system over 17 symbols exceeds budget 16"):
+        check_valid(parse_plqo(f"O({wide}) -> O(B1 & B2)"))
 
 
 def test_a_sentence_with_no_branch_builds_no_system(monkeypatch):
@@ -850,7 +903,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "62 passed" in done.stdout
+    assert "67 passed" in done.stdout
 
 
 def test_no_assert_in_src():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +9,7 @@ import pytest
 from plqo.decide import RcofSentence, check_refutation
 from plqo.errors import BudgetExceeded, UNotSubset, UnsupportedNonlinear
 from plqo.genmodel import model_from_witness
-from plqo.lra import feasible
+from plqo.lra import Infeasible, feasible
 from plqo.parser import parse_plqo
 from plqo.prop import (
     PropSymbol,
@@ -15,6 +17,7 @@ from plqo.prop import (
     atom,
     canonical_text,
     conj,
+    essential_symbols,
     phi_A_U,
 )
 from plqo.syntax import (
@@ -72,6 +75,7 @@ from oracles import (
     set_mass_var,
     set_q_adams,
     valuation_sets,
+    var_key,
 )
 
 
@@ -321,7 +325,7 @@ def test_formula_rows_equal_the_set_based_reference():
 def _typed_row(c):
     """A row's terms, relation and right side, with the type of each
     number and of each field of each variable."""
-    terms = tuple((v, tuple(map(type, vars(v).values())), a, type(a)) for v, a in c.terms)
+    terms = tuple((v, type(v), tuple(map(type, v[1:])), a, type(a)) for v, a in c.terms)
     return terms, c.rel, c.rhs, type(c.rhs)
 
 
@@ -370,6 +374,86 @@ def test_rows_built_in_normal_form_equal_the_normalized_ones():
             widest = max(widest, len(got[0][0].terms))
     assert kinds == {"mass>=0", "sum", "formula"}
     assert len(literals) > 500 and widest >= 6
+
+
+def _workload_formulas():
+    """Each query of the workloads at seeds 1 and 2 as one formula, an
+    entailment as its implication."""
+    workloads = perfbench_workloads()
+    formulas = []
+    for seed in (1, 2):
+        for name in workloads.WORKLOADS:
+            for q in workloads.build(name, seed):
+                fs = [parse_plqo(t) for t in q.texts]
+                formulas.append(PImpl(pconj_all(fs[:-1]), fs[-1]) if q.api == "entail" else fs[0])
+    return formulas
+
+
+def test_variables_sort_as_the_reference_key():
+    """Variables sort as tuples in the order var_key gives, each row's terms
+    are in that order, and no two variables of different kinds are equal:
+    every variable of every system the search builds and of each atom's two
+    literal translations, for the workloads at seeds 1 and 2 (both ladders
+    and the mix) and a seeded corpus with numeric variables."""
+    formulas = _workload_formulas()
+    rng = random.Random(20261022)
+    formulas += [gen_plqo(rng, [1, 2, 3, 4], 3, allow_vars=True) for _ in range(80)]
+    rows = []
+    for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
+        rows += [c for _, c in DecideSystem.of(f).rows()]
+    literals = dict.fromkeys(
+        PlqoLiteral(positive, a) for phi in formulas for a in atoms_of(phi)
+        for positive in (True, False)
+    )
+    rows += [c for lit in literals for d in translate_literal(lit) for c in d]
+    for c in rows:
+        order = [v for v, _ in c.terms]
+        assert order == sorted(order, key=var_key), c
+    seen = [v for c in rows for v, _ in c.terms]
+    variables = list(set(seen))
+    assert sorted(variables) == sorted(variables, key=var_key)
+    assert len(variables) == len({(type(v), v[1:]) for v in seen})
+    assert {type(v) for v in variables} == {NumericVar, ProbVar, PairVar}
+
+
+def test_values_survive_copy_and_pickle():
+    """copy, deepcopy and pickle at every protocol give back an equal value
+    of the same type, the variables inside it too: each kind of variable,
+    a row over all three and a feasible witness keyed by them."""
+    row = constraint({NumericVar(1): 1, ProbVar("B1&B2"): Fraction(-1, 2), PairVar(1, 3): 2}, "<", 1)
+    witness = feasible([row])
+    assert witness
+    values = [NumericVar(1), ProbVar("B1&B2"), PairVar(1, 3), row, witness]
+    for value in values:
+        twins = [copy.copy(value), copy.deepcopy(value)]
+        twins += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == value and type(twin) is type(value) and repr(twin) == repr(value)
+
+
+def test_negative_obs_literal_bounds_each_pair_of_its_sum():
+    """A negative O literal's disjunct keeps every pair variable of its
+    strict sum nonnegative: with any one of them below 0 it is infeasible.
+    Over each such literal with two or more essential symbols among the
+    atoms of the workloads at seeds 1 and 2 and of a seeded corpus.  With
+    three or more symbols the strict sum alone would allow a negative pair
+    (-1, 2 and 0 sum to 1), so only the pair bounds refute it."""
+    rng = random.Random(20261023)
+    formulas = _workload_formulas()
+    formulas += [gen_plqo(rng, [1, 2, 3, 4, 5], 3, atom_depth=3) for _ in range(100)]
+    literals = [
+        PlqoLiteral(False, a) for a in dict.fromkeys(a for phi in formulas for a in atoms_of(phi))
+        if isinstance(a, ObsAtom) and len(essential_symbols(a.alpha)) >= 2
+    ]
+    widest = 0
+    for lit in literals:
+        (disjunct,) = translate_literal(lit)
+        (strict,) = [c for c in disjunct if c.rel == "<"]
+        widest = max(widest, len(strict.terms))
+        for xp, _ in strict.terms:
+            below = constraint({xp: 1}, "<", 0)
+            assert isinstance(feasible(disjunct + [below]), Infeasible), (lit, xp)
+    assert widest >= 3
 
 
 def test_linearize():
