@@ -18,7 +18,9 @@ refuting every disjunct proves the negation.
 
 The proof checker never runs the solver: it builds each sentence's rows
 once, as the search does, reads each row a certificate cites by its name,
-and checks one exact linear combination of them.
+and checks one exact linear combination of them.  It counts a sentence's
+branches before it builds any, and decides a TT line by ``prop.table``
+over the line's own atoms, the walk a classical formula's truth table takes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
 
 from .errors import PlqoError, SchemaPreconditionFailed, VerificationFailed, verify
 from . import prop
@@ -162,19 +165,22 @@ def check_refutation(cited):
 
 def _check_certificates(sent):
     """Each case-split branch of ``sent`` refuted by its own certificate.
+    The branches are counted before any is built, then built one at a time
+    beside the certificates, so 2^k branches cost 2^k certificates.
     The sentence's system and each branch's literal rows are built once,
     and each cited row is read from them by its name: a tuple of exact
     ``str`` and ``int`` parts, so that no ``True``, ``1.0`` or ``int``
     subclass, which equal and hash as an ``int``, matches a name."""
     system = dict(DecideSystem(sent.atoms()).rows())
-    branches = list(_branches(sent))
+    disjuncts = [translate_literal(l) for l in sent.literals()]
     certificates = sent.certificates
     verify(type(certificates) is tuple, "the certificates are not a tuple")
+    branches = prod(map(len, disjuncts))
     verify(
-        len(certificates) == len(branches),
-        f"{len(certificates)} certificates for {len(branches)} branches",
+        len(certificates) == branches,
+        f"{len(certificates)} certificates for {branches} branches",
     )
-    for branch, certificate in zip(branches, certificates):
+    for branch, certificate in zip(product(*disjuncts), certificates):
         verify(type(certificate) is tuple, "a certificate is not a tuple")
         literal_rows = dict(_literal_rows(branch))
         cited = []
@@ -235,25 +241,6 @@ class Proof:
         }
 
 
-def letters_formula(f):
-    """Abstract a formula's atoms into fresh propositional letters, so
-    tautology of the skeleton can be decided by truth tables."""
-    mapping = {}
-
-    def conv(node):
-        if is_atom(node):
-            if node not in mapping:
-                mapping[node] = prop_atom(len(mapping))
-            return mapping[node]
-        if isinstance(node, PNeg):
-            return Neg(conv(node.child))
-        if isinstance(node, PImpl):
-            return Impl(conv(node.left), conv(node.right))
-        raise VerificationFailed(f"not a formula node: {node!r}")
-
-    return conv(f)
-
-
 _NODE_FIELDS = {c: tuple(c.__dataclass_fields__) for c in (
     PlqoLiteral, ObsAtom, ProbAtom, PNeg, PImpl, prop.Verum, prop.Atom, Neg, Impl,
     prop.PropSymbol, sx.Const, sx.NumVar, sx.TNeg, sx.Add, sx.Mul,
@@ -289,7 +276,7 @@ def _exact_nodes(f, seen):
 
 
 def check_proof(proof):
-    """Independent checker: TT lines by truth table over atom letters, MP
+    """Independent checker: TT lines by ``prop.table`` over their own atoms, MP
     by shape, RCOF lines by their certificates, RR against the sentence
     it cites, HYP against the declared hypotheses.  It runs no solver.
     Raises VerificationFailed (an AssertionError) on any bad line, and on a
@@ -346,7 +333,11 @@ def check_proof(proof):
         elif line.kind == "HYP":
             verify(line.content in proof.hypotheses, "undeclared hypothesis")
         elif line.kind == "TT":
-            verify(is_tautology(letters_formula(line.content)), f"TT line {position} is no tautology")
+            atoms = prop.leaves(line.content, PNeg, PImpl)
+            verify(all(map(is_atom, atoms)), f"not a formula node on TT line {position}")
+            prop.check_budget(atoms, f"TT line {position}")
+            table = prop.table(line.content, atoms, PNeg, PImpl)
+            verify(table == (1 << (1 << len(atoms))) - 1, f"TT line {position} is no tautology")
         elif line.kind == "RR":
             (ref,) = line.refs
             cited = proof.lines[ref - 1]

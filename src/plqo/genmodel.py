@@ -27,6 +27,7 @@ from .errors import SpecInvalid, WitnessIncomplete, verify
 from .hilbert import (
     Matrix, Pqv, QuantumStructure, StateVector, czero, expect_type, satisfies, symbol_of
 )
+from .prop import check_budget
 from .scalars import C_ONE, C_ZERO, ComplexScalar, RAD_ZERO, RadicalScalar, parse_rational
 from .syntax import Assignment
 from .translate import (
@@ -38,7 +39,7 @@ from .translate import (
 class GenericModelSpec:
     """symbols: ascending tuple of PropSymbol; nc: frozenset of 2-element
     frozensets over symbols; masses: tuple of 2^|symbols| nonnegative
-    rationals summing to 1, each a Fraction or an int (not a bool), indexed
+    rationals summing to 1, each exactly a Fraction or an int, indexed
     by valuation code (bit j of the code is the value of the j-th symbol).
     :meth:`make` reads masses from texts and other numbers."""
 
@@ -50,12 +51,13 @@ class GenericModelSpec:
         for a, b in zip(self.symbols, self.symbols[1:]):
             if not a < b:
                 raise SpecInvalid(f"symbol {a} named twice" if a == b else "symbols must ascend")
+        check_budget(self.symbols, "countermodel basis")
         if len(self.masses) != 1 << len(self.symbols):
             raise SpecInvalid(
                 f"need {1 << len(self.symbols)} masses, got {len(self.masses)}"
             )
         for m in self.masses:
-            if type(m) is bool or not isinstance(m, (int, Fraction)):
+            if type(m) is not int and type(m) is not Fraction:
                 raise SpecInvalid(f"mass {m!r} is not an exact rational")
         if any(m < 0 for m in self.masses):
             raise SpecInvalid("masses must be nonnegative")

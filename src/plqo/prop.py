@@ -6,6 +6,9 @@ is the value of the j-th symbol; every table over valuations is indexed so.
 
 Formulas are immutable trees over verum, atoms, negation and implication;
 the other connectives are builders that expand into those primitives.
+Observation formulas share the connective walks, given their own negation
+and implication classes: :func:`print_connectives`, :func:`leaves` and
+:func:`table`.
 """
 
 from __future__ import annotations
@@ -74,9 +77,7 @@ class PropFormula:
     def symbols(self):
         out = getattr(self, "_symbols", None)
         if out is None:
-            out = set()
-            _collect_symbols(self, out)
-            out = frozenset(out)
+            out = frozenset(leaf.symbol for leaf in leaves(self) if isinstance(leaf, Atom))
             object.__setattr__(self, "_symbols", out)
         return out
 
@@ -151,20 +152,25 @@ def conj_all(formulas):
     return out
 
 
-def _collect_symbols(f, out):
+def leaves(f, neg=Neg, impl=Impl):
+    """The distinct leaves of ``f``, built from the node classes ``neg`` and
+    ``impl``: each node of neither class, in first-occurrence order.  One
+    walk that expands each inner node once, however many parents share it."""
+    found = {}  # leaf -> None, in first-occurrence order
+    walked = {}  # id(node) -> node for the inner nodes; holding the node keeps its id unique
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, Atom):
-            out.add(node.symbol)
-        elif isinstance(node, Neg):
-            stack.append(node.child)
-        elif isinstance(node, Impl):
-            stack.append(node.left)
-            stack.append(node.right)
+        if not isinstance(node, (neg, impl)):
+            found[node] = None
+        elif id(node) not in walked:
+            walked[id(node)] = node
+            stack += (node.child,) if isinstance(node, neg) else (node.right, node.left)
+    return list(found)
 
 
-def _check_budget(symbols, what):
+def check_budget(symbols, what):
+    """Raise BudgetExceeded when ``symbols`` are past the valuation budget."""
     if len(symbols) > MAX_VALUATION_SYMBOLS:
         raise BudgetExceeded(
             f"{what}: {len(symbols)} symbols exceeds budget {MAX_VALUATION_SYMBOLS}"
@@ -179,31 +185,39 @@ def _column(n, i):
     return (1 << (1 << n)) // ((1 << 2 * width) - 1) * block
 
 
-def truth_table(f, syms):
-    """The truth table of ``f`` over ``syms`` as one int: bit k is the
-    value of ``f`` under the valuation of code k of the ascending ``syms``
-    (bit j of k is the value of the j-th).
-    One walk of the tree, each node one bitwise operation on the columns;
-    the caller bounds ``syms``."""
-    syms = sorted(syms)
-    full = (1 << (1 << len(syms))) - 1
-    columns = {s: _column(len(syms), i) for i, s in enumerate(syms)}
+def table(f, letters, neg=Neg, impl=Impl):
+    """The truth table of ``f``, built from the node classes ``neg`` and
+    ``impl``, over the sequence ``letters`` as one int: bit k is its value
+    under the valuation of code k, whose bit j is the j-th letter's value.
+    An ``Atom`` reads its symbol's column and ``Verum`` is true; any other
+    leaf is a letter, and KeyError is raised if it is missing.  One walk,
+    each node one bitwise operation; the caller bounds ``letters``."""
+    n = len(letters)
+    full = (1 << (1 << n)) - 1
+    columns = {s: _column(n, i) for i, s in enumerate(letters)}
 
     def walk(node):
+        if isinstance(node, Atom):
+            return columns[node.symbol]
+        if isinstance(node, neg):
+            return full ^ walk(node.child)
+        if isinstance(node, impl):
+            return (full ^ walk(node.left)) | walk(node.right)
         if isinstance(node, Verum):
             return full
-        if isinstance(node, Atom):
-            try:
-                return columns[node.symbol]
-            except KeyError:
-                raise MissingSymbol(f"valuation does not cover {node.symbol}") from None
-        if isinstance(node, Neg):
-            return full ^ walk(node.child)
-        if isinstance(node, Impl):
-            return (full ^ walk(node.left)) | walk(node.right)
-        raise TypeError(f"not a formula node: {node!r}")
+        return columns[node]
 
     return walk(f)
+
+
+def truth_table(f, syms):
+    """:func:`table` of the classical ``f`` over the ascending ``syms``."""
+    try:
+        return table(f, sorted(syms))
+    except KeyError as e:
+        if isinstance(e.args[0], PropSymbol):
+            raise MissingSymbol(f"valuation does not cover {e.args[0]}") from None
+        raise TypeError(f"not a formula node: {e.args[0]!r}") from None
 
 
 def _true_sets(table, syms):
@@ -219,7 +233,7 @@ def _true_sets(table, syms):
 
 def is_tautology(f):
     syms = f.symbols()
-    _check_budget(syms, "is_tautology")
+    check_budget(syms, "is_tautology")
     return truth_table(f, syms) == (1 << (1 << len(syms))) - 1
 
 
@@ -242,7 +256,7 @@ class AnfPoly:
 def _anf_table(f):
     """``f``'s symbols, ascending, and its truth table over them."""
     syms = sorted(f.symbols())
-    _check_budget(syms, "anf")
+    check_budget(syms, "anf")
     return syms, truth_table(f, syms)
 
 

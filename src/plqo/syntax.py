@@ -1,6 +1,7 @@
 """Abstract syntax for the observation logic: ordered-field terms,
 formulas over observability and probability atoms, literals, and the
-NNF/DNF machinery used by the decision procedure."""
+NNF/DNF machinery used by the decision procedure.  A formula's atoms are
+its leaves under ``prop.leaves``, the walk classical formulas take."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceeded
-from .prop import MAX_VALUATION_SYMBOLS, PropFormula, node
+from .prop import MAX_VALUATION_SYMBOLS, PropFormula, leaves, node
 
 
 # -- terms -------------------------------------------------------------------
@@ -238,27 +239,14 @@ class PlqoLiteral:
 
 
 def atoms_of(f):
-    """Distinct atoms of ``f`` in first-occurrence order; a subformula
-    shared by several parents is walked once."""
-    found = {}  # atom -> None, in first-occurrence order
-    walked = {}  # id(node) -> node; holding the node keeps its id unique
-
-    def walk(node):
-        if id(node) in walked:
-            return
-        walked[id(node)] = node
-        if is_atom(node):
-            found.setdefault(node)
-        elif isinstance(node, PNeg):
-            walk(node.child)
-        elif isinstance(node, PImpl):
-            walk(node.left)
-            walk(node.right)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-
-    walk(f)
-    return list(found)
+    """Distinct atoms of ``f`` in first-occurrence order: its
+    :func:`prop.leaves`, each checked to be an atom, from one walk in which
+    a subformula shared by several parents is visited once."""
+    atoms = leaves(f, PNeg, PImpl)
+    for leaf in atoms:
+        if not is_atom(leaf):
+            raise TypeError(f"not a formula node: {leaf!r}")
+    return atoms
 
 
 def _join(candidates):

@@ -190,16 +190,13 @@ def constraint(coeffs, rel, rhs=0):
 
 
 def negate_constraint(c):
-    """Disjunction of constraints equivalent to the negation of ``c``."""
-    coeffs = c.coeffs()
+    """Disjunction of constraints equivalent to the negation of the
+    normal-form row ``c``, each built directly in normal form."""
+    rel = "<=" if c.rel == "<" else "<"
+    flipped = LinConstraint(tuple((v, -a) for v, a in c.terms), rel, -c.rhs)
     if c.rel == "=":
-        return [
-            [constraint(coeffs, "<", c.rhs)],
-            [constraint(coeffs, ">", c.rhs)],
-        ]
-    if c.rel == "<=":
-        return [[constraint(coeffs, ">", c.rhs)]]
-    return [[constraint(coeffs, ">=", c.rhs)]]
+        return [[LinConstraint(c.terms, "<", c.rhs)], [flipped]]
+    return [[flipped]]
 
 
 def constraints_hold(cs, values):

@@ -42,7 +42,9 @@ in one walk of bitwise operations.  all_valuations lists valuations as
 dicts in lexicographic order, where plqo names each by its code;
 valuation_sets lists them as the sets they make true, in code order;
 satisfying_sets lists the valuations that satisfy a formula, as sets,
-where plqo reads the bits of its truth table.
+where plqo reads the bits of its truth table.  letters_formula is the TT
+line's skeleton as first checked, a classical copy with a fresh letter
+per atom, where plqo.decide reads prop.table over the line's own atoms.
 
 set_mass_var names the mass of a valuation given as the set it makes
 true, where plqo.translate.mass_var reads the bits of its code.
@@ -66,12 +68,12 @@ per_pair_translate_literal is the literal translation as first written,
 one disjunct per essential pair of a negative literal, where
 plqo.translate asserts the sum of the pair variables positive.
 
-normalized_q_obs, normalized_pair_row, normalized_translate_literal and
-normalized_row build the rows whose shape is fixed (each pinned or
-nonnegative pair variable, a negative observability literal's sum of
-pair variables, the masses summing to one) through constraint(), from a
-coefficient map, where plqo.translate writes them directly in normal
-form.
+normalized_q_obs, normalized_pair_row, normalized_translate_literal,
+normalized_row and normalized_negate_constraint build the rows whose
+shape is fixed (each pinned or nonnegative pair variable, a negative
+observability literal's sum of pair variables, the masses summing to
+one, a row's complement) through constraint(), from a coefficient map,
+where plqo.translate writes them directly in normal form.
 
 tree_size counts the nodes of a formula or term by plain recursion, a
 shared part at each place it occurs, where plqo.parser records the size
@@ -342,6 +344,26 @@ def satisfying_sets(f, syms):
     )
 
 
+def letters_formula(f):
+    """Abstract a formula's atoms into fresh classical letters B0, B1, ...
+    in first-occurrence order, so that tautology of the skeleton can be
+    decided by classical truth tables."""
+    mapping = {}
+
+    def conv(node):
+        if is_atom(node):
+            if node not in mapping:
+                mapping[node] = Atom(PropSymbol(len(mapping)))
+            return mapping[node]
+        if isinstance(node, PNeg):
+            return Neg(conv(node.child))
+        if isinstance(node, PImpl):
+            return Impl(conv(node.left), conv(node.right))
+        raise TypeError(f"not a formula node: {node!r}")
+
+    return conv(f)
+
+
 def valuation_sets(symbols):
     """The valuations of ``symbols`` as the sets they make true, indexed by
     code: bit j of the code is the value of the j-th listed symbol."""
@@ -455,6 +477,16 @@ def normalized_q_obs(a_set):
 def normalized_pair_row(s1, s2):
     """The pair variable of symbols ``s1`` and ``s2`` nonnegative."""
     return constraint({_pair_var(s1, s2): 1}, ">=", 0)
+
+
+def normalized_negate_constraint(c):
+    """Disjunction of constraints equivalent to the negation of ``c``."""
+    coeffs = c.coeffs()
+    if c.rel == "=":
+        return [[constraint(coeffs, "<", c.rhs)], [constraint(coeffs, ">", c.rhs)]]
+    if c.rel == "<=":
+        return [[constraint(coeffs, ">", c.rhs)]]
+    return [[constraint(coeffs, ">=", c.rhs)]]
 
 
 def normalized_translate_literal(lit):

@@ -156,6 +156,13 @@ def test_check_over_seventeen_symbols_prints_nothing(capsys):
     assert err == "error[budget]: distribution system over 17 symbols exceeds budget 16\n"
 
 
+def test_genmodel_over_seventeen_symbols_prints_nothing(capsys):
+    symbols = [f"B{i}" for i in range(1, 18)]
+    code, out, err = invoke(capsys, "genmodel", "--symbols", *symbols, "--masses", "1")
+    assert (code, out) == (3, "")
+    assert err == "error[budget]: countermodel basis: 17 symbols exceeds budget 16\n"
+
+
 def test_huge_numeral_is_a_budget_error(capsys):
     code, out, err = invoke(capsys, "check", "P(B1) < " + "9" * 5000)
     assert (code, out) == (3, "")

@@ -62,7 +62,8 @@ from formgen import (
     chain, gen_classical, gen_plqo, obs_ladder, perfbench_workloads, prob_ladder, rotated_structure
 )
 from oracles import (
-    as_fraction, is_rational, matrix_is_zero, per_pair_translate_literal, rcof_holds_by_solving
+    as_fraction, is_rational, letters_formula, matrix_is_zero, per_pair_translate_literal,
+    rcof_holds_by_solving,
 )
 
 
@@ -493,6 +494,46 @@ def test_proof_checker_rejects_a_classical_formula_on_a_tt_line():
         check_proof(Proof((line,)))
 
 
+def _tt_line_holds(f):
+    """Whether check_proof accepts ``f`` as a one-line proof by TT."""
+    try:
+        return check_proof(Proof((ProofLine(1, f, "TT"),)))
+    except VerificationFailed as e:
+        assert "is no tautology" in str(e)
+        return False
+
+
+def test_tt_lines_agree_with_the_letters_reference():
+    """check_proof decides a TT line by prop.table over the line's own
+    atoms, as is_tautology decides its classical copy over fresh letters:
+    on every TT line of the workload proofs at seeds 1 and 2 and of the
+    schema proofs, and on seeded formulas, tautologies and not."""
+    workloads = perfbench_workloads()
+    proofs = [derive_schema("fig1", conj(atom(1), atom(2)), conj(atom(2), atom(1)))]
+    proofs += [derive_schema("fig2"), derive_schema("obs_taut")]
+    for seed in (1, 2):
+        for name in workloads.WORKLOADS:
+            for q in workloads.build(name, seed):
+                fs = [parse_plqo(t) for t in q.texts]
+                verdict = (
+                    check_sat(fs[0]) if q.api == "sat"
+                    else check_entail(fs[:-1], fs[-1]) if q.api == "entail"
+                    else check_valid(fs[0])
+                )
+                if isinstance(verdict, (Valid, Unsatisfiable)):
+                    proofs.append(verdict.proof)
+    lines = [line.content for proof in proofs for line in proof.lines if line.kind == "TT"]
+    assert len(lines) > 100 and all(map(_tt_line_holds, lines))
+    assert all(is_tautology(letters_formula(f)) for f in lines)
+    rng = random.Random(20261024)
+    formulas = [gen_plqo(rng, [1, 2], rng.randint(1, 5), atom_depth=1) for _ in range(600)]
+    formulas += [PImpl(f, PImpl(g, f)) for f, g in zip(formulas, formulas[1:])]
+    formulas = [f for f in formulas if len(atoms_of(f)) <= 16]
+    outcomes = [_tt_line_holds(f) for f in formulas]
+    assert outcomes == [is_tautology(letters_formula(f)) for f in formulas]
+    assert set(outcomes) == {True, False}
+
+
 def test_proof_checker_rejects_undeclared_hyp():
     line = ProofLine(1, parse_plqo("O(B1)"), "HYP")
     with pytest.raises(AssertionError):
@@ -601,6 +642,16 @@ def _citing(name):
     return lambda proof: _with_certificates(proof, lambda cs: ((*cs[0], (name, Fraction(0))),))
 
 
+def _forty_split_literals(certificates):
+    """The sentence deriving P(B1) = 1/2 from 39 copies of !(P(B1) = 1/2):
+    its 40 negated literals split into 2^40 branches, with the certificates
+    ``certificates(proof)``."""
+    lit = PlqoLiteral(False, parse_plqo("P(B1) = 1/2"))
+    return lambda p: _with_sentence(
+        p, premise_literals=(lit,) * 39, conclusion=lit.complement(), certificates=certificates(p)
+    )
+
+
 class _EqualsAnything(ObsAtom):
     """An observability atom that claims to equal every formula."""
 
@@ -706,6 +757,11 @@ _MALFORMED = {
     ),
     "certificate-entry-not-a-pair": lambda p: _with_certificates(p, lambda cs: ((*cs[0], "x"),)),
     "unknown-line-kind": lambda p: _with_line(p, 3, kind="XX"),
+    # rejected by counting the branches, none of which is built
+    "forty-split-literals-no-certificate": _forty_split_literals(lambda p: ()),
+    "forty-split-literals-one-certificate": _forty_split_literals(
+        lambda p: p.lines[0].content.certificates
+    ),
 }
 
 
@@ -903,7 +959,7 @@ def test_proof_checker_rejects_tampering_under_optimize():
         capture_output=True, text=True, env=env, cwd=root, timeout=300,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "67 passed" in done.stdout
+    assert "69 passed" in done.stdout
 
 
 def test_no_assert_in_src():
@@ -938,7 +994,7 @@ def test_sixteen_atoms_are_one_tt_line_and_seventeen_are_over_budget():
     verdict = check_valid(_spread(16))
     assert isinstance(verdict, Valid)
     (line,) = verdict.proof.lines
-    assert line.kind == "TT" and len(decide.letters_formula(line.content).symbols()) == 16
+    assert line.kind == "TT" and len(letters_formula(line.content).symbols()) == 16
     assert check_proof(verdict.proof)
     with pytest.raises(BudgetExceeded, match="17 distinct atoms exceeds DNF budget 16"):
         check_valid(_spread(17))

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from plqo.errors import MissingSymbol, SpecInvalid, WitnessIncomplete
+from plqo.errors import BudgetExceeded, MissingSymbol, SpecInvalid, WitnessIncomplete
 from plqo.genmodel import (
     GenericModelSpec,
     build_generic,
@@ -80,6 +80,16 @@ def test_spec_masses_are_not_booleans():
     assert spec_from_json({"symbols": ["B1"], "nc": [], "masses": [1, 0]}).masses == (1, 0)
 
 
+class _IntNeverBelow(int):
+    def __lt__(self, other):
+        return False
+
+
+class _FractionNeverBelow(Fraction):
+    def __lt__(self, other):
+        return False
+
+
 @pytest.mark.parametrize("masses, named", [
     ((True, False), "True"),
     ((0, True), "True"),
@@ -87,14 +97,28 @@ def test_spec_masses_are_not_booleans():
     ((Fraction(1, 2), 0.5), "0.5"),
     (("1/2", "1/2"), "'1/2'"),
     ((Fraction(1), "0"), "'0'"),
+    ((_IntNeverBelow(-1), 2), "-1"),
+    ((_FractionNeverBelow(-1, 2), Fraction(3, 2)), "_FractionNeverBelow(-1, 2)"),
 ], ids=["bools", "bool-beside-int", "floats", "float-beside-fraction", "texts",
-        "text-beside-fraction"])
+        "text-beside-fraction", "int-subclass", "fraction-subclass"])
 def test_spec_built_directly_takes_exact_masses_only(masses, named):
     """A spec built without ``make`` holds its masses as given, so each
-    must be a Fraction or an int that is not a bool; JSON would otherwise
-    write a text that ``spec_from_json`` refuses."""
+    must be exactly a Fraction or an int: JSON would otherwise write a
+    text that ``spec_from_json`` refuses, and a subclass whose ``<`` never
+    holds would carry a negative mass past the sign check."""
     with pytest.raises(SpecInvalid, match=re.escape(f"mass {named} is not an exact rational")):
         GenericModelSpec((B(1),), frozenset(), masses)
+
+
+def test_spec_keeps_the_valuation_budget():
+    """The countermodel basis has a vector per valuation of the symbols, so
+    a spec over 17 symbols is refused before its masses are counted."""
+    symbols = tuple(B(i) for i in range(1, 18))
+    with pytest.raises(BudgetExceeded, match="17 symbols exceeds budget 16"):
+        GenericModelSpec(symbols, frozenset(), (1,))
+    with pytest.raises(BudgetExceeded, match="17 symbols exceeds budget 16"):
+        GenericModelSpec.make(symbols, [], [1] + [0] * ((1 << 17) - 1))
+    assert len(GenericModelSpec.make(symbols[:16], [], [1] + [0] * 0xFFFF).masses) == 1 << 16
 
 
 def test_make_still_reads_texts_and_numbers():

@@ -26,6 +26,7 @@ from plqo.prop import (
     essential_symbols,
     iff,
     is_tautology,
+    leaves,
     phi_A_U,
     print_prop,
     truth_table,
@@ -181,6 +182,18 @@ def test_truth_table_bit_k_is_the_kth_valuation():
             assert table >> k & 1 == eval_formula(f, v)
             assert (u in satisfying) == eval_formula(f, v)
         assert len(satisfying) == bin(table).count("1")
+
+
+def test_leaves_visit_each_shared_node_once():
+    """A <-> chain built through the API shares each link between two
+    parents, so its tree doubles per link; its leaves, and so its symbols,
+    come from one visit per node, in first-occurrence order."""
+    f = atom(0)
+    for i in range(1, 41):
+        f = iff(f, atom(i))
+    assert leaves(f) == [atom(i) for i in range(41)]
+    assert f.symbols() == {PropSymbol(i) for i in range(41)}
+    assert leaves(Impl(VERUM, Neg(Impl(atom(2), VERUM)))) == [VERUM, atom(2)]
 
 
 def test_truth_table_without_symbols():

@@ -23,7 +23,7 @@ from plqo.parser import (
 )
 from plqo.translate import DecideSystem, translate_formula
 from plqo.prop import VERUM, atom, canonical_text, conj, is_tautology, print_prop
-from plqo.decide import Invalid, Valid, check_valid, letters_formula
+from plqo.decide import Invalid, Valid, check_valid
 from plqo.syntax import (
     EMPTY_ASSIGNMENT,
     Add,
@@ -57,6 +57,7 @@ from oracles import (
     ladder_parse_classical,
     ladder_parse_plqo,
     ladder_parse_term,
+    letters_formula,
     token_positions,
     tree_dnf_literals,
     tree_size,

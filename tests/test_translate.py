@@ -41,6 +41,7 @@ from plqo.translate import (
     NumericVar,
     PairVar,
     ProbVar,
+    _comparison_constraint,
     constraint,
     constraints_hold,
     eval_rcof,
@@ -69,6 +70,7 @@ from formgen import (
 from oracles import (
     all_valuations,
     decide_rows,
+    normalized_negate_constraint,
     normalized_row,
     normalized_translate_literal,
     set_formula_row,
@@ -387,6 +389,29 @@ def _workload_formulas():
                 fs = [parse_plqo(t) for t in q.texts]
                 formulas.append(PImpl(pconj_all(fs[:-1]), fs[-1]) if q.api == "entail" else fs[0])
     return formulas
+
+
+def test_negated_rows_equal_the_normalized_ones():
+    """negate_constraint writes the complement of a row directly in normal
+    form.  Each equals the rows constraint() makes from the row's
+    coefficient map, number types included: the comparison row of every
+    probability atom and every row of every system the search builds, for
+    the workloads at seeds 1 and 2 and a seeded corpus with numeric
+    variables, over all three relations."""
+    formulas = _workload_formulas()
+    rng = random.Random(20261023)
+    formulas += [gen_plqo(rng, [1, 2, 3, 4], 3, allow_vars=True) for _ in range(200)]
+    rows = []
+    for f in dict.fromkeys(f for phi in formulas for f in _search_system_formulas(phi)):
+        rows += [c for _, c in DecideSystem.of(f).rows()]
+    atoms = dict.fromkeys(a for phi in formulas for a in atoms_of(phi) if isinstance(a, ProbAtom))
+    rows += [_comparison_constraint(a.alpha, a.cmp, a.term) for a in atoms]
+    for c in dict.fromkeys(rows):
+        assert [[_typed_row(n) for n in d] for d in negate_constraint(c)] == [
+            [_typed_row(n) for n in d] for d in normalized_negate_constraint(c)
+        ], c
+    assert {c.rel for c in rows} == {"=", "<=", "<"}
+    assert len(atoms) > 300 and any(type(c.rhs) is Fraction for c in rows)
 
 
 def test_variables_sort_as_the_reference_key():
